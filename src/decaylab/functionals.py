@@ -54,8 +54,7 @@ def grad_sq(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
         out[1:-1, 1:-1] = 0.5 * (
             dx[:-1, 1:-1] ** 2 + dx[1:, 1:-1] ** 2
             + dy[1:-1, :-1] ** 2 + dy[1:-1, 1:]**2) / h2
-    out[~grid.fluid] = 0.0
-    return out
+    return grid.clamp_dirichlet(out)
 
 
 def energy(state: WaveState, grid: ExteriorGrid) -> float:
@@ -504,6 +503,8 @@ class SampleTracker:
             else:
                 bundle[m.name] = val
         self._prev_t = state.t
+        vol = ctx.vol
+        del ctx     # frees the per-sample fields before E_phi, X and u_tt
 
         if self._E_solver_0 is None:
             self._E_solver_0 = E_solver
@@ -527,15 +528,15 @@ class SampleTracker:
         return FunctionalSample(
             t=state.t, E=E_plain, E_phi=E_phi, X=X, D_cum=D_cum,
             D_weighted_cum=D_weighted, bundle=bundle,
-            high_energy=self._high_energy(state, ctx))
+            high_energy=self._high_energy(state, vol))
 
-    def _high_energy(self, state: WaveState, ctx) -> float:
+    def _high_energy(self, state: WaveState, vol: float) -> float:
         """||grad v||^2 + ||u_tt||^2 with u_tt rebuilt from the equation."""
         cfg = self.cfg
         utt = laplacian(cfg.grid, state.u) - cfg.damping.values * np.abs(
             state.v) ** (cfg.r - 1.0) * state.v
-        utt[~cfg.grid.fluid] = 0.0
-        return ctx.vol * float(
+        cfg.grid.clamp_dirichlet(utt)
+        return vol * float(
             np.sum(grad_sq(cfg.grid, state.v))
             + np.sum(utt * utt))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,11 +66,24 @@ class ExteriorGrid:
         return np.zeros(self.shape)
 
     def clamp_dirichlet(self, field: np.ndarray) -> np.ndarray:
-        field[~self.fluid] = 0.0
+        field[self._pinned] = 0.0
         return field
 
+    @cached_property
+    def _pinned(self) -> np.ndarray:
+        pinned = ~self.fluid
+        pinned.flags.writeable = False
+        return pinned
+
     def q(self) -> np.ndarray:
-        return np.hypot(1.0, self.radius)
+        """sqrt(1 + |x|^2) per node, computed once per grid (read-only)."""
+        return self._q
+
+    @cached_property
+    def _q(self) -> np.ndarray:
+        q = np.hypot(1.0, self.radius)
+        q.flags.writeable = False
+        return q
 
     def boundary_band(self, width: float) -> np.ndarray:
         """Fluid nodes within ``width`` of the outer truncation boundary."""
@@ -138,6 +152,15 @@ class DampingProfile:
     L: float
     kind: str
     a_inf: float
+
+    def scaled(self, dt: float) -> np.ndarray:
+        """dt * values, kept for the last dt asked (read-only)."""
+        memo = self.__dict__.get("_scaled")
+        if memo is None or memo[0] != dt:
+            c = dt * self.values
+            c.flags.writeable = False
+            memo = self.__dict__["_scaled"] = (dt, c)
+        return memo[1]
 
     def hyp_a_margin(self, grid: ExteriorGrid) -> float:
         """min over fluid {|x| >= L} of a - epsilon0; >= 0 by construction."""

@@ -24,7 +24,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -338,13 +338,19 @@ def _families(cfg: ScenarioConfig, consts):
 def run_scenario(cfg: ScenarioConfig, out_dir=None,
                  margin: float | None = None,
                  practical_b: float | None = None) -> ScenarioReport:
-    """Execute one scenario and persist series + report (+ plot data)."""
+    """Execute one scenario and persist series + report (+ plot data).
+
+    `margin` and `practical_b` override the config's values for this run
+    only: the run and its report's config echo use a copy, and the caller's
+    config is left as it was.
+    """
     t_wall = time.time()
     out = Path(out_dir or os.environ.get("DECAYLAB_OUT", "."))
-    if margin is not None:
-        cfg.margin = margin
-    if practical_b is not None:
-        cfg.practical_b = practical_b
+    overrides = {"margin": margin, "practical_b": practical_b}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if overrides:
+        cfg = replace(cfg, **overrides)
+        cfg.echo = _echo(cfg)
     try:
         report = _run_scenario_inner(cfg, out)
     except Exception as exc:

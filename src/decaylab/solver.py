@@ -10,8 +10,14 @@ exists), then drifts the displacement:
     u' = u + dt * v'
 
 The nodal solve is monotone with a guaranteed bracket [0, |w|], handled by
-safeguarded Newton/bisection.  With a == 0 the scheme is plain leapfrog and
-conserves the two-level quadratic form
+safeguarded Newton/bisection.  It runs only on the active nodes, where
+dt a != 0 and w != 0: elsewhere v' = w exactly, so the result is bit-identical
+to solving every node (damping is localized, and compact data leave most of
+the grid at rest).  A solve whose worst residual is still above its
+tolerance after `max_iter` iterations raises FloatingPointError.
+
+With a == 0 the scheme is plain leapfrog and conserves the two-level
+quadratic form
 
     E* = 1/2 ||v||^2 + 1/2 <K u, u> - dt/2 <K v, u>
 
@@ -101,23 +107,71 @@ class ConeSpec:
 # nodal damping solve
 # ---------------------------------------------------------------------------
 
-def _solve_damping_field(c, w, r, tol, max_iter=90):
-    """Vector root of v + c|v|^(r-1) v = w: safeguarded Newton on |v|."""
-    sign = np.sign(w)
-    aw = np.abs(w)
+# Gathered solves are zero-padded to whole blocks.  numpy keeps freed
+# buffers under 1 KiB for reuse, per byte size; temporaries whose length
+# changed every step would fill that cache with megabytes.
+_BLOCK = 1024
+
+
+def _gather(x: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+    """x at the flat indices idx (all in range), zero-padded to `size`."""
+    out = np.zeros(size)
+    np.take(x, idx, out=out[:idx.size], mode="clip")
+    return out
+
+
+def _newton_abs(c, aw, r, tol, max_iter):
+    """|v| with |v| + c|v|^r = aw per node: Newton kept inside [0, aw].
+
+    Every node runs until the worst one converges; raises FloatingPointError
+    when the worst residual still exceeds tol after max_iter steps.
+    """
     lo = np.zeros_like(aw)
     hi = aw.copy()
+    rc = r * c
     v = aw / (1.0 + c * aw ** (r - 1.0))
     for _ in range(max_iter):
         g = v + c * v ** r - aw
         if np.max(np.abs(g)) <= tol:
-            break
-        hi = np.where(g > 0.0, v, hi)
-        lo = np.where(g > 0.0, lo, v)
-        newton = v - g / (1.0 + r * c * v ** (r - 1.0))
+            return v
+        up = g > 0.0
+        hi = np.where(up, v, hi)
+        lo = np.where(up, lo, v)
+        newton = v - g / (1.0 + rc * v ** (r - 1.0))
         outside = (newton <= lo) | (newton >= hi)
         v = np.where(outside, 0.5 * (lo + hi), newton)
-    return sign * v
+    res = np.abs(v + c * v ** r - aw)
+    worst = np.max(res)
+    if worst <= tol:
+        return v
+    raise FloatingPointError(
+        f"nodal damping solve did not converge in {max_iter} iterations: "
+        f"worst residual {worst:.3g} > tol {tol:.3g} at "
+        f"{np.count_nonzero(~(res <= tol))} node(s), largest |w| "
+        f"{np.max(aw):.3g}")
+
+
+def _solve_damping_field(c, w, r, tol, max_iter=90):
+    """Vector root of v + c|v|^(r-1) v = w: safeguarded Newton on |v|.
+
+    Only nodes with c != 0 and w != 0 are solved; every other node returns
+    w itself (-0.0 as +0.0).  Newton is elementwise and those nodes have a
+    residual of exactly 0, so the result is bit-identical to a solve over
+    the whole grid; so are the zero padding nodes (c = w = 0 solves to 0).
+    With half the nodes or more active the whole grid is solved directly,
+    which skips the gather and scatter.
+    """
+    active = (c != 0.0) & (w != 0.0)
+    if 2 * np.count_nonzero(active) >= active.size:
+        return np.sign(w) * _newton_abs(c, np.abs(w), r, tol, max_iter)
+    idx = np.flatnonzero(active)
+    out = w + 0.0
+    if idx.size:
+        size = -(-idx.size // _BLOCK) * _BLOCK
+        ws = _gather(w, idx, size)
+        v = _newton_abs(_gather(c, idx, size), np.abs(ws), r, tol, max_iter)
+        np.put(out, idx, (np.sign(ws) * v)[:idx.size])
+    return out
 
 
 def solve_damping_scalar(c: float, w: float, r: float, tol: float = 1e-12) -> float:
@@ -154,8 +208,7 @@ def laplacian(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
         out[1:-1, 1:-1] = (
             u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
             - 4.0 * u[1:-1, 1:-1]) / h2
-    out[~grid.fluid] = 0.0
-    return out
+    return grid.clamp_dirichlet(out)
 
 
 def edge_form(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
@@ -198,7 +251,7 @@ def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
     dt = params.dt
     w = state.v + dt * laplacian(grid, state.u)
     grid.clamp_dirichlet(w)
-    v_new = _solve_damping_field(dt * damping.values, w, params.r,
+    v_new = _solve_damping_field(damping.scaled(dt), w, params.r,
                                  params.damping_tol)
     grid.clamp_dirichlet(v_new)
     u_new = state.u + dt * v_new
@@ -208,8 +261,18 @@ def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
         raise FloatingPointError(
             f"field magnitude {peak:.3g} at t = {state.t + dt:.6g}; "
             "check the CFL bound and damping parameters")
-    diss = dt * grid.cell_volume * float(
-        np.sum(damping.values * np.abs(v_new) ** (params.r + 1.0)))
+    a = damping.values
+    if 2 * np.count_nonzero(v_new) >= v_new.size:
+        dens = a * np.abs(v_new) ** (params.r + 1.0)
+    else:
+        # a |v'|^(r+1) on live nodes only, 0 elsewhere; summing the full
+        # array keeps np.sum's order
+        live = (a != 0.0) & (v_new != 0.0)
+        dens = np.zeros_like(v_new)
+        np.abs(v_new, out=dens, where=live)
+        np.power(dens, params.r + 1.0, out=dens, where=live)
+        np.multiply(a, dens, out=dens, where=live)
+    diss = dt * grid.cell_volume * float(np.sum(dens))
     return WaveState(u_new, v_new, state.t + dt), diss
 
 

@@ -280,3 +280,20 @@ def test_cli_margin_override(tmp_path, capsys):
     assert code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["all_pass"] is False
+
+
+def test_overrides_leave_caller_config_unchanged(tmp_path):
+    text = presets.get("t1-log-desk").replace("t_max = 150", "t_max = 20")
+    cfg = load_config(text)
+    echo = dict(cfg.echo)
+    rep = run_scenario(cfg, tmp_path, margin=5.0, practical_b=3.5)
+    assert not rep.failed
+    assert cfg.margin == 0.8 and cfg.practical_b == math.e
+    assert cfg.echo == echo
+    assert rep.payload["config"]["margin"] == 5.0
+    assert rep.payload["config"]["practical_b"] == 3.5
+    on_disk = json.loads((tmp_path / "t1-log-desk.report.json").read_text())
+    assert on_disk["config"]["margin"] == 5.0
+    # without overrides the run uses the config as loaded
+    rep = run_scenario(cfg, tmp_path / "plain")
+    assert rep.payload["config"]["margin"] == 0.8

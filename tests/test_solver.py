@@ -75,6 +75,89 @@ def test_damping_solve_properties(c, w, r):
         assert math.copysign(1.0, v) == math.copysign(1.0, w) or v == 0.0
 
 
+def dense_newton_oracle(c, w, r, tol, max_iter=90):
+    """Whole-grid safeguarded Newton, as the field solve ran before it
+    restricted itself to active nodes."""
+    sign = np.sign(w)
+    aw = np.abs(w)
+    lo = np.zeros_like(aw)
+    hi = aw.copy()
+    v = aw / (1.0 + c * aw ** (r - 1.0))
+    for _ in range(max_iter):
+        g = v + c * v ** r - aw
+        if np.max(np.abs(g)) <= tol:
+            break
+        hi = np.where(g > 0.0, v, hi)
+        lo = np.where(g > 0.0, lo, v)
+        newton = v - g / (1.0 + r * c * v ** (r - 1.0))
+        outside = (newton <= lo) | (newton >= hi)
+        v = np.where(outside, 0.5 * (lo + hi), newton)
+    return sign * v
+
+
+def _mixed_field(shape, n_active, seed):
+    """(c, w) with n_active solved nodes (some c*w products underflow to 0)
+    and the rest split among c = 0, w = 0 and w = -0.0."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    c = 10.0 ** rng.uniform(-3.0, 6.0, size)
+    w = rng.uniform(-10.0, 10.0, size)
+    w[w == 0.0] = 1.0
+    kind = rng.permutation(np.arange(size) % 3)
+    kind[rng.permutation(size)[:n_active]] = 3
+    c[kind == 0] = 0.0
+    w[kind == 1] = 0.0
+    w[kind == 2] = -0.0
+    tiny = (kind == 3) & (rng.random(size) < 0.2)
+    c[tiny] = 1e-200
+    w[tiny] = np.where(rng.random(np.count_nonzero(tiny)) < 0.5,
+                       1e-200, -1e-200)
+    return c.reshape(shape), w.reshape(shape)
+
+
+@pytest.mark.parametrize("regime", ["sparse", "dense"])
+@pytest.mark.parametrize("shape", [(1,), (40,), (7, 9), (45, 50)])
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(min_value=0.0, max_value=1.0),
+       r=st.floats(min_value=1.001, max_value=3.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_active_node_solve_bit_identical_to_dense(regime, shape, frac, r, seed):
+    size = math.prod(shape)
+    if regime == "sparse":
+        n_active = int(frac * (size - 1) / 2)       # under half
+    else:
+        n_active = size - int(frac * size / 2)      # half or more
+    c, w = _mixed_field(shape, n_active, seed)
+    solved = np.count_nonzero((c != 0.0) & (w != 0.0))
+    assert solved == n_active
+    assert (2 * solved < size) == (regime == "sparse")
+    want = dense_newton_oracle(c, w, r, 1e-12)
+    got = sv._solve_damping_field(c, w, r, 1e-12)
+    assert got.shape == w.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_field_solve_raises_when_unconverged():
+    # stiff node: v ~ (w/c)^(1/r) is far from the starting guess
+    with pytest.raises(FloatingPointError, match="in 3 iterations"):
+        sv._solve_damping_field(np.array([1.0e6]), np.array([1.0]), 1.5,
+                                1e-12, max_iter=3)
+    # the residual is measured on solved nodes only, in the sparse regime too
+    c = np.zeros(10)
+    w = np.zeros(10)
+    c[3], w[3] = 1.0e6, -1.0
+    with pytest.raises(FloatingPointError, match=r"at 1 node\(s\)"):
+        sv._solve_damping_field(c, w, 1.5, 1e-12, max_iter=3)
+
+
+def test_field_solve_leaves_inactive_nodes_alone():
+    c = np.array([0.0, 2.0, 0.0, 2.0])
+    w = np.array([-3.5, 0.0, 1e-300, -0.0])
+    out = sv._solve_damping_field(c, w, 1.5, 1e-12)
+    assert out.tobytes() == np.array([-3.5, 0.0, 1e-300, 0.0]).tobytes()
+    assert out is not w
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -334,6 +417,57 @@ def test_2d_step_and_energy_decay():
     assert res.mono_violations == 0
     assert res.E_steps[-1] < res.E_steps[0]
     assert np.isfinite(res.final_state.u).all()
+
+
+def _stepping_cases():
+    """(grid, damping, params, state): sparse 1D and 2D compact, dense weighted."""
+    g1 = build_grid_1d(0.5, 40.0, 790)
+    d1 = build_damping(g1, "exterior_smooth", 0.5, 0.5, 1.0)
+    s1 = make_initial_compact(g1, 1.25, 0.7, 1.0, "both", R=2.0)
+    g2 = build_grid_2d_disk(1.0, 10.0, 10.0)
+    d2 = build_damping(g2, "annulus_plus_exterior", 0.5, 2.0, 1.0)
+    s2 = make_initial_compact(g2, (3.5, 0.0), 1.0, 1.0, "bump_v", R=4.5)
+    g3 = build_grid_1d(0.0, 30.0, 300)
+    d3 = build_damping(g3, "constant", 1.0, 1.0, 1.0)
+    s3 = make_initial_weighted(g3, 10.0, None, 0.0)
+    return [(g, d, SolverParams.for_grid(g, 0.9, 1.5, T_max=0.0), s)
+            for g, d, s in ((g1, d1, s1), (g2, d2, s2), (g3, d3, s3))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_step_dissipation_bit_equal_to_full_sum(case):
+    grid, damping, params, state = _stepping_cases()[case]
+    for _ in range(8):
+        new, diss = step(state, grid, damping, params)
+        full = params.dt * grid.cell_volume * float(np.sum(
+            damping.values * np.abs(new.v) ** (params.r + 1.0)))
+        assert diss > 0.0
+        assert diss == full
+        state = new
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_step_hands_full_grid_to_the_field_solve(monkeypatch, case):
+    # profiling hooks wrap the module global and see every nodal solve
+    grid, damping, params, state = _stepping_cases()[case]
+    params = SolverParams(dt=params.dt, cfl=params.cfl, r=params.r,
+                          T_max=6 * params.dt)
+    calls = []
+    real = sv._solve_damping_field
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "_solve_damping_field", counting)
+    res = run(grid, damping, None, state, params)
+    assert res.n_steps == 6 and len(calls) == 6
+    for args, kwargs in calls:
+        c, w, r, tol = args
+        assert not kwargs
+        assert c.shape == grid.shape and w.shape == grid.shape
+        assert np.array_equal(c, params.dt * damping.values)
+        assert (r, tol) == (params.r, params.damping_tol)
 
 
 # ---------------------------------------------------------------------------
