@@ -153,15 +153,6 @@ class DampingProfile:
     kind: str
     a_inf: float
 
-    def scaled(self, dt: float) -> np.ndarray:
-        """dt * values, kept for the last dt asked (read-only)."""
-        memo = self.__dict__.get("_scaled")
-        if memo is None or memo[0] != dt:
-            c = dt * self.values
-            c.flags.writeable = False
-            memo = self.__dict__["_scaled"] = (dt, c)
-        return memo[1]
-
     def hyp_a_margin(self, grid: ExteriorGrid) -> float:
         """min over fluid {|x| >= L} of a - epsilon0; >= 0 by construction."""
         sel = grid.fluid & (grid.radius >= self.L)

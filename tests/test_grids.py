@@ -144,13 +144,3 @@ def test_grid_q_computed_once_and_read_only():
     with pytest.raises(ValueError):
         q[0, 0] = 0.0
 
-
-def test_damping_scaled_kept_per_dt():
-    g = build_grid_1d(0.0, 10.0, 100)
-    d = build_damping(g, "exterior_smooth", 0.5, 1.0, 1.0)
-    c = d.scaled(0.05)
-    assert d.scaled(0.05) is c
-    assert c.tobytes() == (0.05 * d.values).tobytes()
-    assert d.scaled(0.1).tobytes() == (0.1 * d.values).tobytes()
-    with pytest.raises(ValueError):
-        c[1] = 0.0

@@ -150,6 +150,31 @@ def test_field_solve_raises_when_unconverged():
         sv._solve_damping_field(c, w, 1.5, 1e-12, max_iter=3)
 
 
+def test_field_solve_accepts_round_off_limited_residual():
+    # |w| ~ 9e3: the absolute tol 1e-12 lies below one ulp of |w|, so the
+    # loop runs to max_iter; the result is the dense loop's, without error
+    c = np.array([0.4941280961645296, 0.0, 0.4941280961645296])
+    w = np.array([9271.797576704403, 5.0, -9271.797576704403])
+    got = sv._solve_damping_field(c, w, 1.5, 1e-12)
+    assert got.tobytes() == dense_newton_oracle(c, w, 1.5, 1e-12).tobytes()
+    assert abs(got[0] + c[0] * got[0] ** 1.5 - w[0]) > 1e-12
+    assert abs(got[0] + c[0] * got[0] ** 1.5 - w[0]) <= 1e-12 * abs(w[0])
+    assert solve_damping_scalar(c[2], w[2], 1.5) == got[2]
+
+
+def test_large_amplitude_compact_run_matches_dense_solve(monkeypatch):
+    g = build_grid_1d(0.5, 40.0, 790)
+    d = build_damping(g, "exterior_smooth", 0.5, 0.5, 1.0)
+    s = make_initial_compact(g, 1.25, 0.7, 1.0e4, "both", R=2.0)
+    p = SolverParams.for_grid(g, 0.9, 1.5, T_max=10.0)
+    res = run(g, d, None, s, p)
+    monkeypatch.setattr(sv, "_solve_damping_field", dense_newton_oracle)
+    want = run(g, d, None, s, p)
+    assert res.n_steps == want.n_steps > 200
+    assert res.final_state.u.tobytes() == want.final_state.u.tobytes()
+    assert res.final_state.v.tobytes() == want.final_state.v.tobytes()
+
+
 def test_field_solve_leaves_inactive_nodes_alone():
     c = np.array([0.0, 2.0, 0.0, 2.0])
     w = np.array([-3.5, 0.0, 1e-300, -0.0])
