@@ -23,7 +23,8 @@ import numpy as np
 from .grids import CutoffPsi, DampingProfile, ExteriorGrid
 from .solver import WaveState, laplacian
 from .weights import (Regime, TheoremConstants, WeightFamily, WeightKind,
-                      WeightOverflowError, eval_weight)
+                      WeightOverflowError, eval_weight, exponent_table,
+                      table_weight)
 
 __all__ = [
     "FunctionalSample", "DataFunctionals", "Prop1Config", "ObsConfig",
@@ -70,12 +71,57 @@ def energy(state: WaveState, grid: ExteriorGrid) -> float:
     return 0.5 * (kin + edge_form(grid, state.u, state.u))
 
 
-def _phi_log_values(family: WeightFamily, s):
-    """ln of the phi-role weight at argument s."""
-    if family.regime is Regime.LOG:
-        return (family.beta + 1.0) * np.log(family.ln_bs(s))
-    base = 1.0 if family.regime is Regime.POLY else family.R
-    return (family.beta + 1.0) * np.log(base + s)
+class _SampleContext:
+    """One state's nodal densities (e = |grad u|^2 + |u_t|^2, u2, ur1 =
+    |u|^(r+1), and their products with a) and weight arguments, each built
+    on first use and shared by every functional evaluated on that state."""
+
+    def __init__(self, grid: ExteriorGrid, state: WaveState, a=None, r=None,
+                 E: float | None = None):
+        self.grid, self.state = grid, state
+        self.u, self.v, self.t = state.u, state.v, state.t
+        self.a, self.r = a, r
+        self.vol = grid.cell_volume
+        self._s = {}
+        self._totals = {"E": E}
+
+    def s(self, mu: float, lam: float) -> np.ndarray:
+        """The weight argument mu q(x) + lam t."""
+        if (mu, lam) not in self._s:
+            self._s[mu, lam] = mu * self.grid.q() + lam * self.t
+        return self._s[mu, lam]
+
+    def total(self, name: str) -> float:
+        """h^d times the sum of a density; "E" is the plain energy.  A
+        density not built yet is summed without being kept."""
+        if name not in self._totals:
+            dens = self.__dict__.get(name)
+            if dens is None:
+                dens = self._DENSITIES[name](self)
+            self._totals[name] = self.vol * float(np.sum(dens))
+        return self._totals[name]
+
+    # nodal densities, each built on first use by __getattr__
+    _DENSITIES = {
+        "e": lambda c: grad_sq(c.grid, c.u) + np.where(c.grid.fluid, c.v**2, 0.0),
+        "u2": lambda c: c.u**2,
+        "ur1": lambda c: np.abs(c.u) ** (c.r + 1.0),
+        "a_u2": lambda c: c.a * c.u2,
+        "a_ur1": lambda c: c.a * c.ur1,
+        "a_vel_r1": lambda c: c.a * np.abs(c.v) ** (c.r + 1.0),
+    }
+
+    def __getattr__(self, name):
+        if name not in self._DENSITIES:
+            raise AttributeError(name)
+        value = self.__dict__[name] = self._DENSITIES[name](self)
+        return value
+
+
+def _mu(family: WeightFamily) -> float:
+    """q-coefficient of the regime's weight argument: compact weights depend
+    on t alone, the others on q(x) + t."""
+    return 0.0 if family.regime is Regime.COMPACT_POLY else 1.0
 
 
 def weighted_energy(state: WaveState, grid: ExteriorGrid,
@@ -87,30 +133,34 @@ def weighted_energy(state: WaveState, grid: ExteriorGrid,
     """
     if mu < 0.0 or lam < 0.0:
         raise ValueError("mu and lambda must be nonnegative")
-    s = mu * grid.q() + lam * state.t
+    return _weighted_energy(_SampleContext(grid, state), family, mu, lam)
+
+
+def _weighted_energy(c: _SampleContext, family, mu, lam) -> float:
     try:
-        w = eval_weight(family, WeightKind.PHI, s)
+        w = table_weight(family, exponent_table(family)[WeightKind.PHI],
+                         c.s(mu, lam))
     except WeightOverflowError as exc:
         raise WeightOverflowError(
             "phi exceeds the double range; ln E_phi supplied",
-            weighted_energy_log(state, grid, family, mu, lam)) from exc
-    dens = grad_sq(grid, state.u) + np.where(grid.fluid, state.v**2, 0.0)
-    return 0.5 * grid.cell_volume * float(np.sum(w * dens))
+            weighted_energy_log(c.state, c.grid, family, mu, lam)) from exc
+    return 0.5 * c.vol * float(np.sum(w * c.e))
 
 
 def weighted_energy_log(state: WaveState, grid: ExteriorGrid,
                         family: WeightFamily, mu: float, lam: float) -> float:
     """ln E_phi computed fully in log space (stable for extreme weights)."""
-    s = mu * grid.q() + lam * state.t
-    ln_w = _phi_log_values(family, s)
-    dens = grad_sq(grid, state.u) + np.where(grid.fluid, state.v**2, 0.0)
+    c = _SampleContext(grid, state)
+    A, M, _ = exponent_table(family)[WeightKind.PHI]
+    ln_w = family.log_weight(A, M, c.s(mu, lam))
+    dens = c.e
     pos = dens > 0.0
     if not pos.any():
         return -math.inf
     terms = ln_w[pos] + np.log(dens[pos])
     m = float(np.max(terms))
     return (m + math.log(float(np.sum(np.exp(terms - m))))
-            + math.log(0.5 * grid.cell_volume))
+            + math.log(0.5 * c.vol))
 
 
 _REGIME_FOR = {"T1": Regime.LOG, "T2": Regime.POLY, "T3": Regime.COMPACT_POLY}
@@ -121,48 +171,41 @@ def X_functional(state: WaveState, grid: ExteriorGrid, psi: CutoffPsi,
                  family: WeightFamily) -> float:
     """The active regime's four-term auxiliary functional.
 
-    With v = (1-psi) u and e = |grad u|^2 + |u_t|^2:
+    With v = (1-psi) u, e = |grad u|^2 + |u_t|^2 and the regime's weights at
+    s = q + t (T1, T2) or s = t (T3):
 
-      T1:  int f(q+t) v v_t + (k1/2) int f1(q+t) a u^2
-           + int a f2(q+t) |u|^(r+1) + (k/2) int phi(q+t) e
-      T2:  same shape with (1+q+t) powers and coefficients k1/2, k2, k/2
-      T3:  scalar (R+t) powers: (R+t)^b int v v_t + (k1/2)(R+t)^(b-1) int a u^2
-           + k2 (R+t)^(b-r+1) int a |u|^(r+1) + k (R+t)^(b+1) E_u(t)
+      int f(s) v v_t + (k1/2) int f1(s) a u^2 + k2 int a f2(s) |u|^(r+1)
+      + (k/2) int phi(s) e
+
+    with T1's log weights (k2 = 1) and the (1+s) or (R+s) powers
+    f = base^b, f1 = base^(b-1), f2 = base^(b-r+1), phi = base^(b+1) of T2
+    and T3.
     """
+    return _x_value(_SampleContext(grid, state, damping.values, constants.r),
+                    psi, constants, family)
+
+
+def _x_value(c: _SampleContext, psi, constants, family) -> float:
     if family.regime is not _REGIME_FOR[constants.theorem]:
         raise ValueError(f"{constants.theorem} constants require a "
                          f"{_REGIME_FOR[constants.theorem].value} family, "
                          f"got {family.regime.value}")
     if family.r is not None and abs(family.r - constants.r) > 1e-12:
         raise ValueError("family r disagrees with the constant pack")
-    vol = grid.cell_volume
+    table = exponent_table(family, r=constants.r)
+    s = c.s(_mu(family), 1.0)
+
+    def w(kind):
+        return table_weight(family, table[kind], s)
+
     one_m_psi = 1.0 - psi.values
-    vv = one_m_psi * state.u
-    vvt = one_m_psi * state.v
-    a = damping.values
-    u2 = state.u * state.u
-    ur1 = np.abs(state.u) ** (constants.r + 1.0)
-    e = grad_sq(grid, state.u) + np.where(grid.fluid, state.v**2, 0.0)
+    vv, vvt = one_m_psi * c.u, one_m_psi * c.v
+    del one_m_psi
     k, k1, k2 = constants.k, constants.k1, constants.k2
-
-    if family.regime is Regime.COMPACT_POLY:
-        b = family.beta
-        Rt = family.R + state.t
-        E_u = 0.5 * vol * float(np.sum(e))
-        return (Rt**b * vol * float(np.sum(vv * vvt))
-                + 0.5 * k1 * Rt**(b - 1.0) * vol * float(np.sum(a * u2))
-                + k2 * Rt**(b - constants.r + 1.0) * vol * float(np.sum(a * ur1))
-                + k * Rt**(b + 1.0) * E_u)
-
-    s = grid.q() + state.t
-    f = eval_weight(family, WeightKind.F, s)
-    f1 = eval_weight(family, WeightKind.F1, s)
-    f2 = eval_weight(family, WeightKind.F2, s)
-    phi = eval_weight(family, WeightKind.PHI, s)
-    return vol * (float(np.sum(f * vv * vvt))
-                  + 0.5 * k1 * float(np.sum(f1 * a * u2))
-                  + k2 * float(np.sum(a * f2 * ur1))
-                  + 0.5 * k * float(np.sum(phi * e)))
+    return c.vol * (float(np.sum(w(WeightKind.F) * vv * vvt))
+                    + 0.5 * k1 * float(np.sum(w(WeightKind.F1) * c.a * c.u2))
+                    + k2 * float(np.sum(c.a * w(WeightKind.F2) * c.ur1))
+                    + 0.5 * k * float(np.sum(w(WeightKind.PHI) * c.e)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,182 +302,79 @@ class TrackerConfig:
     bundle_sets: list = field(default_factory=list)  # (prefix, family) pairs
     prop1: Prop1Config | None = None
     obs: ObsConfig | None = None
-    trunc_band_width: float | None = None  # default 4h
 
 
-class _Member:
-    __slots__ = ("name", "cumulative", "fn")
+# Registry groups are (member names, fn): fn(ctx) returns one value per
+# name, so the members of a group share their weights.  Names ending in
+# "_cum" are cumulative.
 
-    def __init__(self, name, cumulative, fn):
-        self.name = name
-        self.cumulative = cumulative
-        self.fn = fn
-
-
-def _log_pow(family: WeightFamily, A: float, M: float, s):
-    """ln^A(b+s) / (b+s)^M in log space; underflows to 0."""
-    L = family.ln_bs(s)
-    val = A * np.log(L) - M * L
-    return np.exp(np.minimum(val, 700.0))
+# bundle members in registry order, each with the density it integrates
+# ("E": the plain energy, carried by the compact tail member)
+_BUNDLE = (("energy_weighted_inst", "e"), ("energy_tail_cum", "E"),
+           ("energy_f_cum", "e"), ("disp_weighted_cum", "a_vel_r1"),
+           ("au2_inst", "a_u2"), ("au2_cum", "a_u2"),
+           ("aur_inst", "a_ur1"), ("aur_cum", "a_ur1"))
 
 
 def _theorem_members(prefix: str, family: WeightFamily,
-                     constants: TheoremConstants) -> list:
-    """The 'moreover' bundle of the regime, as named registry members.
+                     constants: TheoremConstants) -> tuple:
+    """The 'moreover' bundle of the regime, as one registry group.
 
     Members whose display is instantaneous are tracked both instantaneously
     and (for the neighbouring time-integrated display) cumulatively, matching
-    the alternation of the displays.
+    the alternation of the displays.  Compact weights depend on t alone and
+    scale the density's integral; the others weight it per node at q + t.
     """
-    g, r = constants.gamma, constants.r
-    reg = family.regime
-
-    if reg is Regime.COMPACT_POLY:
-        R = family.R
-
-        def m(P):
-            return lambda c: (R + c.t) ** P
-
-        return [
-            _Member(f"{prefix}.energy_tail_cum", True,
-                    lambda c: m(g - 1.0)(c) * c.E),
-            _Member(f"{prefix}.disp_weighted_cum", True,
-                    lambda c: m(g)(c) * c.sum_a_vel_r1),
-            _Member(f"{prefix}.au2_inst", False,
-                    lambda c: m(g - 2.0)(c) * c.sum_a_u2),
-            _Member(f"{prefix}.au2_cum", True,
-                    lambda c: m(g - 3.0)(c) * c.sum_a_u2),
-            _Member(f"{prefix}.aur_inst", False,
-                    lambda c: m(g - r)(c) * c.sum_a_ur1),
-            _Member(f"{prefix}.aur_cum", True,
-                    lambda c: m(g - r - 1.0)(c) * c.sum_a_ur1),
-        ]
-
-    if reg is Regime.LOG:
-        # members have the shape ln^A(b+q+t)/(b+q+t)^M
-        def w(A, M):
-            return lambda c: _log_pow(family, A, M, c.s_qt)
-
-        specs = [
-            ("energy_weighted_inst", False, w(g, 0.0), "e"),
-            ("energy_f_cum", True, w(g - 1.0, 1.0), "e"),
-            ("disp_weighted_cum", True, w(g, 0.0), "a_vel_r1"),
-            ("au2_inst", False, w(g - 1.0, 2.0), "a_u2"),
-            ("au2_cum", True, w(g - 1.0, 3.0), "a_u2"),
-            ("aur_inst", False, w(g - r, r), "a_ur1"),
-            ("aur_cum", True, w(g - r, r + 1.0), "a_ur1"),
-        ]
-    else:
-        # members carry the single power (1+q+t)^P
-        def w(P):
-            return lambda c: (1.0 + c.s_qt) ** P
-
-        specs = [
-            ("energy_weighted_inst", False, w(g), "e"),
-            ("energy_f_cum", True, w(g - 1.0), "e"),
-            ("disp_weighted_cum", True, w(g), "a_vel_r1"),
-            ("au2_inst", False, w(g - 2.0), "a_u2"),
-            ("au2_cum", True, w(g - 3.0), "a_u2"),
-            ("aur_inst", False, w(g - r), "a_ur1"),
-            ("aur_cum", True, w(g - r - 1.0), "a_ur1"),
-        ]
-
-    def make(weight_fn, dens_name):
+    table = exponent_table(family, constants.gamma, constants.r)
+    specs = [(table[name], dens) for name, dens in _BUNDLE if name in table]
+    names = [f"{prefix}.{name}" for name, _ in _BUNDLE if name in table]
+    if family.regime is Regime.COMPACT_POLY:
         def fn(c):
-            return c.vol * float(np.sum(weight_fn(c) * getattr(c, dens_name)))
-        return fn
-
-    return [_Member(f"{prefix}.{n}", cum, make(wf, dens))
-            for n, cum, wf, dens in specs]
-
-
-class _SampleContext:
-    """Precomputed per-sample fields shared by all members."""
-
-    def __init__(self, cfg: TrackerConfig, state: WaveState, E_plain: float):
-        grid = cfg.grid
-        self.t = state.t
-        self.vol = grid.cell_volume
-        self.E = E_plain
-        self.s_qt = grid.q() + state.t
-        fluid = grid.fluid
-        self.e = grad_sq(grid, state.u) + np.where(fluid, state.v**2, 0.0)
-        a = cfg.damping.values
-        self.a_u2 = a * state.u**2
-        self.a_ur1 = a * np.abs(state.u) ** (cfg.r + 1.0)
-        self.a_vel_r1 = a * np.abs(state.v) ** (cfg.r + 1.0)
-        self.a_vel_2 = a * state.v**2
-        self.a_vel_2r = a * np.abs(state.v) ** (2.0 * cfg.r)
-        self.sum_a_u2 = self.vol * float(np.sum(self.a_u2))
-        self.sum_a_ur1 = self.vol * float(np.sum(self.a_ur1))
-        self.sum_a_vel_r1 = self.vol * float(np.sum(self.a_vel_r1))
-        self.state = state
+            return [table_weight(family, entry, c.t) * c.total(dens)
+                    for entry, dens in specs]
+    else:
+        def fn(c):
+            s = c.s(1.0, 1.0)
+            return [c.vol * float(np.sum(table_weight(family, entry, s)
+                                         * getattr(c, dens)))
+                    for entry, dens in specs]
+    return names, fn
 
 
-def _prop1_members(cfg: TrackerConfig) -> list:
+def _prop1_members(cfg: TrackerConfig) -> tuple:
     """Window-inequality ingredients, tied to the prop1 family's own E_phi."""
     p = cfg.prop1
-    fam, mu, lam = p.family, p.mu, p.lam
-    grid = cfg.grid
+    fam = p.family
+    table = exponent_table(fam)
 
-    def ephi(c):
-        s = mu * grid.q() + lam * c.t
-        w = eval_weight(fam, WeightKind.PHI, s)
-        return 0.5 * c.vol * float(np.sum(w * c.e))
-
-    def disp(c):
-        s = mu * grid.q() + lam * c.t
-        w = eval_weight(fam, WeightKind.PHI, s)
-        return c.vol * float(np.sum(w * c.a_vel_r1))
-
-    def absphip(c):
-        s = mu * grid.q() + lam * c.t
+    def fn(c):
+        s = c.s(p.mu, p.lam)
+        phi = table_weight(fam, table[WeightKind.PHI], s)
         # phi' of the phi-role: d/ds of the family's phi
-        w = np.abs((fam.beta + 1.0) * eval_weight(fam, WeightKind.F, s))
-        return c.vol * float(np.sum(w * c.e))
+        phip = np.abs((fam.beta + 1.0) * table_weight(fam, table[WeightKind.F], s))
+        return (0.5 * c.vol * float(np.sum(phi * c.e)),
+                c.vol * float(np.sum(phi * c.a_vel_r1)),
+                c.vol * float(np.sum(phip * c.e)))
 
-    return [_Member("prop1.E_phi", False, ephi),
-            _Member("prop1.disp_cum", True, disp),
-            _Member("prop1.absphip_cum", True, absphip)]
+    return ["prop1.E_phi", "prop1.disp_cum", "prop1.absphip_cum"], fn
 
 
-def _obs_members(cfg: TrackerConfig) -> list:
+def _obs_members(cfg: TrackerConfig) -> tuple:
     fam = cfg.family
-    grid = cfg.grid
-    inside = grid.fluid & (grid.radius <= cfg.obs.R0)
+    table = exponent_table(fam)
+    mu = _mu(fam)
+    inside = cfg.grid.fluid & (cfg.grid.radius <= cfg.obs.R0)
 
-    if fam.regime is Regime.COMPACT_POLY:
-        def lhs(c):
-            return (fam.R + c.t) ** fam.beta * c.vol * float(np.sum(c.e[inside]))
+    def fn(c):
+        s = c.s(mu, 1.0)
+        f = table_weight(fam, table[WeightKind.F], s)
+        a_vel_obs = c.a * c.v**2 + c.a * np.abs(c.v) ** (2.0 * c.r)
+        return (c.vol * float(np.sum((f * c.e)[inside])),
+                c.vol * float(np.sum(f * a_vel_obs)),
+                c.vol * float(np.sum(table_weight(fam, table["obs_u2"], s)
+                                     * c.a * c.u2)))
 
-        def rhs_disp(c):
-            return (fam.R + c.t) ** fam.beta * c.vol * float(
-                np.sum(c.a_vel_2 + c.a_vel_2r))
-
-        def rhs_u2(c):
-            return (fam.R + c.t) ** (fam.beta - 2.0) * c.sum_a_u2
-    else:
-        def f_of(c):
-            return eval_weight(fam, WeightKind.F, c.s_qt)
-
-        def u2w_of(c):
-            if fam.regime is Regime.LOG:
-                return -eval_weight(fam, WeightKind.F1_PRIME, c.s_qt)
-            return (1.0 + c.s_qt) ** (fam.beta - 2.0)
-
-        def lhs(c):
-            return c.vol * float(np.sum((f_of(c) * c.e)[inside]))
-
-        def rhs_disp(c):
-            return c.vol * float(np.sum(f_of(c) * (c.a_vel_2 + c.a_vel_2r)))
-
-        def rhs_u2(c):
-            a = cfg.damping.values
-            return c.vol * float(np.sum(u2w_of(c) * a * c.state.u**2))
-
-    return [_Member("obs.lhs_cum", True, lhs),
-            _Member("obs.rhs_disp_cum", True, rhs_disp),
-            _Member("obs.rhs_u2_cum", True, rhs_u2)]
+    return ["obs.lhs_cum", "obs.rhs_disp_cum", "obs.rhs_u2_cum"], fn
 
 
 class SampleTracker:
@@ -447,28 +387,25 @@ class SampleTracker:
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
-        self.members: list[_Member] = []
+        self.groups = []
         for prefix, fam in cfg.bundle_sets:
             if cfg.constants is None:
                 raise ValueError("bundle sets need a constant pack")
-            self.members += _theorem_members(prefix, fam, cfg.constants)
+            self.groups.append(_theorem_members(prefix, fam, cfg.constants))
         self._disp_key = (f"{cfg.bundle_sets[0][0]}.disp_weighted_cum"
                           if cfg.bundle_sets else None)
         if cfg.prop1 is not None:
-            self.members += _prop1_members(cfg)
+            self.groups.append(_prop1_members(cfg))
         if cfg.obs is not None and cfg.family is not None:
-            self.members += _obs_members(cfg)
-        band = cfg.trunc_band_width
-        band = 4.0 * cfg.grid.h if band is None else band
-        band_mask = cfg.grid.boundary_band(band)
-        self.members.append(_Member(
-            "diag.trunc_band_energy", False,
-            lambda c: 0.5 * c.vol * float(np.sum(c.e[band_mask]))))
-        self._names = [m.name for m in self.members]
+            self.groups.append(_obs_members(cfg))
+        band_mask = cfg.grid.boundary_band(4.0 * cfg.grid.h)
+        self.groups.append((["diag.trunc_band_energy"], lambda c: [
+            0.5 * c.vol * float(np.sum(c.e[band_mask]))]))
+        self._names = [n for names, _ in self.groups for n in names]
         self._prev_t = None
         self._stride = None
         self._prev_integrand = {}
-        self._cum = {m.name: 0.0 for m in self.members if m.cumulative}
+        self._cum = {n: 0.0 for n in self._names if n.endswith("_cum")}
         self._E_solver_0 = None
 
     @property
@@ -479,7 +416,13 @@ class SampleTracker:
                E_solver: float) -> FunctionalSample:
         cfg = self.cfg
         E_plain = energy(state, cfg.grid)
-        ctx = _SampleContext(cfg, state, E_plain)
+        ctx = _SampleContext(cfg.grid, state, cfg.damping.values, cfg.r, E_plain)
+        # E_phi and X first, while few per-sample arrays are live
+        if cfg.family is None:
+            E_phi, X = E_plain, 0.0
+        else:
+            E_phi = _weighted_energy(ctx, cfg.family, _mu(cfg.family), 1.0)
+            X = _x_value(ctx, cfg.psi, cfg.constants, cfg.family)
 
         if self._prev_t is not None:
             dt_s = state.t - self._prev_t
@@ -491,20 +434,16 @@ class SampleTracker:
                     "cumulative members need a uniform stride")
 
         bundle = {}
-        for m in self.members:
-            val = m.fn(ctx)
-            if m.cumulative:
-                if self._prev_t is not None:
-                    dt_s = state.t - self._prev_t
-                    self._cum[m.name] += 0.5 * dt_s * (
-                        self._prev_integrand[m.name] + val)
-                self._prev_integrand[m.name] = val
-                bundle[m.name] = self._cum[m.name]
-            else:
-                bundle[m.name] = val
+        for names, fn in self.groups:
+            for name, val in zip(names, fn(ctx)):
+                if name in self._cum:
+                    if self._prev_t is not None:
+                        self._cum[name] += 0.5 * dt_s * (
+                            self._prev_integrand[name] + val)
+                    self._prev_integrand[name] = val
+                    val = self._cum[name]
+                bundle[name] = val
         self._prev_t = state.t
-        vol = ctx.vol
-        del ctx     # frees the per-sample fields before E_phi, X and u_tt
 
         if self._E_solver_0 is None:
             self._E_solver_0 = E_solver
@@ -514,14 +453,8 @@ class SampleTracker:
         bundle["diag.E_solver"] = E_solver
         bundle["diag.identity_defect"] = defect
 
-        if cfg.family is None:
-            E_phi, X = E_plain, 0.0
-        else:
-            # compact lemma weights depend on t alone; the others on q(x)+t
-            mu = 0.0 if cfg.family.regime is Regime.COMPACT_POLY else 1.0
-            E_phi = weighted_energy(state, cfg.grid, cfg.family, mu, 1.0)
-            X = X_functional(state, cfg.grid, cfg.psi, cfg.damping,
-                             cfg.constants, cfg.family)
+        vol = ctx.vol
+        del ctx     # frees the per-sample densities before u_tt
 
         D_weighted = bundle.get(self._disp_key, 0.0) if self._disp_key else 0.0
 
@@ -544,6 +477,15 @@ class SampleTracker:
 # ---------------------------------------------------------------------------
 # series-level checks
 # ---------------------------------------------------------------------------
+
+def _window_len(ts: np.ndarray, window_T: float) -> int:
+    """Samples per window of length window_T on the uniform series ts."""
+    stride = ts[1] - ts[0] if len(ts) > 1 else 0.0
+    wlen = int(round(window_T / stride)) if stride > 0 else 0
+    if wlen < 1 or wlen >= len(ts):
+        raise ValueError(f"window T = {window_T} does not fit the series")
+    return wlen
+
 
 @dataclass(frozen=True)
 class Prop1Report:
@@ -572,10 +514,7 @@ def prop1_inequality_check(series: list, window_T: float,
     E_phi = np.array([s.bundle["prop1.E_phi"] for s in series])
     disp = np.array([s.bundle["prop1.disp_cum"] for s in series])
     phip = np.array([s.bundle["prop1.absphip_cum"] for s in series])
-    stride = ts[1] - ts[0] if len(ts) > 1 else 0.0
-    wlen = int(round(window_T / stride)) if stride > 0 else 0
-    if wlen < 1 or wlen >= len(ts):
-        raise ValueError(f"window T = {window_T} does not fit the series")
+    wlen = _window_len(ts, window_T)
     scale = E_phi[0]
     if scale <= 0.0:
         return Prop1Report(0.0, 0, window_T, degenerate=True)
@@ -611,10 +550,7 @@ def observability_ratio(series: list, window_T: float,
     lhs = np.array([s.bundle["obs.lhs_cum"] for s in series])
     rhs = np.array([s.bundle["obs.rhs_disp_cum"] for s in series]) + \
         np.array([s.bundle["obs.rhs_u2_cum"] for s in series])
-    stride = ts[1] - ts[0] if len(ts) > 1 else 0.0
-    wlen = int(round(window_T / stride)) if stride > 0 else 0
-    if wlen < 1 or wlen >= len(ts):
-        raise ValueError(f"window T = {window_T} does not fit the series")
+    wlen = _window_len(ts, window_T)
     starts = np.unique(np.linspace(0, len(ts) - wlen - 1, n_starts, dtype=int))
     ratios = []
     degenerate = False

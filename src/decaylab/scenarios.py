@@ -101,10 +101,6 @@ class ScenarioConfig:
     obs_R0: float | None = None
     echo: dict = field(default_factory=dict)
 
-    @property
-    def is_pde(self) -> bool:
-        return self.theorem in ("T1", "T2", "T3", "identity_only")
-
 
 _AUTO_KEYS = {("scenario", "gamma"), ("grid", "x_max"), ("grid", "r_out")}
 
@@ -319,11 +315,10 @@ def _build(cfg: ScenarioConfig):
     return grid, damping, psi
 
 
-def _families(cfg: ScenarioConfig, consts):
+def _families(cfg: ScenarioConfig):
     """Primary family for X/E_phi plus labeled bundle sets."""
     if cfg.theorem == "T1":
-        honest = weights.WeightFamily(
-            weights.Regime.LOG, beta=cfg.gamma - 1.0, ln_b=consts.ln_b, r=cfg.r)
+        honest = weights.WeightFamily.log_honest(cfg.r, cfg.gamma, cfg.delta0)
         practical = weights.WeightFamily.log_practical(
             cfg.gamma, cfg.practical_b, r=cfg.r)
         primary = practical if cfg.use_practical_b else honest
@@ -378,7 +373,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     if cfg.theorem != "identity_only":
         consts = weights.compute_constants(cfg.theorem, cfg.r, cfg.dim,
                                            cfg.delta0, cfg.gamma)
-        family, bundle_sets = _families(cfg, consts)
+        family, bundle_sets = _families(cfg)
 
     if cfg.data_kind == "compact":
         initial = solver.make_initial_compact(
@@ -406,7 +401,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         grid=grid, damping=damping, psi=psi, r=cfg.r, family=family,
         constants=consts, bundle_sets=bundle_sets, prop1=prop1, obs=obs))
 
-    res = solver.run(grid, damping, psi, initial, params, tracker=tracker,
+    res = solver.run(grid, damping, initial, params, tracker=tracker,
                      cone=cone, sample_stride=cfg.sample_stride)
     series = res.samples
 
@@ -556,9 +551,7 @@ def run_weight_suite(cfg: ScenarioConfig, n_constant_pairs: int = 200,
         d0 = rng.uniform(1e-4, 0.05)
         target = d0 * r / (r + 1.0)
         for half in (True, False):
-            k = weights._poly_k(r, d0, half)
-            c = (0.5 - d0) if half else (1.0 - d0)
-            k2 = 8.0 * k * (1.0 + d0) / ((r + 1.0) * (5.0 * k * r - 8.0 * c))
+            k, k2, _ = weights.k_quadratic(r, d0, half)
             lhs = k - r / (r + 1.0) - k2 * (8.0 / 3.0) ** r
             if half:
                 worst_t2 = max(worst_t2, abs(lhs - target) / target)
@@ -572,7 +565,7 @@ def run_weight_suite(cfg: ScenarioConfig, n_constant_pairs: int = 200,
         beta = rng.uniform(-1.0 + 1e-6, 3.0)
         r = rng.uniform(1.0 + 1e-3, 3.0)
         d0 = rng.uniform(1e-3, 0.999)
-        fam = weights.WeightFamily.log_honest(r, beta + 1.0, d0, "lemma")
+        fam = weights.WeightFamily.log_honest(r, beta + 1.0, d0)
         rep = weights.verify_weight_inequalities(fam, r, s_grid)
         min_margin = min(min_margin, rep.min_margin)
         all_ok = all_ok and rep.all_passed

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CutoffPsi, DampingProfile, ExteriorGrid
+from .grids import DampingProfile, ExteriorGrid
 from .weights import Regime, WeightFamily
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "SupportConeError", "solve_damping_scalar", "step", "run",
     "make_initial_compact", "make_initial_weighted", "reference_solve",
     "laplacian", "edge_form", "solver_energy", "support_radius",
-    "save_snapshot", "load_snapshot",
 ]
 
 
@@ -96,12 +95,10 @@ class SolverParams:
 class ConeSpec:
     """Support-cone declaration for compact initial data.
 
-    The numerical support (threshold ``threshold_rel`` of the initial
-    amplitude) must stay within R + t + 2h + 2dt; with ``enforce`` a
-    violation aborts the run.
+    The numerical support (nodes above 1e-12 of the initial amplitude) must
+    stay within R + t + 2h + 2dt; with ``enforce`` a violation aborts the run.
     """
     R: float
-    threshold_rel: float = 1e-12
     enforce: bool = True
 
 
@@ -281,7 +278,6 @@ class RunResult:
     samples: list
     final_state: WaveState
     E_steps: np.ndarray          # solver energy at every step, E_steps[0] = t0
-    diss_steps: np.ndarray       # per-step dissipation increments
     D_cum: float
     n_steps: int
     dt: float
@@ -291,7 +287,7 @@ class RunResult:
     cone_ok: bool = True
 
 
-def run(grid: ExteriorGrid, damping: DampingProfile, psi: CutoffPsi | None,
+def run(grid: ExteriorGrid, damping: DampingProfile,
         initial: WaveState, params: SolverParams, tracker=None,
         cone: ConeSpec | None = None, sample_stride: int = 10) -> RunResult:
     """March to T_max, sampling functionals every `sample_stride` steps.
@@ -310,16 +306,14 @@ def run(grid: ExteriorGrid, damping: DampingProfile, psi: CutoffPsi | None,
     if cone is not None:
         amp0 = max(float(np.max(np.abs(state.u))),
                    float(np.max(np.abs(state.v))))
-        cone_thresh = cone.threshold_rel * amp0 if amp0 > 0 else math.inf
+        cone_thresh = 1e-12 * amp0 if amp0 > 0 else math.inf
         cone_slack = 2.0 * grid.h + 2.0 * params.dt
 
     E = np.empty(n_steps + 1)
-    diss_steps = np.empty(n_steps)
     E[0] = solver_energy(grid, state, params.dt)
     D_cum = 0.0
-    result = RunResult(samples=[], final_state=state, E_steps=E,
-                       diss_steps=diss_steps, D_cum=0.0, n_steps=n_steps,
-                       dt=params.dt)
+    result = RunResult(samples=[], final_state=state, E_steps=E, D_cum=0.0,
+                       n_steps=n_steps, dt=params.dt)
 
     def take_sample(st, n):
         if tracker is None:
@@ -346,7 +340,6 @@ def run(grid: ExteriorGrid, damping: DampingProfile, psi: CutoffPsi | None,
     for n in range(1, n_steps + 1):
         state, diss = step(state, grid, damping, params)
         D_cum += diss
-        diss_steps[n - 1] = diss
         E[n] = solver_energy(grid, state, params.dt)
         if E[n] > E[n - 1] * (1.0 + 1e-12) and E[n - 1] > 0.0:
             result.mono_violations += 1
@@ -430,41 +423,6 @@ def make_initial_weighted(grid: ExteriorGrid, sigma: float,
     grid.clamp_dirichlet(u)
     grid.clamp_dirichlet(v)
     return WaveState(u, v, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# binary state snapshots
-# ---------------------------------------------------------------------------
-
-_SNAP_MAGIC = b"WDSNAP01"
-_SNAP_HEADER = 32  # magic(8) + dim u32 + pad u32 + count u64 + t f64
-
-
-def save_snapshot(path, state: WaveState, grid: ExteriorGrid) -> None:
-    """Flat u then v as little-endian float64 after a 32-byte header."""
-    import struct
-    count = state.u.size
-    header = _SNAP_MAGIC + struct.pack("<IIQd", grid.dim, 0, count, state.t)
-    assert len(header) == _SNAP_HEADER
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(state.u.astype("<f8").tobytes())
-        f.write(state.v.astype("<f8").tobytes())
-
-
-def load_snapshot(path, grid: ExteriorGrid) -> WaveState:
-    import struct
-    with open(path, "rb") as f:
-        header = f.read(_SNAP_HEADER)
-        if header[:8] != _SNAP_MAGIC:
-            raise ValueError(f"{path}: not a state snapshot")
-        dim, _, count, t = struct.unpack("<IIQd", header[8:])
-        if dim != grid.dim or count != int(np.prod(grid.shape)):
-            raise ValueError(f"{path}: snapshot shape does not match the grid")
-        raw = np.frombuffer(f.read(2 * count * 8), dtype="<f8")
-    u = raw[:count].reshape(grid.shape).astype(float)
-    v = raw[count:].reshape(grid.shape).astype(float)
-    return WaveState(u, v, float(t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Weight-function algebra and decay-theorem constants.
 
-Three weight regimes drive the decay machinery:
+Three weight regimes drive the decay machinery.  Every weight has the shape
+clock^A / base^M, and each regime keeps one table of its (A, M) pairs
+(`exponent_table`):
 
-* Log:          f(s) = ln^beta(b+s)/(b+s), companions f1, f2, phi = ln^(beta+1)(b+s)
-* Poly:         powers of (1+s), used with argument s = q(x)+t
-* CompactPoly:  powers of (R+s), used with argument s = t (compact initial data)
+* Log:          clock ln(b+s) over base b+s: f(s) = ln^beta(b+s)/(b+s),
+                companions f1, f2, phi = ln^(beta+1)(b+s)
+* Poly:         clock = base = 1+s, used with argument s = q(x)+t; M = 0
+* CompactPoly:  clock = base = R+s, used with argument s = t (compact
+                initial data); M = 0
 
 The admissible log offset b is enormous for realistic parameters (ln b in the
 thousands), so every Log-regime evaluation runs in log space: families store
 ln b, ln(b+s) is formed with logaddexp, and values are exponentiated last.
-Underflow to 0.0 is accepted; overflow raises WeightOverflowError.
+Underflow to 0.0 is accepted; overflow raises WeightOverflowError.  Power
+regime values are taken as base ** A directly.
 
 Constant packs for the three decay regimes (log / polynomial / compact) carry
 the damping exponent r, dimension d, slack delta0, target exponent gamma and
@@ -20,6 +25,7 @@ identities enforced at construction.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -114,16 +120,13 @@ class WeightFamily:
     """One weight regime with its parameters bound.
 
     ``r`` is only needed for the f2 members (their exponents depend on the
-    damping power); leave it None if f2 is never evaluated.  ``practical``
-    marks a Log family whose b was chosen for desk-scale visibility rather
-    than from the admissibility formula.
+    damping power); leave it None if f2 is never evaluated.
     """
     regime: Regime
     beta: float
     ln_b: float | None = None           # Log only
     R: float | None = None              # CompactPoly only
     r: float | None = None
-    practical: bool = False
 
     def __post_init__(self):
         if not self.beta > -1.0:
@@ -134,25 +137,19 @@ class WeightFamily:
             if self.ln_b < 1.0:
                 raise AdmissibilityError(
                     f"Log family needs b >= e, i.e. ln b >= 1; got ln b = {self.ln_b}")
-        elif self.regime is Regime.POLY:
-            if not -1.0 < self.beta <= 0.0:
-                raise AdmissibilityError(
-                    f"Poly regime requires -1 < beta <= 0, got {self.beta}")
-        elif self.regime is Regime.COMPACT_POLY:
-            if not -1.0 < self.beta <= 0.0:
-                raise AdmissibilityError(
-                    f"CompactPoly regime requires -1 < beta <= 0, got {self.beta}")
-            if self.R is None or self.R < 1.0:
-                raise AdmissibilityError(
-                    f"CompactPoly regime requires R >= 1, got {self.R}")
+        elif not -1.0 < self.beta <= 0.0:
+            raise AdmissibilityError(f"{self.regime.value} regime requires "
+                                     f"-1 < beta <= 0, got {self.beta}")
+        if self.regime is Regime.COMPACT_POLY and (self.R is None or self.R < 1.0):
+            raise AdmissibilityError(
+                f"CompactPoly regime requires R >= 1, got {self.R}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def log_honest(r: float, gamma: float, delta0: float,
-                   variant: str = "lemma") -> "WeightFamily":
+    def log_honest(r: float, gamma: float, delta0: float) -> "WeightFamily":
         """Log family with ln b from the admissibility max-formula."""
-        bv = compute_b(r, gamma, delta0, variant)
+        bv = compute_b(r, gamma, delta0)
         return WeightFamily(Regime.LOG, beta=gamma - 1.0, ln_b=bv.ln_b, r=r)
 
     @staticmethod
@@ -160,8 +157,7 @@ class WeightFamily:
         """Log family with a hand-picked b >= e; outside the admissible range."""
         if b < math.e:
             raise AdmissibilityError(f"practical b must be >= e, got {b}")
-        return WeightFamily(Regime.LOG, beta=gamma - 1.0, ln_b=math.log(b),
-                            r=r, practical=True)
+        return WeightFamily(Regime.LOG, beta=gamma - 1.0, ln_b=math.log(b), r=r)
 
     @staticmethod
     def poly(gamma: float, r: float | None = None) -> "WeightFamily":
@@ -180,15 +176,22 @@ class WeightFamily:
             ln_s = np.log(s)
         return np.logaddexp(self.ln_b, ln_s)
 
-    def base_offset(self) -> float:
-        """Additive offset of the regime's argument: b, 1, or R."""
+    def log_weight(self, A: float, M: float, s):
+        """ln(clock^A / base^M) at s.
+
+        Log regime: clock ln(b+s) over base b+s, so A ln L - M L with
+        L = ln(b+s).  Power regimes: clock = base = 1+s (poly) or R+s
+        (compact), so A ln(base) - M ln(base).
+        """
         if self.regime is Regime.LOG:
-            if self.ln_b > _LN_MAX:
-                raise WeightOverflowError("b is not representable", self.ln_b)
-            return math.exp(self.ln_b)
-        if self.regime is Regime.POLY:
-            return 1.0
-        return self.R
+            L = self.ln_bs(s)
+            return A * np.log(L) - M * L
+        ln_base = np.log(self._offset + np.asarray(s, dtype=float))
+        return A * ln_base - M * ln_base
+
+    @property
+    def _offset(self) -> float:
+        return 1.0 if self.regime is Regime.POLY else self.R
 
 
 def eval_q(x) -> np.ndarray | float:
@@ -209,13 +212,6 @@ def eval_q(x) -> np.ndarray | float:
     return np.hypot(1.0, r)
 
 
-def _require_r(family: WeightFamily, kind: WeightKind) -> float:
-    if family.r is None:
-        raise ValueError(f"{kind.value} requires the damping exponent r bound "
-                         "into the weight family")
-    return family.r
-
-
 def _signed_exp(sign, log_mag):
     """sign * exp(log_mag); underflow to 0, overflow raises."""
     log_mag = np.asarray(log_mag, dtype=float)
@@ -224,6 +220,72 @@ def _signed_exp(sign, log_mag):
                                   float(np.max(log_mag)))
     with np.errstate(over="raise"):
         return sign * np.exp(log_mag)
+
+
+@functools.lru_cache(maxsize=256)
+def exponent_table(family: WeightFamily, gamma: float = math.nan,
+                   r: float | None = None) -> dict:
+    """Every weight of the family's regime as (A, M, p): p clock^A / base^M.
+
+    Keys are the WeightKind members (exponents in beta and the family's r),
+    "obs_u2" (the u^2 weight of the observability display) and the decay
+    bundle's members (exponents in the constant pack's gamma and r).  The
+    prefactor p is None, a function of L = ln(b+s) in the log regime, or a
+    constant in the power regimes, whose entries all carry M = 0.
+    """
+    b, g = family.beta, gamma
+    r = family.r if r is None else r
+    r = math.nan if r is None else r
+    # role: ((A, M, p(L)) in the log regime, (A, p) in the power regimes)
+    rows = {
+        WeightKind.F: ((b, 1.0, None), (b, None)),
+        WeightKind.F_PRIME: ((b - 1.0, 2.0, lambda L: b - L), (b - 1.0, b)),
+        WeightKind.F_SECOND: ((b - 2.0, 3.0, lambda L: (
+            2.0 * L * L - 3.0 * b * L + b * (b - 1.0))), (b - 2.0, b * (b - 1.0))),
+        WeightKind.F1: ((b, 2.0, None), (b - 1.0, None)),
+        WeightKind.F1_PRIME: ((b - 1.0, 3.0, lambda L: b - 2.0 * L),
+                              (b - 2.0, b - 1.0)),
+        WeightKind.F2: ((b - r + 1.0, r, None), (b - r + 1.0, None)),
+        WeightKind.F2_PRIME: ((b - r, r + 1.0, lambda L: (b - r + 1.0) - r * L),
+                              (b - r, b - r + 1.0)),
+        WeightKind.PHI: ((b + 1.0, 0.0, None), (b + 1.0, None)),
+        # u^2 weight of the observability display: -f1' or base^(beta-2)
+        "obs_u2": ((b - 1.0, 3.0, lambda L: 2.0 * L - b), (b - 2.0, None)),
+        # decay-bundle members; the compact regime has its own energy tail
+        "energy_weighted_inst": ((g, 0.0, None), (g, None)),
+        "energy_f_cum": ((g - 1.0, 1.0, None), (g - 1.0, None)),
+        "energy_tail_cum": (None, (g - 1.0, None)),
+        "disp_weighted_cum": ((g, 0.0, None), (g, None)),
+        "au2_inst": ((g - 1.0, 2.0, None), (g - 2.0, None)),
+        "au2_cum": ((g - 1.0, 3.0, None), (g - 3.0, None)),
+        "aur_inst": ((g - r, r, None), (g - r, None)),
+        "aur_cum": ((g - r, r + 1.0, None), (g - r - 1.0, None)),
+    }
+    if family.regime is Regime.LOG:
+        return {k: log for k, (log, _) in rows.items() if log is not None}
+    skip = (("energy_weighted_inst", "energy_f_cum")
+            if family.regime is Regime.COMPACT_POLY else ("energy_tail_cum",))
+    return {k: (A, 0.0, p) for k, (_, (A, p)) in rows.items() if k not in skip}
+
+
+def table_weight(family: WeightFamily, entry: tuple, s):
+    """Value of one exponent-table entry of `family` at s.
+
+    Power regimes take base ** (A - M), with M = 0 in their tables (a
+    Python float for a float s); the log regime exponentiates its log-space
+    value, so overflow raises WeightOverflowError and underflow gives 0.0.
+    """
+    A, M, p = entry
+    if family.regime is not Regime.LOG:
+        w = (family._offset + s) ** (A - M)
+        return w if p is None else p * w
+    if p is None:
+        return _signed_exp(1.0, family.log_weight(A, M, s))
+    L = family.ln_bs(s)
+    p = p(L)
+    with np.errstate(divide="ignore"):
+        ln_p = np.log(np.abs(p))
+    return _signed_exp(np.sign(p), A * np.log(L) + ln_p - M * L)
 
 
 def eval_weight(family: WeightFamily, which: WeightKind | str, s):
@@ -237,77 +299,11 @@ def eval_weight(family: WeightFamily, which: WeightKind | str, s):
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0):
         raise ValueError("weight argument s must be nonnegative")
-    scalar = np.isscalar(s) or s_arr.ndim == 0
-
-    if family.regime is Regime.LOG:
-        out = _eval_log(family, which, s_arr)
-    else:
-        out = _eval_power(family, which, s_arr)
-    return float(out) if scalar else out
-
-
-def _eval_log(family: WeightFamily, which: WeightKind, s):
-    beta = family.beta
-    L = family.ln_bs(s)          # ln(b+s) >= 1
-    lnL = np.log(L)
-    if which is WeightKind.F:
-        return _signed_exp(1.0, beta * lnL - L)
-    if which is WeightKind.F_PRIME:
-        # f' = L^inner * (beta - L) / (b+s)^2, inner = beta-1
-        p = beta - L
-        return _signed_exp(np.sign(p), (beta - 1.0) * lnL + _ln_abs(p) - 2.0 * L)
-    if which is WeightKind.F_SECOND:
-        # f'' = L^(beta-2) * (2L^2 - 3 beta L + beta(beta-1)) / (b+s)^3
-        p = 2.0 * L * L - 3.0 * beta * L + beta * (beta - 1.0)
-        return _signed_exp(np.sign(p), (beta - 2.0) * lnL + _ln_abs(p) - 3.0 * L)
-    if which is WeightKind.F1:
-        return _signed_exp(1.0, beta * lnL - 2.0 * L)
-    if which is WeightKind.F1_PRIME:
-        # f1' = L^(beta-1) * (beta - 2L) / (b+s)^3
-        p = beta - 2.0 * L
-        return _signed_exp(np.sign(p), (beta - 1.0) * lnL + _ln_abs(p) - 3.0 * L)
-    if which is WeightKind.F2:
-        r = _require_r(family, which)
-        return _signed_exp(1.0, (beta - r + 1.0) * lnL - r * L)
-    if which is WeightKind.F2_PRIME:
-        r = _require_r(family, which)
-        # f2' = L^(beta-r) * ((beta-r+1) - rL) / (b+s)^(r+1)
-        p = (beta - r + 1.0) - r * L
-        return _signed_exp(np.sign(p),
-                           (beta - r) * lnL + _ln_abs(p) - (r + 1.0) * L)
-    if which is WeightKind.PHI:
-        return _signed_exp(1.0, (beta + 1.0) * lnL)
-    raise ValueError(which)
-
-
-def _eval_power(family: WeightFamily, which: WeightKind, s):
-    """Pure power families: base (1+s) for Poly, (R+s) for CompactPoly."""
-    beta = family.beta
-    base = (1.0 if family.regime is Regime.POLY else family.R) + s
-    if which is WeightKind.F:
-        return base ** beta
-    if which is WeightKind.F_PRIME:
-        return beta * base ** (beta - 1.0)
-    if which is WeightKind.F_SECOND:
-        return beta * (beta - 1.0) * base ** (beta - 2.0)
-    if which is WeightKind.F1:
-        return base ** (beta - 1.0)
-    if which is WeightKind.F1_PRIME:
-        return (beta - 1.0) * base ** (beta - 2.0)
-    if which is WeightKind.F2:
-        r = _require_r(family, which)
-        return base ** (beta - r + 1.0)
-    if which is WeightKind.F2_PRIME:
-        r = _require_r(family, which)
-        return (beta - r + 1.0) * base ** (beta - r)
-    if which is WeightKind.PHI:
-        return base ** (beta + 1.0)
-    raise ValueError(which)
-
-
-def _ln_abs(p):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(p))
+    if which in (WeightKind.F2, WeightKind.F2_PRIME) and family.r is None:
+        raise ValueError(f"{which.value} requires the damping exponent r bound "
+                         "into the weight family")
+    out = table_weight(family, exponent_table(family)[which], s_arr)
+    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +314,8 @@ def sobolev_p(r: float, d: int) -> float:
     return 2.0 * (r + 1.0) if d <= 3 else 2.0 * d / (d - 2.0)
 
 
-def _poly_k(r: float, delta0: float, half: bool) -> float:
-    """Positive root of the k-quadratic.
+def k_quadratic(r: float, delta0: float, half: bool) -> tuple[float, float, float]:
+    """k, k2 and the normalized residual of the k-quadratic at k.
 
     ``half=True`` uses the (1/2 - delta0) slack (polynomial-weight regime),
     ``half=False`` the (1 - delta0) slack (compact-support regime):
@@ -327,6 +323,9 @@ def _poly_k(r: float, delta0: float, half: bool) -> float:
         5 k^2 r (r+1) - k B + 8 (1+delta0) c r = 0,
         B = 5 r^2 (1+delta0) + 8 c (r+1) + 8 (8/3)^r (1+delta0),
         c = 1/2 - delta0  or  1 - delta0.
+
+    k is the positive root; k2 = 8 k (1+delta0) / ((r+1)(5kr - 8c)) follows
+    the proof-side quadratic.  The residual is normalized by its largest term.
     """
     c = (0.5 - delta0) if half else (1.0 - delta0)
     B = (5.0 * (1.0 + delta0) * r * r
@@ -336,7 +335,14 @@ def _poly_k(r: float, delta0: float, half: bool) -> float:
     if disc < 0.0:
         raise AdmissibilityError(
             f"k-quadratic discriminant negative (r={r}, delta0={delta0})")
-    return (B + math.sqrt(disc)) / (10.0 * r * (r + 1.0))
+    k = (B + math.sqrt(disc)) / (10.0 * r * (r + 1.0))
+    denom = 5.0 * k * r - 8.0 * c
+    if denom <= 0.0:
+        raise AdmissibilityError(
+            f"{'T2' if half else 'T3'}: 5kr - 8c must be positive")
+    k2 = 8.0 * k * (1.0 + delta0) / ((r + 1.0) * denom)
+    terms = (5.0 * k * k * r * (r + 1.0), -k * B, 8.0 * (1.0 + delta0) * c * r)
+    return k, k2, sum(terms) / max(abs(t) for t in terms)
 
 
 @dataclass(frozen=True)
@@ -378,7 +384,7 @@ _K1_FLOOR = 8.0 * (2.0 / 0.1 + 1.0)
 
 
 def compute_constants(theorem: str, r: float, d: int, delta0: float,
-                      gamma: float, k1_seed: float = 0.0) -> TheoremConstants:
+                      gamma: float) -> TheoremConstants:
     """Build the constant pack for T1/T2/T3, rejecting inadmissible parameters.
 
     Rejections name the violated bound.  k2 follows the proof-side quadratic:
@@ -410,12 +416,8 @@ def compute_constants(theorem: str, r: float, d: int, delta0: float,
         if not 0.0 < delta0 < d0_sup:
             raise AdmissibilityError(
                 f"{theorem} requires 0 < delta0 < {d0_sup}, got {delta0}")
-        k = _poly_k(r, delta0, half)
+        k, k2, _ = k_quadratic(r, delta0, half)
         c = (0.5 - delta0) if half else (1.0 - delta0)
-        denom = 5.0 * k * r - 8.0 * c
-        if denom <= 0.0:
-            raise AdmissibilityError(f"{theorem}: 5kr - 8c must be positive")
-        k2 = 8.0 * k * (1.0 + delta0) / ((r + 1.0) * denom)
         p = sobolev_p(r, d)
         bounds = {
             f"({'1/2' if half else '1'}-delta0)/k": c / k,
@@ -427,10 +429,9 @@ def compute_constants(theorem: str, r: float, d: int, delta0: float,
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
 
-    k1 = max(k1_seed, _K1_FLOOR)
     consts = TheoremConstants(
         theorem=theorem, r=r, d=d, delta0=delta0, gamma=gamma,
-        k=k, k1=k1, k2=k2, p=sobolev_p(r, d),
+        k=k, k1=_K1_FLOOR, k2=k2, p=sobolev_p(r, d),
         ln_b=None if bv is None else bv.ln_b,
         b_overflow=False if bv is None else bv.overflow,
         gamma_bounds=bounds,
@@ -465,15 +466,6 @@ def _check_identities(c: TheoremConstants):
             raise AdmissibilityError(
                 f"T3 inequality k - r/(r+1) - k2 (8/3)^r >= delta0 r/(r+1) "
                 f"violated: {lhs} < {target}")
-
-
-def k_quadratic_residual(k: float, r: float, delta0: float, half: bool) -> float:
-    """Residual of the defining k-quadratic, normalized by its largest term."""
-    c = (0.5 - delta0) if half else (1.0 - delta0)
-    B = (5.0 * (1.0 + delta0) * r * r + 8.0 * c * (r + 1.0)
-         + 8.0 * (8.0 / 3.0) ** r * (1.0 + delta0))
-    terms = (5.0 * k * k * r * (r + 1.0), -k * B, 8.0 * (1.0 + delta0) * c * r)
-    return sum(terms) / max(abs(t) for t in terms)
 
 
 # ---------------------------------------------------------------------------

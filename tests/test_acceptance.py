@@ -20,8 +20,8 @@ from decaylab.scenarios import load_config, run_scenario
 from decaylab.solver import (SolverParams, make_initial_compact,
                              reference_solve, run, solve_damping_scalar)
 from decaylab.weights import (Regime, WeightFamily, WeightKind, compute_b,
-                              eval_weight, verify_weight_inequalities,
-                              _poly_k)
+                              eval_weight, k_quadratic,
+                              verify_weight_inequalities)
 
 SEED = 20240809
 
@@ -99,7 +99,7 @@ def test_criterion_01_constant_identity_suite():
         d0 = rng.uniform(1e-6, 0.05)
         target = d0 * r / (r + 1.0)
         for half in (True, False):
-            k = _poly_k(r, d0, half)
+            k = k_quadratic(r, d0, half)[0]
             c = (0.5 - d0) if half else (1.0 - d0)
             k2 = 8.0 * k * (1.0 + d0) / ((r + 1.0) * (5.0 * k * r - 8.0 * c))
             lhs = k - r / (r + 1.0) - k2 * (8.0 / 3.0) ** r
@@ -213,7 +213,7 @@ def test_criterion_06_cross_integrator():
     dt = 0.2 * grid.h
     n = int(round(5.0 / dt))
     params = SolverParams(dt=dt, cfl=0.2, r=2.0, T_max=5.0)
-    main = run(grid, damping, None, state.copy(), params, sample_stride=1)
+    main = run(grid, damping, state.copy(), params, sample_stride=1)
     fine = SolverParams(dt=dt / 8.0, cfl=0.2, r=2.0, T_max=5.0)
     ref = reference_solve(grid, damping, state.copy(), fine, sample_stride=8)
     Em = main.E_steps

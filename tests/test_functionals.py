@@ -22,7 +22,8 @@ from decaylab.grids import (CutoffPsi, build_damping, build_grid_1d,
                             build_psi)
 from decaylab.solver import (ConeSpec, SolverParams, WaveState,
                              make_initial_compact, run)
-from decaylab.weights import WeightFamily, compute_constants
+from decaylab.weights import (WeightFamily, WeightOverflowError,
+                              compute_constants)
 
 
 def _setup_1d(n=600, x_max=30.0, alpha=0.0, kind="constant", eps0=1.0,
@@ -223,7 +224,7 @@ def _tracked_run(T_max=5.0, cfl=0.5, theorem="T3", gamma=0.2):
         prop1=Prop1Config(WeightFamily.poly(1.0)), obs=ObsConfig(R0=1.0)))
     params = SolverParams.for_grid(grid, cfl, 1.5, T_max=T_max)
     st = make_initial_compact(grid, 1.25, 0.7, 1.0, "bump_u", R=2.0)
-    res = run(grid, damping, psi, st, params, tracker=tracker,
+    res = run(grid, damping, st, params, tracker=tracker,
               cone=ConeSpec(R=2.0, enforce=False), sample_stride=10)
     return grid, damping, tracker, res
 
@@ -236,7 +237,7 @@ def test_bundle_zero_trajectory():
         grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
         constants=consts, bundle_sets=[("thm3", fam)]))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
-    res = run(grid, damping, psi, WaveState(grid.zeros(), grid.zeros()),
+    res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
               params, tracker=tracker)
     last = res.samples[-1]
     assert all(v == 0.0 for k, v in last.bundle.items()
@@ -265,6 +266,60 @@ def test_bundle_members_finite_and_nonnegative():
                 assert v >= 0.0, name
 
 
+def _regime_tracker(theorem):
+    grid, damping, psi = _setup_1d(alpha=0.5, x_max=30.0, n=590,
+                                   kind="exterior_smooth", eps0=0.5, L=0.5)
+    if theorem == "T1":
+        consts = compute_constants("T1", 1.5, 1, 0.1, 1.0)
+        fam = WeightFamily.log_practical(consts.gamma, math.e, r=1.5)
+        sets = [("thm1", WeightFamily.log_honest(1.5, consts.gamma, 0.1)),
+                ("thm1p", fam)]
+    elif theorem == "T2":
+        consts = compute_constants("T2", 1.5, 1, 0.01, 0.1)
+        fam = WeightFamily.poly(consts.gamma, r=1.5)
+        sets = [("thm2", fam)]
+    else:
+        consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
+        fam = WeightFamily.compact(consts.gamma, 2.0, r=1.5)
+        sets = [("thm3", fam)]
+    tracker = SampleTracker(TrackerConfig(
+        grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
+        constants=consts, bundle_sets=sets,
+        prop1=Prop1Config(WeightFamily.poly(1.0)), obs=ObsConfig(R0=1.0)))
+    return grid, damping, psi, consts, fam, tracker
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T2", "T3"])
+def test_tracker_E_phi_and_X_match_public_functionals(theorem):
+    # the tracker shares one set of densities per sample; its E_phi and X
+    # must be exactly what the public functions give on the same state
+    grid, damping, psi, consts, fam, tracker = _regime_tracker(theorem)
+    params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
+    st = make_initial_compact(grid, 1.25, 0.7, 1.0, "both", R=2.0)
+    res = run(grid, damping, st, params, tracker=tracker, sample_stride=10)
+    last, state = res.samples[-1], res.final_state
+    assert last.t == state.t > 0.0
+    mu = 0.0 if theorem == "T3" else 1.0    # compact weights see t alone
+    assert last.E_phi == weighted_energy(state, grid, fam, mu, 1.0)
+    assert last.X == X_functional(state, grid, psi, damping, consts, fam)
+    assert last.X != 0.0
+
+
+def test_log_bundle_overflow_raises():
+    # gamma = 100 is admissible for T1, but ln b ~ 1.8e8 makes the bundle's
+    # ln^100(b+q+t) weight e^1903: sampling must raise, not cap the value
+    consts = compute_constants("T1", 1.5, 1, 0.01, 100.0)
+    honest = WeightFamily.log_honest(1.5, 100.0, 0.01)
+    grid, damping, psi = _setup_1d()
+    tracker = SampleTracker(TrackerConfig(
+        grid=grid, damping=damping, psi=psi, r=1.5, constants=consts,
+        bundle_sets=[("thm1", honest)]))
+    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both")
+    with pytest.raises(WeightOverflowError) as exc:
+        tracker.sample(st, 0.0, energy(st, grid))
+    assert exc.value.log_value == pytest.approx(1903.0, abs=1.0)
+
+
 def test_tracker_rejects_stride_change():
     grid, damping, tracker, res = _tracked_run(T_max=2.0)
     st = res.final_state
@@ -279,7 +334,7 @@ def test_prop1_zero_solution_degenerate():
         grid=grid, damping=damping, psi=psi, r=1.5,
         prop1=Prop1Config(WeightFamily.poly(1.0))))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=2.0)
-    res = run(grid, damping, psi, WaveState(grid.zeros(), grid.zeros()),
+    res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
               params, tracker=tracker)
     rep = prop1_inequality_check(res.samples, window_T=1.0)
     assert rep.degenerate and rep.max_defect == 0.0
@@ -300,7 +355,7 @@ def test_prop1_lambda_mu_zero_reduces_to_identity():
             prop1=Prop1Config(WeightFamily.poly(1.0), mu=0.0, lam=0.0)))
         params = SolverParams.for_grid(grid, cfl, 1.5, T_max=4.0)
         st = make_initial_compact(grid, 3.0, 1.0, 1.0, "bump_u")
-        res = run(grid, damping, psi, st, params, tracker=tracker)
+        res = run(grid, damping, st, params, tracker=tracker)
         rep = prop1_inequality_check(res.samples, window_T=2.0,
                                      mu=0.0, lam=0.0)
         defects[n] = rep.max_defect
@@ -317,7 +372,7 @@ def test_observability_zero_solution_degenerate():
         grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
         constants=consts, bundle_sets=[("thm3", fam)], obs=ObsConfig(R0=1.0)))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=2.0)
-    res = run(grid, damping, psi, WaveState(grid.zeros(), grid.zeros()),
+    res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
               params, tracker=tracker)
     rep = observability_ratio(res.samples, window_T=1.0)
     assert rep.degenerate
@@ -383,7 +438,8 @@ def test_sample_series_invariants():
 
 def test_quadrature_order_under_refinement():
     # analytic bump data: each functional at h and h/2 must agree to O(h)
-    from decaylab.weights import WeightFamily, compute_constants
+    from decaylab.weights import (WeightFamily, WeightOverflowError,
+                              compute_constants)
     consts = compute_constants("T2", 1.5, 1, 0.01, 0.1)
     fam = WeightFamily.poly(consts.gamma, r=1.5)
     vals = {}
@@ -427,7 +483,7 @@ def test_high_energy_linear_regime_holds_with_margin():
         grid=grid, damping=damping, psi=psi, r=1.5))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=5.0)
     st = make_initial_compact(grid, 10.0, 1.0, 0.01, "bump_u", R=11.0)
-    res = run(grid, damping, psi, st, params, tracker=tracker)
+    res = run(grid, damping, st, params, tracker=tracker)
     d = data_functionals(st, grid, None, consts)
     rep = high_energy_check(res.samples, d, a_inf=0.0)
     assert rep.holds(1.0)
@@ -444,7 +500,7 @@ def test_prop1_with_log_practical_weights():
         prop1=Prop1Config(fam, mu=1.0, lam=1.0)))
     params = SolverParams.for_grid(grid, 0.45, 1.5, T_max=6.0)
     st = make_initial_compact(grid, 3.0, 1.0, 1.0, "bump_u")
-    res = run(grid, damping, psi, st, params, tracker=tracker)
+    res = run(grid, damping, st, params, tracker=tracker)
     rep = prop1_inequality_check(res.samples, window_T=2.0)
     assert rep.max_defect <= 2e-2
 

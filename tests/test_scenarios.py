@@ -297,3 +297,14 @@ def test_overrides_leave_caller_config_unchanged(tmp_path):
     # without overrides the run uses the config as loaded
     rep = run_scenario(cfg, tmp_path / "plain")
     assert rep.payload["config"]["margin"] == 0.8
+
+
+def test_t1_weight_overflow_fails_at_first_sample(tmp_path):
+    # at gamma = 100 the honest-b bundle weight is e^1903: the run must fail
+    # on sampling instead of writing a series of capped values
+    text = presets.get("t1-log-desk").replace("gamma = 1.0", "gamma = 100")
+    text = text.replace("t_max = 150", "t_max = 10")
+    rep = run_scenario(load_config(text), tmp_path)
+    assert rep.failed
+    assert rep.payload["error"].startswith("WeightOverflowError")
+    assert not (tmp_path / "t1-log-desk.series.csv").exists()

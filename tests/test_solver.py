@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import decaylab.solver as sv
 from decaylab.functionals import energy
-from decaylab.grids import build_damping, build_grid_1d, build_grid_2d_disk, build_psi
+from decaylab.grids import build_damping, build_grid_1d, build_grid_2d_disk
 from decaylab.solver import (ConeSpec, SolverParams, WaveState,
                              make_initial_compact, make_initial_weighted,
                              reference_solve, run, solve_damping_scalar,
@@ -167,9 +167,9 @@ def test_large_amplitude_compact_run_matches_dense_solve(monkeypatch):
     d = build_damping(g, "exterior_smooth", 0.5, 0.5, 1.0)
     s = make_initial_compact(g, 1.25, 0.7, 1.0e4, "both", R=2.0)
     p = SolverParams.for_grid(g, 0.9, 1.5, T_max=10.0)
-    res = run(g, d, None, s, p)
+    res = run(g, d, s, p)
     monkeypatch.setattr(sv, "_solve_damping_field", dense_newton_oracle)
-    want = run(g, d, None, s, p)
+    want = run(g, d, s, p)
     assert res.n_steps == want.n_steps > 200
     assert res.final_state.u.tobytes() == want.final_state.u.tobytes()
     assert res.final_state.v.tobytes() == want.final_state.v.tobytes()
@@ -217,7 +217,7 @@ def test_eigenmode_shadow_energy_conserved():
     x = grid.coords[0]
     state = WaveState(np.sin(np.pi * x), grid.zeros(), 0.0)
     grid.clamp_dirichlet(state.u)
-    res = run(grid, damping, None, state, params, sample_stride=10**9)
+    res = run(grid, damping, state, params, sample_stride=10**9)
     E = res.E_steps
     per_step = np.max(np.abs(np.diff(E))) / E[0]
     assert per_step <= 1e-10
@@ -239,7 +239,7 @@ def test_uniform_velocity_reduces_to_nodal_solve():
 def test_run_zero_tmax_single_sample():
     grid, damping, _ = _box_setup()
     params = SolverParams(dt=0.9 * grid.h, cfl=0.9, r=1.5, T_max=0.0)
-    res = run(grid, damping, None, WaveState(grid.zeros(), grid.zeros()), params)
+    res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()), params)
     assert len(res.samples) == 1 and res.samples[0][0] == 0.0
 
 
@@ -248,7 +248,7 @@ def test_run_energy_strictly_decays_with_damping():
     damping = build_damping(grid, "constant", 1.0, 1.0, 1.0)
     params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=20.0)
     state = make_initial_compact(grid, 3.0, 1.0, 1.0, "bump_u")
-    res = run(grid, damping, None, state, params)
+    res = run(grid, damping, state, params)
     assert res.E_steps[-1] < res.E_steps[0]
     assert res.D_cum > 0.0
     assert res.mono_violations == 0
@@ -259,8 +259,8 @@ def test_run_stride_subsamples_same_trajectory():
     damping = build_damping(grid, "constant", 1.0, 1.0, 1.0)
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=5.0)
     state = make_initial_compact(grid, 3.0, 1.0, 1.0, "bump_u")
-    r1 = run(grid, damping, None, state, params, sample_stride=5)
-    r2 = run(grid, damping, None, state, params, sample_stride=10)
+    r1 = run(grid, damping, state, params, sample_stride=5)
+    r2 = run(grid, damping, state, params, sample_stride=10)
     assert np.array_equal(r1.E_steps, r2.E_steps)       # identical trajectory
     assert [s[0] for s in r1.samples][::2] == [s[0] for s in r2.samples]
 
@@ -270,8 +270,8 @@ def test_run_determinism_bit_identical():
     damping = build_damping(grid, "exterior_smooth", 0.5, 1.0, 1.0)
     params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=5.0)
     state = make_initial_compact(grid, 3.0, 1.0, 1.0, "both")
-    r1 = run(grid, damping, None, state, params)
-    r2 = run(grid, damping, None, state, params)
+    r1 = run(grid, damping, state, params)
+    r2 = run(grid, damping, state, params)
     assert np.array_equal(r1.final_state.u, r2.final_state.u)
     assert np.array_equal(r1.final_state.v, r2.final_state.v)
     assert np.array_equal(r1.E_steps, r2.E_steps)
@@ -282,7 +282,7 @@ def test_unstable_dt_aborts_with_diagnostic():
     params = SolverParams(dt=4.0 * grid.h, cfl=1.0, r=1.5, T_max=5.0)
     state = WaveState(np.sin(np.pi * grid.coords[0]), grid.zeros())
     with pytest.raises(FloatingPointError):
-        run(grid, damping, None, state, params)
+        run(grid, damping, state, params)
 
 
 def test_finite_speed_exact_cone_at_unit_cfl():
@@ -290,7 +290,7 @@ def test_finite_speed_exact_cone_at_unit_cfl():
     damping = build_damping(grid, "exterior_smooth", 0.5, 0.5, 1.0)
     params = SolverParams(dt=grid.h, cfl=1.0, r=1.5, T_max=30.0)
     state = make_initial_compact(grid, 1.25, 0.7, 1.0, "bump_u", R=2.0)
-    res = run(grid, damping, None, state, params,
+    res = run(grid, damping, state, params,
               cone=ConeSpec(R=2.0, enforce=True))
     assert res.cone_ok
     assert res.cone_worst_overshoot <= 2.0 * grid.h + 2.0 * params.dt
@@ -307,7 +307,7 @@ def test_cone_violation_is_hard_error():
     state = make_initial_compact(grid, 2.0, 1.0, 1.0, "bump_u")
     # declare an impossibly small cone: violation must abort
     with pytest.raises(sv.SupportConeError):
-        run(grid, damping, None, state, params,
+        run(grid, damping, state, params,
             cone=ConeSpec(R=0.1, enforce=True), sample_stride=10)
 
 
@@ -409,7 +409,7 @@ def test_reference_linear_gap_halves_at_order_two():
     for frac in (1.0, 0.5):
         dt = 0.2 * grid.h * frac
         params = SolverParams(dt=dt, cfl=0.2, r=2.0, T_max=5.0)
-        main = run(grid, damping, None, state.copy(), params)
+        main = run(grid, damping, state.copy(), params)
         v0_half = state.v + 0.5 * dt * sv.laplacian(grid, state.u)
         fine = SolverParams(dt=dt / 8.0, cfl=0.2, r=2.0, T_max=5.0)
         ref = reference_solve(grid, damping,
@@ -435,10 +435,9 @@ def test_reference_node_cap():
 def test_2d_step_and_energy_decay():
     grid = build_grid_2d_disk(1.0, 10.0, 10.0)
     damping = build_damping(grid, "annulus_plus_exterior", 0.5, 2.0, 1.0)
-    psi = build_psi(grid, 2.0)
     params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=3.0)
     state = make_initial_compact(grid, (3.5, 0.0), 1.0, 1.0, "bump_u", R=4.5)
-    res = run(grid, damping, psi, state, params)
+    res = run(grid, damping, state, params)
     assert res.mono_violations == 0
     assert res.E_steps[-1] < res.E_steps[0]
     assert np.isfinite(res.final_state.u).all()
@@ -485,7 +484,7 @@ def test_step_hands_full_grid_to_the_field_solve(monkeypatch, case):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sv, "_solve_damping_field", counting)
-    res = run(grid, damping, None, state, params)
+    res = run(grid, damping, state, params)
     assert res.n_steps == 6 and len(calls) == 6
     for args, kwargs in calls:
         c, w, r, tol = args
@@ -493,35 +492,6 @@ def test_step_hands_full_grid_to_the_field_solve(monkeypatch, case):
         assert c.shape == grid.shape and w.shape == grid.shape
         assert np.array_equal(c, params.dt * damping.values)
         assert (r, tol) == (params.r, params.damping_tol)
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-def test_snapshot_roundtrip(tmp_path):
-    grid = build_grid_1d(0.0, 10.0, 200)
-    st = make_initial_compact(grid, 5.0, 1.0, 1.3, "both")
-    st.t = 2.5
-    path = tmp_path / "state.snap"
-    sv.save_snapshot(path, st, grid)
-    assert path.stat().st_size == 32 + 2 * 8 * st.u.size
-    with open(path, "rb") as f:
-        assert f.read(8) == b"WDSNAP01"
-    back = sv.load_snapshot(path, grid)
-    assert back.t == 2.5
-    assert np.array_equal(back.u, st.u)
-    assert np.array_equal(back.v, st.v)
-
-
-def test_snapshot_rejects_mismatched_grid(tmp_path):
-    grid = build_grid_1d(0.0, 10.0, 200)
-    other = build_grid_1d(0.0, 10.0, 100)
-    st = make_initial_compact(grid, 5.0, 1.0, 1.0, "bump_u")
-    path = tmp_path / "state.snap"
-    sv.save_snapshot(path, st, grid)
-    with pytest.raises(ValueError, match="does not match"):
-        sv.load_snapshot(path, other)
 
 
 def test_reference_fixed_point_divergence_reported():

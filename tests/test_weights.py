@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from decaylab.weights import (
     AdmissibilityError, Regime, WeightFamily, WeightKind, compute_b,
-    compute_constants, eval_q, eval_weight, k_quadratic_residual,
+    compute_constants, eval_q, eval_weight, exponent_table, k_quadratic,
     verify_weight_inequalities,
 )
 
@@ -101,6 +101,61 @@ def test_compact_roles():
     s = 2.0
     assert eval_weight(fam, WeightKind.PHI, s) == pytest.approx(2.0)
     assert eval_weight(fam, WeightKind.F, s) == pytest.approx(4.0 ** -0.5)
+
+
+# one family per regime: log (b = e), poly (1+s), compact (R+s, R = 2)
+REGIMES = {
+    "log": WeightFamily.log_practical(gamma=2.0, b=E, r=1.5),
+    "poly": WeightFamily.poly(gamma=0.5, r=1.5),
+    "compact": WeightFamily.compact(gamma=0.5, R=2.0, r=1.5),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_members_are_clock_powers_over_base(regime):
+    # independent closed forms: clock ln(b+s) over base b+s in the log
+    # regime, clock = base = 1+s or R+s in the power regimes
+    fam = REGIMES[regime]
+    b, r = fam.beta, fam.r
+    s = np.array([0.0, 0.5, 3.0, 40.0, 1e4])
+    if regime == "log":
+        base = E + s
+        L = np.log(base)
+        want = {WeightKind.F: L**b / base, WeightKind.F1: L**b / base**2,
+                WeightKind.F2: L ** (b - r + 1.0) / base**r,
+                WeightKind.PHI: L ** (b + 1.0)}
+    else:
+        base = (1.0 if regime == "poly" else 2.0) + s
+        want = {WeightKind.F: base**b, WeightKind.F1: base ** (b - 1.0),
+                WeightKind.F2: base ** (b - r + 1.0),
+                WeightKind.PHI: base ** (b + 1.0)}
+    table = exponent_table(fam, 0.5, 1.5)
+    if regime != "log":     # clock = base: the power tables carry M = 0
+        assert all(M == 0.0 for _, M, _ in table.values())
+    for kind, expected in want.items():
+        assert np.allclose(eval_weight(fam, kind, s), expected,
+                           rtol=1e-13, atol=0.0), kind
+        A, M, _ = table[kind]
+        assert np.allclose(np.exp(fam.log_weight(A, M, s)), expected,
+                           rtol=1e-13, atol=0.0), kind
+        assert eval_weight(fam, kind, 3.0) == pytest.approx(
+            float(expected[2]), rel=1e-13)
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_derivative_members_match_finite_differences(regime):
+    # closed-form derivatives vs central differences at step 1e-6*(base)
+    fam = REGIMES[regime]
+    s = np.linspace(0.5, 200.0, 50)
+    d = 1e-6 * (10.0 + s)
+    for base, deriv in ((WeightKind.F, WeightKind.F_PRIME),
+                        (WeightKind.F1, WeightKind.F1_PRIME),
+                        (WeightKind.F2, WeightKind.F2_PRIME),
+                        (WeightKind.F_PRIME, WeightKind.F_SECOND)):
+        fd = (eval_weight(fam, base, s + d)
+              - eval_weight(fam, base, s - d)) / (2.0 * d)
+        assert np.allclose(eval_weight(fam, deriv, s), fd, rtol=1e-5,
+                           atol=0.0), (base, deriv)
 
 
 def test_negative_s_rejected():
@@ -195,7 +250,8 @@ def test_t1_k_direct_substitution():
 
 def test_t2_quadratic_residual():
     c = compute_constants("T2", 1.5, 1, 0.01, 0.1)
-    assert abs(k_quadratic_residual(c.k, 1.5, 0.01, half=True)) <= 1e-9
+    k, _, residual = k_quadratic(1.5, 0.01, half=True)
+    assert k == c.k and abs(residual) <= 1e-9
     # exact identity from the proof
     lhs = c.k - 1.5 / 2.5 - c.k2 * (8.0 / 3.0) ** 1.5
     assert lhs == pytest.approx(0.01 * 1.5 / 2.5, rel=1e-10)
@@ -203,7 +259,8 @@ def test_t2_quadratic_residual():
 
 def test_t3_quadratic_residual():
     c = compute_constants("T3", 1.5, 1, 0.01, 0.1)
-    assert abs(k_quadratic_residual(c.k, 1.5, 0.01, half=False)) <= 1e-9
+    k, _, residual = k_quadratic(1.5, 0.01, half=False)
+    assert k == c.k and abs(residual) <= 1e-9
     lhs = c.k - 1.5 / 2.5 - c.k2 * (8.0 / 3.0) ** 1.5
     assert lhs >= 0.01 * 1.5 / 2.5 - 1e-12
 
@@ -217,7 +274,8 @@ def test_constants_random_sweep():
         for theorem, half in (("T2", True), ("T3", False)):
             gam = 1e-3
             c = compute_constants(theorem, r, d, d0, gam)
-            assert abs(k_quadratic_residual(c.k, r, d0, half)) <= 1e-9
+            k, _, residual = k_quadratic(r, d0, half)
+            assert k == c.k and abs(residual) <= 1e-9
             assert c.k > 0 and c.k1 > 0 and c.k2 > 0
 
 
