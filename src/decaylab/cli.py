@@ -49,7 +49,7 @@ def _parser() -> argparse.ArgumentParser:
     p_presets.add_argument("--write", default=None, metavar="DIR",
                            help="write every preset as DIR/<name>.ini")
 
-    p_vw = sub.add_parser("verify-weights", parents=[common],
+    p_vw = sub.add_parser("verify-weights",
                           help="constant identities and weight inequalities")
     p_vw.add_argument("--seed", type=int, default=20240809)
     p_vw.add_argument("--pairs", type=int, default=200)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DampingProfile, ExteriorGrid
 from .weights import TheoremConstants
 
 __all__ = ["DecayFit", "Verdict", "fit_decay", "theorem_verdict",
@@ -128,8 +127,7 @@ def theorem_verdict(fit: DecayFit, constants: TheoremConstants,
                    margin=margin, binding_bound=binding)
 
 
-def truncation_contamination(series: list, grid: ExteriorGrid,
-                             damping: DampingProfile) -> float:
+def truncation_contamination(series: list) -> float:
     """Time-integrated energy in the 4h truncation band over total dissipation.
 
     Zero for cone-safe compact data; for weighted data it measures how much

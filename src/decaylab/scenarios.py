@@ -149,6 +149,8 @@ def load_config(source) -> ScenarioConfig:
 
     cfg = ScenarioConfig(name=name, theorem=theorem)
     cfg.dim = _get(cp, "scenario", "dim", int, 1)
+    if cfg.dim not in (1, 2):
+        raise ConfigError(f"[scenario] dim must be 1 or 2, got {cfg.dim}")
     cfg.r = _get(cp, "scenario", "r", float, 1.5)
     cfg.delta0 = _get(cp, "scenario", "delta0", float, 0.01)
     gamma = _get(cp, "scenario", "gamma", float, "auto")
@@ -187,6 +189,14 @@ def load_config(source) -> ScenarioConfig:
     cfg.sample_stride = _get(cp, "time", "sample_stride", int, 10)
     cfg.T_window = _get(cp, "time", "t_window", float, None)
     cfg.T1_threshold = _get(cp, "time", "t1_threshold", float, None)
+    if not (cfg.T_max > 0.0 and math.isfinite(cfg.T_max)):
+        raise ConfigError(f"[time] t_max must be positive and finite, "
+                          f"got {cfg.T_max}")
+    if not 0.0 < cfg.cfl <= 1.0:
+        raise ConfigError(f"[time] cfl must lie in (0, 1], got {cfg.cfl}")
+    if cfg.sample_stride < 1:
+        raise ConfigError(f"[time] sample_stride must be at least 1, "
+                          f"got {cfg.sample_stride}")
 
     cfg.use_practical_b = _get(cp, "weights", "use_practical_b", bool, True)
     cfg.practical_b = _get(cp, "weights", "practical_b", float, math.e)
@@ -494,8 +504,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     payload["defects"] = defects
     payload["fits"] = fits
     payload["verdicts"] = verdicts
-    payload["truncation_contamination"] = decay.truncation_contamination(
-        series, grid, damping)
+    payload["truncation_contamination"] = decay.truncation_contamination(series)
     payload["cone"] = {
         "declared": cone is not None,
         "worst_overshoot": res.cone_worst_overshoot,

@@ -10,13 +10,18 @@ exists), then drifts the displacement:
     u' = u + dt * v'
 
 The nodal solve is monotone with a guaranteed bracket [0, |w|], handled by
-safeguarded Newton/bisection.  It runs only on the active nodes, where
-dt a != 0 and w != 0: elsewhere v' = w exactly, so the result is bit-identical
-to solving every node (damping is localized, and compact data leave most of
-the grid at rest).  Newton stops once every residual is within the absolute
-tolerance; a solve that has not reached it after `max_iter` iterations raises
-FloatingPointError unless each residual is within tol * max(1, |w|), the
-limit round-off sets for large |w|.
+safeguarded Newton/bisection.  The bracket is closed: a Newton iterate is
+bisected only when it falls strictly outside [lo, hi].  An iterate on the
+bracket's edge is the converged value of a node whose residual is 0 or
+negative within round-off (it set lo = v), so it is kept.  The solve runs
+only on the active nodes, where dt a != 0 and w != 0: elsewhere v' = w
+exactly, so the result is bit-identical to solving every node (damping is
+localized, and compact data leave most of the grid at rest).  Results match
+the earlier rule, which also bisected iterates on the bracket's edge, only
+within the solver tolerance.  Newton stops once every residual is within the
+absolute tolerance; a solve that has not reached it after `max_iter`
+iterations raises FloatingPointError unless each residual is within
+tol * max(1, |w|), the limit round-off sets for large |w|.
 
 With a == 0 the scheme is plain leapfrog and conserves the two-level
 quadratic form
@@ -120,7 +125,10 @@ def _gather(x: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
 
 
 def _newton_abs(c, aw, r, tol, max_iter):
-    """|v| with |v| + c|v|^r = aw per node: Newton kept inside [0, aw].
+    """|v| with |v| + c|v|^r = aw per node: Newton kept inside [lo, hi].
+
+    [lo, hi] starts as [0, aw] and shrinks around the root; an iterate
+    strictly outside it is replaced by its midpoint.
 
     Every node runs until the worst residual is at most tol.  After max_iter
     steps the result stands if each residual is within tol * max(1, aw):
@@ -139,7 +147,7 @@ def _newton_abs(c, aw, r, tol, max_iter):
         hi = np.where(up, v, hi)
         lo = np.where(up, lo, v)
         newton = v - g / (1.0 + rc * v ** (r - 1.0))
-        outside = (newton <= lo) | (newton >= hi)
+        outside = (newton < lo) | (newton > hi)
         v = np.where(outside, 0.5 * (lo + hi), newton)
     res = np.abs(v + c * v ** r - aw)
     bad = ~(res <= tol * np.maximum(1.0, aw))

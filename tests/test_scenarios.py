@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -81,6 +82,20 @@ sigma = 10
 def test_config_rejects_negative_h():
     with pytest.raises(ConfigError, match="positive"):
         load_config(MINIMAL_T3.replace("h = 0.05", "h = -0.1"))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("time", "sample_stride", "0"),
+    ("scenario", "dim", "3"),
+    ("time", "cfl", "1.5"),
+    ("time", "t_max", "0"),
+    ("time", "t_max", "-5"),
+])
+def test_config_rejects_out_of_range_field(section, key, value):
+    text = re.sub(rf"^{key} = .*\n", "", MINIMAL_T3, flags=re.M).replace(
+        f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} "):
+        load_config(text)
 
 
 def test_config_rejects_unknown_key():
@@ -230,6 +245,13 @@ def test_cli_verify_weights(capsys):
     assert cli_main(["verify-weights", "--pairs", "50", "--families", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_pass"] is True
+    # run options have no meaning here: argparse rejects them
+    for flag, value in (("--out", "x"), ("--margin", "99"),
+                        ("--practical-b", "3")):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify-weights", "--pairs", "5", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_fit_roundtrip(tmp_path, capsys):

@@ -90,7 +90,7 @@ def dense_newton_oracle(c, w, r, tol, max_iter=90):
         hi = np.where(g > 0.0, v, hi)
         lo = np.where(g > 0.0, lo, v)
         newton = v - g / (1.0 + r * c * v ** (r - 1.0))
-        outside = (newton <= lo) | (newton >= hi)
+        outside = (newton < lo) | (newton > hi)
         v = np.where(outside, 0.5 * (lo + hi), newton)
     return sign * v
 
@@ -148,6 +148,16 @@ def test_field_solve_raises_when_unconverged():
     c[3], w[3] = 1.0e6, -1.0
     with pytest.raises(FloatingPointError, match=r"at 1 node\(s\)"):
         sv._solve_damping_field(c, w, 1.5, 1e-12, max_iter=3)
+
+
+def test_field_solve_keeps_converged_nodes():
+    # Newton iterates on the bracket's edge are kept, not bisected, so this
+    # weighted-data-like field converges well inside max_iter = 3
+    rng = np.random.default_rng(0)
+    c = rng.uniform(0.005, 0.05, 2001)
+    w = rng.uniform(-1.6, 1.6, 2001)
+    v = sv._solve_damping_field(c, w, 1.5, 1e-12, max_iter=3)
+    assert np.max(np.abs(v + c * np.abs(v) ** 0.5 * v - w)) <= 1e-12
 
 
 def test_field_solve_accepts_round_off_limited_residual():
