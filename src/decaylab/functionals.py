@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import CutoffPsi, DampingProfile, ExteriorGrid
-from .solver import WaveState, laplacian
+from .solver import WaveState, _support_box, edge_form, laplacian
 from .weights import (Regime, TheoremConstants, WeightFamily, WeightKind,
                       WeightOverflowError, eval_weight, exponent_table,
                       table_weight)
@@ -65,7 +65,6 @@ def energy(state: WaveState, grid: ExteriorGrid) -> float:
     discrete Laplacian: one-sided edge differences carry the boundary layer,
     interior edges the second-order bulk quadrature.
     """
-    from .solver import edge_form
     kin = grid.cell_volume * float(
         np.sum(np.where(grid.fluid, state.v * state.v, 0.0)))
     return 0.5 * (kin + edge_form(grid, state.u, state.u))
@@ -74,16 +73,20 @@ def energy(state: WaveState, grid: ExteriorGrid) -> float:
 class _SampleContext:
     """One state's nodal densities (e = |grad u|^2 + |u_t|^2, u2, ur1 =
     |u|^(r+1), and their products with a) and weight arguments, each built
-    on first use and shared by every functional evaluated on that state."""
+    on first use and shared by every functional evaluated on that state.
 
-    def __init__(self, grid: ExteriorGrid, state: WaveState, a=None, r=None,
-                 E: float | None = None):
-        self.grid, self.state = grid, state
-        self.u, self.v, self.t = state.u, state.v, state.t
-        self.a, self.r = a, r
+    Grid, state and a are cut to `box`: the box of the state's nonzeros plus
+    the 2-node halo of `grad_sq` and `laplacian` (Ellipsis for the whole grid).
+    Every density vanishes outside it."""
+
+    def __init__(self, grid: ExteriorGrid, state: WaveState, a=None, r=None):
+        self.box = box = _support_box(state.u, state.v, 2) or ...
+        self.grid, self.state = grid.window(box), WaveState(
+            state.u[box], state.v[box], state.t)
+        self.u, self.v, self.t = self.state.u, self.state.v, state.t
+        self.a, self.r = None if a is None else a[box], r
         self.vol = grid.cell_volume
-        self._s = {}
-        self._totals = {"E": E}
+        self._s, self._totals = {}, {}
 
     def s(self, mu: float, lam: float) -> np.ndarray:
         """The weight argument mu q(x) + lam t."""
@@ -198,7 +201,7 @@ def _x_value(c: _SampleContext, psi, constants, family) -> float:
     def w(kind):
         return table_weight(family, table[kind], s)
 
-    one_m_psi = 1.0 - psi.values
+    one_m_psi = 1.0 - psi.values[c.box]
     vv, vvt = one_m_psi * c.u, one_m_psi * c.v
     del one_m_psi
     k, k1, k2 = constants.k, constants.k1, constants.k2
@@ -369,7 +372,7 @@ def _obs_members(cfg: TrackerConfig) -> tuple:
         s = c.s(mu, 1.0)
         f = table_weight(fam, table[WeightKind.F], s)
         a_vel_obs = c.a * c.v**2 + c.a * np.abs(c.v) ** (2.0 * c.r)
-        return (c.vol * float(np.sum((f * c.e)[inside])),
+        return (c.vol * float(np.sum((f * c.e)[inside[c.box]])),
                 c.vol * float(np.sum(f * a_vel_obs)),
                 c.vol * float(np.sum(table_weight(fam, table["obs_u2"], s)
                                      * c.a * c.u2)))
@@ -400,7 +403,7 @@ class SampleTracker:
             self.groups.append(_obs_members(cfg))
         band_mask = cfg.grid.boundary_band(4.0 * cfg.grid.h)
         self.groups.append((["diag.trunc_band_energy"], lambda c: [
-            0.5 * c.vol * float(np.sum(c.e[band_mask]))]))
+            0.5 * c.vol * float(np.sum(c.e[band_mask[c.box]]))]))
         self._names = [n for names, _ in self.groups for n in names]
         self._prev_t = None
         self._stride = None
@@ -415,8 +418,8 @@ class SampleTracker:
     def sample(self, state: WaveState, D_cum: float,
                E_solver: float) -> FunctionalSample:
         cfg = self.cfg
-        E_plain = energy(state, cfg.grid)
-        ctx = _SampleContext(cfg.grid, state, cfg.damping.values, cfg.r, E_plain)
+        ctx = _SampleContext(cfg.grid, state, cfg.damping.values, cfg.r)
+        E_plain = ctx._totals["E"] = energy(ctx.state, ctx.grid)
         # E_phi and X first, while few per-sample arrays are live
         if cfg.family is None:
             E_phi, X = E_plain, 0.0
@@ -453,7 +456,7 @@ class SampleTracker:
         bundle["diag.E_solver"] = E_solver
         bundle["diag.identity_defect"] = defect
 
-        vol = ctx.vol
+        cut = ctx.grid, ctx.state, ctx.a
         del ctx     # frees the per-sample densities before u_tt
 
         D_weighted = bundle.get(self._disp_key, 0.0) if self._disp_key else 0.0
@@ -461,16 +464,15 @@ class SampleTracker:
         return FunctionalSample(
             t=state.t, E=E_plain, E_phi=E_phi, X=X, D_cum=D_cum,
             D_weighted_cum=D_weighted, bundle=bundle,
-            high_energy=self._high_energy(state, vol))
+            high_energy=self._high_energy(*cut))
 
-    def _high_energy(self, state: WaveState, vol: float) -> float:
+    def _high_energy(self, grid: ExteriorGrid, state: WaveState, a) -> float:
         """||grad v||^2 + ||u_tt||^2 with u_tt rebuilt from the equation."""
-        cfg = self.cfg
-        utt = laplacian(cfg.grid, state.u) - cfg.damping.values * np.abs(
-            state.v) ** (cfg.r - 1.0) * state.v
-        cfg.grid.clamp_dirichlet(utt)
-        return vol * float(
-            np.sum(grad_sq(cfg.grid, state.v))
+        utt = laplacian(grid, state.u) - a * np.abs(
+            state.v) ** (self.cfg.r - 1.0) * state.v
+        grid.clamp_dirichlet(utt)
+        return grid.cell_volume * float(
+            np.sum(grad_sq(grid, state.v))
             + np.sum(utt * utt))
 
 

@@ -13,7 +13,7 @@ guaranteed by construction of these profiles, never computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -85,6 +85,13 @@ class ExteriorGrid:
         q.flags.writeable = False
         return q
 
+    def window(self, box) -> "ExteriorGrid":
+        """The grid on an index box: views of its node arrays, q and mask."""
+        sub = replace(self, shape=self.fluid[box].shape, fluid=self.fluid[box],
+                      radius=self.radius[box], coords=tuple(c[box] for c in self.coords))
+        sub.__dict__.update(_q=self._q[box], _pinned=self._pinned[box])
+        return sub
+
     def boundary_band(self, width: float) -> np.ndarray:
         """Fluid nodes within ``width`` of the outer truncation boundary."""
         if self.dim == 1:
@@ -135,8 +142,10 @@ def build_grid_2d_disk(rho: float, r_out: float,
     h = 2.0 * r_out / n
     # integer-multiples axis keeps the mask bitwise symmetric under rotation
     axis = h * (np.arange(n + 1) - n // 2)
-    x, y = np.meshgrid(axis, axis, indexing="ij")
-    radius = np.sqrt(x * x + y * y)
+    x, y = np.meshgrid(axis, axis, indexing="ij", copy=False)
+    x.flags.writeable = y.flags.writeable = False    # views of `axis`
+    sq = axis * axis
+    radius = np.sqrt(sq[:, None] + sq[None, :])     # sqrt(x*x + y*y)
     fluid = radius > rho
     fluid[0, :] = fluid[-1, :] = fluid[:, 0] = fluid[:, -1] = False
     return ExteriorGrid(
@@ -156,9 +165,17 @@ class DampingProfile:
     def hyp_a_margin(self, grid: ExteriorGrid) -> float:
         """min over fluid {|x| >= L} of a - epsilon0; >= 0 by construction."""
         sel = grid.fluid & (grid.radius >= self.L)
-        if not sel.any():
-            return math.inf
-        return float(np.min(self.values[sel]) - self.epsilon0)
+        return float(np.min(self.values, where=sel, initial=math.inf)) - self.epsilon0
+
+
+def _radial(grid: ExteriorGrid, fn, flat: float) -> np.ndarray:
+    """fn(|x|) per node, computed for |x| < 1.001 flat only (the margin covers
+    round-off): from flat on every smoothstep in fn is clamped to 0 or 1."""
+    flat *= 1.001
+    near = grid.radius < flat
+    out = np.full(grid.shape, fn(np.array([flat]))[0])
+    out[near] = fn(grid.radius[near])
+    return out
 
 
 _DAMPING_KINDS = ("constant", "exterior_smooth", "annulus_plus_exterior")
@@ -183,18 +200,22 @@ def build_damping(grid: ExteriorGrid, kind: str, epsilon0: float, L: float,
     if not 0.0 < L < grid.truncation_radius:
         raise ValueError(f"L = {L} must lie inside the truncation radius")
 
-    rad = grid.radius
-    if kind == "constant":
-        a = np.full(grid.shape, a_max)
-    else:
+    rho = grid.alpha if grid.dim == 1 else grid.rho_obstacle
+
+    def profile(rad):
         inner = epsilon0 * smoothstep(rad / L)
         outer = epsilon0 + (a_max - epsilon0) * smoothstep((rad - L) / L)
         a = np.where(rad >= L, outer, inner)
         if kind == "annulus_plus_exterior":
-            rho = grid.alpha if grid.dim == 1 else grid.rho_obstacle
             collar = epsilon0 * (1.0 - smoothstep((rad - rho - L / 2.0) / (L / 2.0)))
             a = np.maximum(a, collar)
-    a = np.where(grid.fluid, a, 0.0)
+        return a
+
+    if kind == "constant":
+        a = np.full(grid.shape, a_max)
+    else:
+        a = _radial(grid, profile, max(2.0 * L, rho + L))
+    a = grid.clamp_dirichlet(a)
     a_inf = float(a.max())
     prof = DampingProfile(values=a, epsilon0=epsilon0, L=L, kind=kind, a_inf=a_inf)
     assert prof.hyp_a_margin(grid) >= 0.0
@@ -211,5 +232,5 @@ class CutoffPsi:
 def build_psi(grid: ExteriorGrid, L: float) -> CutoffPsi:
     if not 2.0 * L <= grid.truncation_radius:
         raise ValueError(f"2L = {2 * L} exceeds the truncation radius")
-    psi = 1.0 - smoothstep((grid.radius - L) / L)
+    psi = _radial(grid, lambda rad: 1.0 - smoothstep((rad - L) / L), 2.0 * L)
     return CutoffPsi(values=psi, L=L)

@@ -166,8 +166,8 @@ def load_config(source) -> ScenarioConfig:
     cfg.rho = _get(cp, "grid", "rho", float, None)
     cfg.r_out = _get(cp, "grid", "r_out", float, None)
     cfg.h = _get(cp, "grid", "h", float, 0.05)
-    if not isinstance(cfg.h, str) and cfg.h <= 0:
-        raise ConfigError(f"grid h must be positive, got {cfg.h}")
+    if not (cfg.h > 0.0 and math.isfinite(cfg.h)):
+        raise ConfigError(f"[grid] h must be positive and finite, got {cfg.h}")
 
     cfg.data_kind = _get(cp, "data", "kind", str, "compact")
     if cfg.data_kind not in ("compact", "weighted"):
@@ -183,6 +183,11 @@ def load_config(source) -> ScenarioConfig:
     cfg.sigma = _get(cp, "data", "sigma", float, 10.0)
     cfg.oscillation = _get(cp, "data", "oscillation", float, 2.0)
     cfg.cone_enforce = _get(cp, "data", "cone_enforce", bool, True)
+    if not (math.isfinite(cfg.amplitude) and cfg.amplitude != 0.0):
+        raise ConfigError(f"[data] amplitude must be finite and nonzero, got {cfg.amplitude}")
+    for key in ("sigma", "oscillation"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"[data] {key} must be finite, got {getattr(cfg, key)}")
 
     cfg.T_max = _get(cp, "time", "t_max", float, 20.0)
     cfg.cfl = _get(cp, "time", "cfl", float, 0.9)

@@ -19,11 +19,11 @@ from decaylab.functionals import (ObsConfig, Prop1Config, SampleTracker,
                                   weighted_energy, weighted_energy_log,
                                   write_series_csv, X_functional)
 from decaylab.grids import (CutoffPsi, build_damping, build_grid_1d,
-                            build_psi)
-from decaylab.solver import (ConeSpec, SolverParams, WaveState,
+                            build_grid_2d_disk, build_psi)
+from decaylab.solver import (ConeSpec, SolverParams, WaveState, laplacian,
                              make_initial_compact, run)
-from decaylab.weights import (WeightFamily, WeightOverflowError,
-                              compute_constants)
+from decaylab.weights import (WeightFamily, WeightKind, WeightOverflowError,
+                              compute_constants, eval_weight)
 
 
 def _setup_1d(n=600, x_max=30.0, alpha=0.0, kind="constant", eps0=1.0,
@@ -318,6 +318,63 @@ def test_log_bundle_overflow_raises():
     with pytest.raises(WeightOverflowError) as exc:
         tracker.sample(st, 0.0, energy(st, grid))
     assert exc.value.log_value == pytest.approx(1903.0, abs=1.0)
+
+
+@pytest.mark.parametrize("sharp", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
+    # the tracker sums over the box of the state's nonzeros; the same
+    # quantities summed over the full arrays must agree to round-off.  A
+    # sharp state (random values on a block, sampled at t = 0) has O(1)
+    # gradients at its edge, which only the 2-node halo catches
+    if dim == 1:
+        grid, damping, psi, consts, fam, tracker = _regime_tracker("T3")
+        st0 = make_initial_compact(grid, 1.25, 0.7, 1.0, "both", R=2.0)
+    else:
+        grid = build_grid_2d_disk(1.0, 8.0, 8.0)
+        damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+        psi = build_psi(grid, 1.0)
+        consts = compute_constants("T3", 1.5, 2, 0.01, 0.2)
+        fam = WeightFamily.compact(consts.gamma, 3.0, r=1.5)
+        tracker = SampleTracker(TrackerConfig(
+            grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
+            constants=consts, bundle_sets=[("thm3", fam)],
+            prop1=Prop1Config(WeightFamily.poly(1.0))))
+        st0 = make_initial_compact(grid, (2.0, 0.5), 0.8, 1.0, "both", R=3.0)
+    if sharp:
+        rng = np.random.default_rng(dim)
+        block = np.zeros(grid.shape, dtype=bool)
+        block[tuple(slice(n // 3, n // 3 + 9) for n in grid.shape)] = True
+        st0 = WaveState(*(np.where(block & grid.fluid,
+                                   rng.normal(size=grid.shape), 0.0)
+                          for _ in range(2)))
+    dt = SolverParams.for_grid(grid, 0.5, 1.5, T_max=0.0).dt
+    n_steps = 0 if sharp else 20
+    params = SolverParams(dt=dt, cfl=0.5, r=1.5, T_max=n_steps * dt)
+    res = run(grid, damping, st0, params, tracker=tracker, sample_stride=10)
+    last, st = res.samples[-1], res.final_state
+    assert last.t == st.t and res.n_steps == n_steps
+    u, v, h, vol = st.u, st.v, grid.h, grid.cell_volume
+    assert 0 < np.count_nonzero(u) < grid.fluid.size // 5
+    kin = float(np.sum(v * v))
+    edges = sum(float(np.sum(np.diff(u, axis=k) ** 2)) for k in range(dim))
+    e = grad_sq(grid, u) + v * v
+    utt = laplacian(grid, u) - damping.values * np.abs(v) ** 0.5 * v
+    utt[~grid.fluid] = 0.0
+    q = np.hypot(1.0, grid.radius)
+    expect = {
+        "E": 0.5 * (vol * kin + h ** (dim - 2) * edges),
+        "E_phi": 0.5 * vol * float(np.sum(
+            eval_weight(fam, WeightKind.PHI, 0.0 * q + st.t) * e)),
+        "prop1.E_phi": 0.5 * vol * float(np.sum(
+            eval_weight(WeightFamily.poly(1.0), WeightKind.PHI, q + st.t) * e)),
+        "high_energy": vol * float(np.sum(grad_sq(grid, v)) + np.sum(utt * utt)),
+    }
+    got = {"E": last.E, "E_phi": last.E_phi, "high_energy": last.high_energy,
+           "prop1.E_phi": last.bundle["prop1.E_phi"]}
+    for name, value in expect.items():
+        assert value > 0.0
+        assert got[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
 
 
 def test_tracker_rejects_stride_change():

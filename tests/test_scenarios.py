@@ -90,6 +90,12 @@ def test_config_rejects_negative_h():
     ("time", "cfl", "1.5"),
     ("time", "t_max", "0"),
     ("time", "t_max", "-5"),
+    ("grid", "h", "nan"),
+    ("data", "amplitude", "0"),
+    ("data", "amplitude", "inf"),
+    ("data", "amplitude", "nan"),
+    ("data", "oscillation", "inf"),
+    ("data", "sigma", "nan"),
 ])
 def test_config_rejects_out_of_range_field(section, key, value):
     text = re.sub(rf"^{key} = .*\n", "", MINIMAL_T3, flags=re.M).replace(

@@ -480,9 +480,17 @@ def test_step_dissipation_bit_equal_to_full_sum(case):
         state = new
 
 
+def _padded_box(state, pad):
+    """Bounding box of the nonzeros of u or v, widened by pad and clipped."""
+    idx = np.nonzero((state.u != 0.0) | (state.v != 0.0))
+    return tuple(slice(max(int(i.min()) - pad, 0), min(int(i.max()) + 1 + pad, n))
+                 for i, n in zip(idx, state.u.shape))
+
+
 @pytest.mark.parametrize("case", range(3))
-def test_step_hands_full_grid_to_the_field_solve(monkeypatch, case):
-    # profiling hooks wrap the module global and see every nodal solve
+def test_step_hands_window_to_the_field_solve(monkeypatch, case):
+    # profiling hooks wrap the module global and see every nodal solve;
+    # compact data hand over the window, weighted data the full grid
     grid, damping, params, state = _stepping_cases()[case]
     params = SolverParams(dt=params.dt, cfl=params.cfl, r=params.r,
                           T_max=6 * params.dt)
@@ -496,12 +504,103 @@ def test_step_hands_full_grid_to_the_field_solve(monkeypatch, case):
     monkeypatch.setattr(sv, "_solve_damping_field", counting)
     res = run(grid, damping, state, params)
     assert res.n_steps == 6 and len(calls) == 6
+    assert 6 <= sv._REWINDOW      # every step uses the box of the initial state
+    box = _padded_box(state, sv._REWINDOW + 2) if case < 2 else ...
     for args, kwargs in calls:
         c, w, r, tol = args
         assert not kwargs
-        assert c.shape == grid.shape and w.shape == grid.shape
-        assert np.array_equal(c, params.dt * damping.values)
+        if case < 2:
+            assert c.shape == w.shape == damping.values[box].shape
+            assert c.size < grid.fluid.size
+            assert np.array_equal(c, params.dt * damping.values[box])
+        else:
+            assert c.shape == grid.shape and w.shape == grid.shape
+            assert np.array_equal(c, params.dt * damping.values)
         assert (r, tol) == (params.r, params.damping_tol)
+
+
+def _whole_grid_loop(grid, damping, state, params):
+    """`step` on the full arrays n_steps times: final state, E* per step and
+    the summed dissipation."""
+    st = state.copy()
+    grid.clamp_dirichlet(st.u)
+    grid.clamp_dirichlet(st.v)
+    n_steps = int(round(params.T_max / params.dt))
+    E = [sv.solver_energy(grid, st, params.dt)]
+    D = 0.0
+    for _ in range(n_steps):
+        st, diss = step(st, grid, damping, params)
+        D += diss
+        E.append(sv.solver_energy(grid, st, params.dt))
+    return st, np.array(E), D
+
+
+def _window_cases():
+    """(grid, damping, params, state): a 1D bump at cfl 1 by the Dirichlet
+    wall, a 2D bump, and a 2D bump whose box is clipped at the grid edge."""
+    g1 = build_grid_1d(0.5, 40.0, 790)
+    d1 = build_damping(g1, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+    s1 = make_initial_compact(g1, 1.25, 0.7, 1.0, "both")
+    g2 = build_grid_2d_disk(1.0, 10.0, 10.0)
+    d2 = build_damping(g2, "annulus_plus_exterior", 0.5, 2.0, 1.0)
+    s2 = make_initial_compact(g2, (3.5, 0.0), 1.0, 1.0, "bump_v")
+    s3 = make_initial_compact(g2, (8.85, 8.85), 1.0, 1.0, "both")
+    return [(g1, d1, SolverParams.for_grid(g1, 1.0, 1.5, T_max=4.0), s1),
+            (g2, d2, SolverParams.for_grid(g2, 0.9, 1.5, T_max=3.0), s2),
+            (g2, d2, SolverParams.for_grid(g2, 0.9, 1.5, T_max=3.0), s3)]
+
+
+def _assert_matches_whole_grid(res, grid, damping, state, params):
+    st, E, D = _whole_grid_loop(grid, damping, state, params)
+    assert np.array_equal(res.final_state.u, st.u)
+    assert np.array_equal(res.final_state.v, st.v)
+    assert res.final_state.t == st.t
+    assert res.E_steps.shape == E.shape
+    np.testing.assert_allclose(res.E_steps, E, rtol=1e-13, atol=0.0)
+    assert res.D_cum == pytest.approx(D, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_run_window_bit_identical_to_whole_grid(case):
+    grid, damping, params, state = _window_cases()[case]
+    # the support starts within 2 nodes of the wall (case 0) or of the grid
+    # edge (case 2), so any padded box is clipped there
+    box = _padded_box(state, 2)
+    assert math.prod(s.stop - s.start for s in box) < grid.fluid.size
+    if case == 0:
+        assert box[0].start == 0
+    if case == 2:
+        assert box[0].stop == box[1].stop == grid.shape[0]
+    res = run(grid, damping, state, params, sample_stride=3)
+    assert res.n_steps >= 30 and res.D_cum > 0.0
+    _assert_matches_whole_grid(res, grid, damping, state, params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), frac=st.floats(0.0, 1.0),
+       radius=st.floats(0.3, 1.2), n_steps=st.integers(0, 40),
+       stride=st.integers(1, 12))
+def test_run_window_matches_whole_grid_property(dim, frac, radius, n_steps,
+                                                stride):
+    # bump centre anywhere its support stays in the fluid, up to the walls
+    if dim == 1:
+        grid = build_grid_1d(0.5, 12.0, 230)
+        lo, hi = 0.5 + radius + grid.h, 12.0 - radius - grid.h
+        center = lo + frac * (hi - lo)
+        cfl = 1.0
+    else:
+        grid = build_grid_2d_disk(1.0, 4.0, 8.0)
+        lo, hi = 1.0 + radius + grid.h, 4.0 - radius - grid.h
+        center = (lo + frac * (hi - lo), 0.5 * frac)
+        cfl = 0.9
+    damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+    state = make_initial_compact(grid, center, radius, 1.0, "both")
+    params = SolverParams.for_grid(grid, cfl, 1.5, T_max=0.0)
+    params = SolverParams(dt=params.dt, cfl=cfl, r=1.5,
+                          T_max=n_steps * params.dt)
+    res = run(grid, damping, state, params, sample_stride=stride)
+    assert res.n_steps == n_steps
+    _assert_matches_whole_grid(res, grid, damping, state, params)
 
 
 def test_reference_fixed_point_divergence_reported():
