@@ -23,6 +23,16 @@ from . import decay, functionals, presets, scenarios
 __all__ = ["main"]
 
 
+def _workers(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="decaylab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -43,7 +53,9 @@ def _parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", parents=[common],
                              help="run all configs in a directory")
     p_suite.add_argument("directory")
-    p_suite.add_argument("--parallel", type=int, default=1)
+    p_suite.add_argument("--parallel", type=_workers, default=1,
+                         help="threads for scenarios on large grids; smaller "
+                              "ones run one at a time on the main thread")
 
     p_presets = sub.add_parser("presets", help="list or dump shipped presets")
     p_presets.add_argument("--write", default=None, metavar="DIR",

@@ -235,11 +235,15 @@ def data_functionals(initial: WaveState, grid: ExteriorGrid,
 
     H^2 uses the grid Laplacian as the second-order block; weighted members
     use the family's phi-role at s = q(x).  All components are nonnegative
-    and the trailing +1 makes I >= 1.
+    and the trailing +1 makes I >= 1.  Sums run on the box of the data's
+    nonzeros plus the 2-node halo of `grad_sq` and `laplacian`, as in
+    `_SampleContext`; weighted data fill the grid and keep the whole of it.
     """
+    box = _support_box(initial.u, initial.v, 2) or ...
+    grid = grid.window(box)
     vol = grid.cell_volume
     r, p = constants.r, constants.p
-    u0, u1 = initial.u, initial.v
+    u0, u1 = initial.u[box], initial.v[box]
     g0 = grad_sq(grid, u0)
     lap0 = laplacian(grid, u0)
     comp = {

@@ -120,6 +120,13 @@ def build_grid_1d(alpha: float, x_max: float, n_cells: int) -> ExteriorGrid:
         radius=np.abs(x), coords=(x,), alpha=float(alpha), x_max=float(x_max))
 
 
+def _disk_cells(r_out: float, nodes_per_unit: float) -> int:
+    """Cells across [-r_out, r_out] at spacing 1/nodes_per_unit, made even."""
+    h = 1.0 / nodes_per_unit
+    n = int(round(2.0 * r_out / h))
+    return n + n % 2
+
+
 def build_grid_2d_disk(rho: float, r_out: float,
                        nodes_per_unit: float) -> ExteriorGrid:
     """Cartesian grid on [-r_out, r_out]^2 minus the closed disk |x| <= rho.
@@ -137,8 +144,7 @@ def build_grid_2d_disk(rho: float, r_out: float,
     if 2.0 * rho / h < 8.0:
         raise ValueError(
             f"h = {h} too coarse to resolve the disk: fewer than 8 nodes across")
-    n = int(round(2.0 * r_out / h))
-    n += n % 2
+    n = _disk_cells(r_out, nodes_per_unit)
     h = 2.0 * r_out / n
     # integer-multiples axis keeps the mask bitwise symmetric under rotation
     axis = h * (np.arange(n + 1) - n // 2)

@@ -20,6 +20,7 @@ import configparser
 import io
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -318,10 +319,28 @@ def _atomic_write(path: Path, data: str):
         raise
 
 
+def _cells(cfg: ScenarioConfig) -> int:
+    """Grid cells per axis, as `_build` asks for them or the 2D grid rounds them."""
+    if cfg.dim == 1:
+        return int(round((cfg.x_max - cfg.alpha) / cfg.h))
+    return grids._disk_cells(cfg.r_out, 1.0 / cfg.h)
+
+
+def _grid_nodes(cfg: ScenarioConfig) -> int:
+    """Array nodes of the scenario's grid, counted without building it.  The
+    weight suite has none; nor does a grid that cannot be built, whose run
+    reports why."""
+    if cfg.theorem == "weight_suite":
+        return 0
+    try:
+        return (_cells(cfg) + 1) ** cfg.dim
+    except (TypeError, ValueError, ArithmeticError):
+        return 0
+
+
 def _build(cfg: ScenarioConfig):
     if cfg.dim == 1:
-        n = int(round((cfg.x_max - cfg.alpha) / cfg.h))
-        grid = grids.build_grid_1d(cfg.alpha, cfg.x_max, n)
+        grid = grids.build_grid_1d(cfg.alpha, cfg.x_max, _cells(cfg))
     else:
         grid = grids.build_grid_2d_disk(cfg.rho, cfg.r_out, 1.0 / cfg.h)
     damping = grids.build_damping(grid, cfg.damping_kind, cfg.epsilon0,
@@ -609,22 +628,40 @@ def run_weight_suite(cfg: ScenarioConfig, n_constant_pairs: int = 200,
 # suites
 # ---------------------------------------------------------------------------
 
+# Grids below this many array nodes run on the calling thread (see run_suite).
+# Two copies of t3-compact-2d on 2 threads tie with serial at 103k nodes and
+# beat it by 13% at 116k; 1D grids (at most 10k nodes) lose 30-60% to threads.
+_POOL_MIN_NODES = 110_000
+
+
 def run_suite(configs: list[ScenarioConfig], parallelism: int = 1,
               out_dir=None, margin: float | None = None,
               practical_b: float | None = None) -> list[ScenarioReport]:
-    """Run scenarios concurrently; results follow config order.
+    """Run scenarios; results follow config order.
+
+    Only scenarios whose grid has at least `_POOL_MIN_NODES` array nodes go to
+    a pool of `parallelism` threads.  Every other scenario runs on the calling
+    thread, in config order, while the pool works.  A small grid spends its
+    time in short numpy calls that hold the GIL, so a second thread slows it
+    down; a large grid spends it in long calls that release the GIL, so
+    threads overlap.  With `parallelism` 1, or no large grid, no pool is made.
 
     Duplicate names are rejected before execution; one scenario's failure
     does not abort the others.
     """
+    if not (isinstance(parallelism, numbers.Integral) and parallelism >= 1):
+        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"duplicate scenario names: {dupes}")
-    if not configs:
-        return []
-    workers = max(1, int(parallelism))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_scenario, c, out_dir, margin, practical_b)
-                   for c in configs]
-        return [f.result() for f in futures]
+    args = (out_dir, margin, practical_b)
+    large = [c for c in configs
+             if parallelism > 1 and _grid_nodes(c) >= _POOL_MIN_NODES]
+    if not large:
+        return [run_scenario(c, *args) for c in configs]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = {c.name: pool.submit(run_scenario, c, *args) for c in large}
+        done = {c.name: run_scenario(c, *args)
+                for c in configs if c.name not in futures}
+    return [done[n] if n in done else futures[n].result() for n in names]

@@ -147,16 +147,17 @@ def _newton_abs(c, aw, r, tol, max_iter):
     rc = r * c
     v = aw / (1.0 + c * aw ** (r - 1.0))
     for _ in range(max_iter):
-        g = v + c * v ** r - aw
+        p = v ** (r - 1.0)          # one power serves g and its derivative
+        g = v + c * v * p - aw
         if np.max(np.abs(g)) <= tol:
             return v
         up = g > 0.0
         hi = np.where(up, v, hi)
         lo = np.where(up, lo, v)
-        newton = v - g / (1.0 + rc * v ** (r - 1.0))
+        newton = v - g / (1.0 + rc * p)
         outside = (newton < lo) | (newton > hi)
         v = np.where(outside, 0.5 * (lo + hi), newton)
-    res = np.abs(v + c * v ** r - aw)
+    res = np.abs(v + c * v * v ** (r - 1.0) - aw)
     bad = ~(res <= tol * np.maximum(1.0, aw))
     if not bad.any():
         return v

@@ -21,7 +21,7 @@ from decaylab.functionals import (ObsConfig, Prop1Config, SampleTracker,
 from decaylab.grids import (CutoffPsi, build_damping, build_grid_1d,
                             build_grid_2d_disk, build_psi)
 from decaylab.solver import (ConeSpec, SolverParams, WaveState, laplacian,
-                             make_initial_compact, run)
+                             make_initial_compact, make_initial_weighted, run)
 from decaylab.weights import (WeightFamily, WeightKind, WeightOverflowError,
                               compute_constants, eval_weight)
 
@@ -207,6 +207,48 @@ def test_data_functionals_reordered_kahan_oracle():
     assert d.components["u0_H2_sq"] == pytest.approx(h2, rel=1e-12)
     lr1 = vol * kahan((np.abs(st.u) ** 2.5).ravel())
     assert d.components["u0_Lr1"] == pytest.approx(lr1, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["compact-1d", "sharp-2d", "weighted-1d"])
+def test_data_functionals_window_matches_whole_grid(case):
+    # compact data are summed on their support box; the same sums over the
+    # full arrays agree to round-off, and weighted data (whose box is the
+    # whole grid) give exactly the whole-grid sums
+    if case == "sharp-2d":
+        grid = build_grid_2d_disk(1.0, 8.0, 8.0)
+        consts = compute_constants("T2", 1.5, 2, 0.01, 0.1)
+        rng = np.random.default_rng(3)
+        block = np.zeros(grid.shape, dtype=bool)
+        block[40:49, 30:39] = True
+        st = WaveState(*(np.where(block & grid.fluid,
+                                  rng.normal(size=grid.shape), 0.0)
+                         for _ in range(2)))
+    else:
+        grid, _, _ = _setup_1d(n=500)
+        consts = compute_constants("T2", 1.5, 1, 0.01, 0.1)
+        st = (make_initial_compact(grid, 3.0, 1.0, 1.3, "both")
+              if case == "compact-1d" else
+              make_initial_weighted(grid, 2.0, None, consts.gamma))
+    fam = WeightFamily.poly(consts.gamma, r=1.5)
+    d = data_functionals(st, grid, fam, consts)
+
+    vol = grid.cell_volume
+    g0 = grad_sq(grid, st.u)
+    w = eval_weight(fam, WeightKind.PHI, grid.q())
+    expect = {
+        "u0_H2_sq": vol * float(np.sum(st.u**2 + g0 + laplacian(grid, st.u)**2)),
+        "u1_H1_sq": vol * float(np.sum(st.v**2 + grad_sq(grid, st.v))),
+        "u0_Lr1": vol * float(np.sum(np.abs(st.u) ** 2.5)),
+        "weighted_grad_u0": vol * float(np.sum(w * g0)),
+        "weighted_u1": vol * float(np.sum(np.where(grid.fluid, w * st.v**2, 0.0))),
+    }
+    assert (np.count_nonzero(st.u) < grid.fluid.size // 5) == (case != "weighted-1d")
+    for name, value in expect.items():
+        assert value > 0.0
+        if case == "weighted-1d":
+            assert d.components[name] == value, name
+        else:
+            assert d.components[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
 
 
 # ---------------------------------------------------------------------------

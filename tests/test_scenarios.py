@@ -3,10 +3,11 @@
 import json
 import math
 import re
+import threading
 
 import pytest
 
-from decaylab import presets
+from decaylab import presets, scenarios
 from decaylab.cli import main as cli_main
 from decaylab.scenarios import (ConfigError, load_config, run_scenario,
                                 run_suite)
@@ -199,6 +200,103 @@ def test_suite_one_failure_does_not_abort(tmp_path):
     bad.radius = 40.0
     reports = run_suite([bad, good], parallelism=2, out_dir=tmp_path)
     assert reports[0].failed and not reports[1].failed
+
+
+def _record_threads(monkeypatch):
+    """Patch run_scenario to note the thread each scenario runs on."""
+    threads = {}
+    inner = scenarios.run_scenario
+
+    def recording(cfg, *args):
+        threads[cfg.name] = threading.get_ident()
+        return inner(cfg, *args)
+
+    monkeypatch.setattr(scenarios, "run_scenario", recording)
+    return threads
+
+
+def _strip_wall_clock(report):
+    payload = dict(report.payload)
+    payload.pop("wall_clock_s")
+    return payload
+
+
+def test_suite_pool_matches_serial_byte_for_byte(tmp_path, monkeypatch):
+    def configs():
+        return [_mini(f"mini-{i}", tmax) for i, tmax in enumerate((2.0, 3.0))]
+
+    rep1 = run_suite(configs(), parallelism=1, out_dir=tmp_path / "p1")
+    monkeypatch.setattr(scenarios, "_POOL_MIN_NODES", 0)
+    threads = _record_threads(monkeypatch)
+    rep2 = run_suite(configs(), parallelism=2, out_dir=tmp_path / "p2")
+    assert threading.get_ident() not in threads.values()
+    assert [r.name for r in rep1] == [r.name for r in rep2] == ["mini-0", "mini-1"]
+    for a, b in zip(rep1, rep2):
+        assert not a.failed and _strip_wall_clock(a) == _strip_wall_clock(b)
+        csv = f"{a.name}.series.csv"
+        assert (tmp_path / "p1" / csv).read_bytes() == \
+            (tmp_path / "p2" / csv).read_bytes()
+
+
+def test_suite_small_grids_run_on_calling_thread(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no scenario crosses the threshold: no pool")
+
+    monkeypatch.setattr(scenarios, "ThreadPoolExecutor", no_pool)
+    threads = _record_threads(monkeypatch)
+    configs = [_mini("small-a", 2.0), _mini("small-b", 2.0)]
+    assert all(scenarios._grid_nodes(c) < scenarios._POOL_MIN_NODES
+               for c in configs)
+    reports = run_suite(configs, parallelism=2, out_dir=tmp_path)
+    assert [r.name for r in reports] == ["small-a", "small-b"]
+    assert not any(r.failed for r in reports)
+    assert set(threads.values()) == {threading.get_ident()}
+
+
+def test_suite_mixed_paths_keep_order_and_isolate_failures(tmp_path,
+                                                           monkeypatch):
+    def mini(name, h):
+        return load_config(MINIMAL_T3.replace("mini-t3", name).replace(
+            "t_max = 6", "t_max = 2").replace("h = 0.05", f"h = {h}"))
+
+    small_bad, large_bad = mini("small-bad", 0.05), mini("large-bad", 0.025)
+    small_bad.x_max = None      # cannot even be counted: runs inline, fails
+    large_bad.radius = 40.0     # support outside the domain: solver rejects
+    configs = [small_bad, mini("large-good", 0.025), mini("small-good", 0.05),
+               large_bad]
+    assert [scenarios._grid_nodes(c) for c in configs] == [0, 281, 141, 281]
+    monkeypatch.setattr(scenarios, "_POOL_MIN_NODES", 200)
+    threads = _record_threads(monkeypatch)
+    reports = run_suite(configs, parallelism=2, out_dir=tmp_path)
+    assert [r.name for r in reports] == [c.name for c in configs]
+    assert [r.failed for r in reports] == [True, False, False, True]
+    main = threading.get_ident()
+    assert threads["small-bad"] == threads["small-good"] == main
+    assert main not in (threads["large-good"], threads["large-bad"])
+
+
+def test_grid_node_count_matches_built_grid():
+    for name in presets.names():
+        cfg = presets.load(name)
+        if cfg.theorem == "weight_suite":
+            assert scenarios._grid_nodes(cfg) == 0
+        else:
+            assert scenarios._grid_nodes(cfg) == \
+                scenarios._build(cfg)[0].fluid.size, name
+
+
+@pytest.mark.parametrize("parallelism", [0, -3, 1.5])
+def test_suite_rejects_bad_parallelism(parallelism):
+    with pytest.raises(ValueError, match="parallelism"):
+        run_suite([_mini()], parallelism=parallelism)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_suite_rejects_bad_parallel(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["suite", str(tmp_path), "--parallel", value])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
 
 
 def test_report_is_self_contained_for_refit(tmp_path):

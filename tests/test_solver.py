@@ -84,12 +84,13 @@ def dense_newton_oracle(c, w, r, tol, max_iter=90):
     hi = aw.copy()
     v = aw / (1.0 + c * aw ** (r - 1.0))
     for _ in range(max_iter):
-        g = v + c * v ** r - aw
+        p = v ** (r - 1.0)
+        g = v + c * v * p - aw
         if np.max(np.abs(g)) <= tol:
             break
         hi = np.where(g > 0.0, v, hi)
         lo = np.where(g > 0.0, lo, v)
-        newton = v - g / (1.0 + r * c * v ** (r - 1.0))
+        newton = v - g / (1.0 + r * c * p)
         outside = (newton < lo) | (newton > hi)
         v = np.where(outside, 0.5 * (lo + hi), newton)
     return sign * v
