@@ -2,10 +2,11 @@
 
 A scenario is a flat INI document (sections [scenario], [grid], [data],
 [time], [weights], [prop1], [obs]) naming one of the decay regimes T1/T2/T3
-or one of the non-PDE suites (identity_only, weight_suite).  Loading
-validates every cross-field constraint up front: regime admissibility of
-(r, gamma, delta0) with the violated bound named, cone-safe truncation for
-compact data, resolvable geometry.
+or one of the non-PDE suites (identity_only, weight_suite).  The fields of
+`ScenarioConfig` are the schema: each names its section, key, parser, range
+and default, and loading checks every value against its row.  The checks
+that read two or more fields (regime admissibility, cone-safe truncation, a
+grid the builders accept, enough samples to fit) run at load too.
 
 Running a scenario builds grid / damping / cutoff / constants / data, marches
 the solver with a functional tracker attached, then runs the analyses and
@@ -25,7 +26,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,86 +43,115 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "scenario": {"name", "theorem", "dim", "r", "delta0", "gamma", "epsilon0",
-                 "l", "a_max", "damping_kind", "margin", "seed"},
-    "grid": {"alpha", "x_max", "rho", "r_out", "h"},
-    "data": {"kind", "center", "center_x", "center_y", "radius", "amplitude",
-             "r_support", "sigma", "oscillation", "cone_enforce"},
-    "time": {"t_max", "cfl", "sample_stride", "t_window", "t1_threshold"},
-    "weights": {"use_practical_b", "practical_b"},
-    "prop1": {"enabled", "gamma", "mu", "lam"},
-    "obs": {"enabled", "r0"},
-}
+# A row's rule: a description of the values it accepts, and their predicate.
+_POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
+_NON_NEGATIVE = ("non-negative and finite", lambda v: 0.0 <= v < math.inf)
+_FINITE = ("finite", math.isfinite)
+_BOOL = ("true or false", lambda v: True)
+
+
+def _one_of(*choices):
+    return "one of " + "|".join(map(str, choices)), lambda v: v in choices
+
+
+def _bool(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _row(section, key, default=MISSING, rule=_POSITIVE, cast=float, auto=False):
+    """A config field read from `[section] key`.  `cast` parses the text and
+    the value must satisfy `rule`; with `auto` the text `auto` gives None,
+    which `_resolve_and_validate` fills in.  A row without default is
+    required."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "cast": cast, "rule": rule, "auto": auto})
 
 
 @dataclass
 class ScenarioConfig:
-    name: str
-    theorem: str
-    dim: int = 1
-    r: float = 1.5
-    delta0: float = 0.01
-    gamma: float | None = None
-    epsilon0: float = 0.5
-    L: float = 1.0
-    a_max: float = 1.0
-    damping_kind: str = "exterior_smooth"
-    margin: float = 0.8
-    seed: int = 0
-    # grid
-    alpha: float = 0.0
-    x_max: float | None = None
-    rho: float | None = None
-    r_out: float | None = None
-    h: float = 0.05
-    # data
-    data_kind: str = "compact"
-    center: tuple = (1.0,)
-    radius: float = 0.5
-    amplitude: float = 1.0
-    R_support: float | None = None
-    sigma: float = 10.0
-    oscillation: float = 2.0
-    cone_enforce: bool = True
-    # time
-    T_max: float = 20.0
-    cfl: float = 0.9
-    sample_stride: int = 10
-    T_window: float | None = None
-    T1_threshold: float | None = None
-    # weights
-    use_practical_b: bool = True
-    practical_b: float = math.e
-    # prop1 / obs diagnostics
-    prop1_enabled: bool = True
-    prop1_gamma: float = 1.0
-    prop1_mu: float = 1.0
-    prop1_lam: float = 1.0
-    obs_enabled: bool = True
-    obs_R0: float | None = None
+    """One scenario's settings; each field is a config row (see `_row`)."""
+    name: str = _row("scenario", "name", rule=("non-empty", bool), cast=str)
+    theorem: str = _row("scenario", "theorem", rule=_one_of(*THEOREMS), cast=str)
+    dim: int = _row("scenario", "dim", 1, _one_of(1, 2), int)
+    r: float = _row("scenario", "r", 1.5,
+                    ("above 1 and finite", lambda v: 1.0 < v < math.inf))
+    delta0: float = _row("scenario", "delta0", 0.01,
+                         ("in (0, 1)", lambda v: 0.0 < v < 1.0))
+    gamma: float | None = _row("scenario", "gamma", None, auto=True)
+    epsilon0: float = _row("scenario", "epsilon0", 0.5)
+    L: float = _row("scenario", "l", 1.0)
+    a_max: float = _row("scenario", "a_max", 1.0)
+    damping_kind: str = _row("scenario", "damping_kind", "exterior_smooth",
+                             _one_of(*grids._DAMPING_KINDS), str)
+    margin: float = _row("scenario", "margin", 0.8)
+    seed: int = _row("scenario", "seed", 0, ("an integer >= 0", lambda v: v >= 0), int)
+    alpha: float = _row("grid", "alpha", 0.0, _NON_NEGATIVE)
+    x_max: float | None = _row("grid", "x_max", None, auto=True)
+    rho: float | None = _row("grid", "rho", None)
+    r_out: float | None = _row("grid", "r_out", None, auto=True)
+    h: float = _row("grid", "h", 0.05)
+    data_kind: str = _row("data", "kind", "compact", _one_of("compact", "weighted"), str)
+    center: tuple = _row("data", "center", (1.0,), _FINITE)   # dim 2: _CENTER_2D
+    radius: float = _row("data", "radius", 0.5)
+    amplitude: float = _row("data", "amplitude", 1.0, (
+        "finite and nonzero", lambda v: math.isfinite(v) and v != 0.0))
+    R_support: float | None = _row("data", "r_support", None)
+    sigma: float = _row("data", "sigma", 10.0, _FINITE)
+    oscillation: float = _row("data", "oscillation", 2.0, _FINITE)
+    cone_enforce: bool = _row("data", "cone_enforce", True, _BOOL, _bool)
+    T_max: float = _row("time", "t_max", 20.0)
+    cfl: float = _row("time", "cfl", 0.9, ("in (0, 1]", lambda v: 0.0 < v <= 1.0))
+    sample_stride: int = _row("time", "sample_stride", 10,
+                              ("an integer >= 1", lambda v: v >= 1), int)
+    T_window: float | None = _row("time", "t_window", None)
+    T1_threshold: float | None = _row("time", "t1_threshold", None, _NON_NEGATIVE)
+    use_practical_b: bool = _row("weights", "use_practical_b", True, _BOOL, _bool)
+    practical_b: float = _row("weights", "practical_b", math.e,
+                              (">= e and finite", lambda v: math.e <= v < math.inf))
+    prop1_enabled: bool = _row("prop1", "enabled", True, _BOOL, _bool)
+    prop1_gamma: float = _row("prop1", "gamma", 1.0,
+                              ("in (0, 1]", lambda v: 0.0 < v <= 1.0))
+    prop1_mu: float = _row("prop1", "mu", 1.0)
+    prop1_lam: float = _row("prop1", "lam", 1.0)
+    obs_enabled: bool = _row("obs", "enabled", True, _BOOL, _bool)
+    obs_R0: float | None = _row("obs", "r0", None)
     echo: dict = field(default_factory=dict)
 
 
-_AUTO_KEYS = {("scenario", "gamma"), ("grid", "x_max"), ("grid", "r_out")}
+_ROWS = {f.name: f for f in fields(ScenarioConfig) if f.metadata}
+# In 2D the `center` row is read from these keys, with these defaults.
+_CENTER_2D = {"center_x": 3.0, "center_y": 0.0}
+_KEYS = {(f.metadata["section"], f.metadata["key"]) for f in _ROWS.values()} | {
+    ("data", key) for key in _CENTER_2D}
 
 
-def _get(cp, section, key, cast, default=None, required=False):
+def _bad(section, key, need, got) -> ConfigError:
+    return ConfigError(f"[{section}] {key} must be {need}, got {got!r}")
+
+
+def _check(f, value, key=None):
+    """`value` if it satisfies row `f`'s rule, else ConfigError naming the row."""
+    need, ok = f.metadata["rule"]
+    if not ok(value):
+        raise _bad(f.metadata["section"], key or f.metadata["key"], need, value)
+    return value
+
+
+def _parse(cp, f, key=None, default=None):
+    """Row `f`'s value in the document (read from `key` if given), checked."""
+    section, key = f.metadata["section"], key or f.metadata["key"]
     if not cp.has_option(section, key):
-        if required:
+        if f.default is MISSING:
             raise ConfigError(f"missing required key [{section}] {key}")
-        return default
+        return f.default if default is None else default
     raw = cp.get(section, key)
-    if raw.strip().lower() == "auto":
-        if (section, key) not in _AUTO_KEYS:
-            raise ConfigError(f"[{section}] {key} does not support 'auto'")
-        return "auto"
+    if f.metadata["auto"] and raw.lower() == "auto":
+        return None
     try:
-        if cast is bool:
-            return cp.getboolean(section, key)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+        value = f.metadata["cast"](raw)
+    except (ValueError, KeyError):
+        raise _bad(section, key, f.metadata["rule"][0], raw) from None
+    return _check(f, value, key)
 
 
 def load_config(source) -> ScenarioConfig:
@@ -137,158 +167,119 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigError(f"unparseable config: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in _KEYS}:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp.options(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
-    name = _get(cp, "scenario", "name", str, required=True)
-    theorem = _get(cp, "scenario", "theorem", str, required=True)
-    if theorem not in THEOREMS:
-        raise ConfigError(f"unknown theorem {theorem!r}; pick from {THEOREMS}")
-
-    cfg = ScenarioConfig(name=name, theorem=theorem)
-    cfg.dim = _get(cp, "scenario", "dim", int, 1)
-    if cfg.dim not in (1, 2):
-        raise ConfigError(f"[scenario] dim must be 1 or 2, got {cfg.dim}")
-    cfg.r = _get(cp, "scenario", "r", float, 1.5)
-    cfg.delta0 = _get(cp, "scenario", "delta0", float, 0.01)
-    gamma = _get(cp, "scenario", "gamma", float, "auto")
-    cfg.epsilon0 = _get(cp, "scenario", "epsilon0", float, 0.5)
-    cfg.L = _get(cp, "scenario", "l", float, 1.0)
-    cfg.a_max = _get(cp, "scenario", "a_max", float, 1.0)
-    cfg.damping_kind = _get(cp, "scenario", "damping_kind", str, "exterior_smooth")
-    cfg.margin = _get(cp, "scenario", "margin", float, 0.8)
-    cfg.seed = _get(cp, "scenario", "seed", int, 0)
-
-    cfg.alpha = _get(cp, "grid", "alpha", float, 0.0)
-    cfg.x_max = _get(cp, "grid", "x_max", float, None)
-    cfg.rho = _get(cp, "grid", "rho", float, None)
-    cfg.r_out = _get(cp, "grid", "r_out", float, None)
-    cfg.h = _get(cp, "grid", "h", float, 0.05)
-    if not (cfg.h > 0.0 and math.isfinite(cfg.h)):
-        raise ConfigError(f"[grid] h must be positive and finite, got {cfg.h}")
-
-    cfg.data_kind = _get(cp, "data", "kind", str, "compact")
-    if cfg.data_kind not in ("compact", "weighted"):
-        raise ConfigError(f"unknown data kind {cfg.data_kind!r}")
-    if cfg.dim == 1:
-        cfg.center = (_get(cp, "data", "center", float, 1.0),)
-    else:
-        cfg.center = (_get(cp, "data", "center_x", float, 3.0),
-                      _get(cp, "data", "center_y", float, 0.0))
-    cfg.radius = _get(cp, "data", "radius", float, 0.5)
-    cfg.amplitude = _get(cp, "data", "amplitude", float, 1.0)
-    cfg.R_support = _get(cp, "data", "r_support", float, None)
-    cfg.sigma = _get(cp, "data", "sigma", float, 10.0)
-    cfg.oscillation = _get(cp, "data", "oscillation", float, 2.0)
-    cfg.cone_enforce = _get(cp, "data", "cone_enforce", bool, True)
-    if not (math.isfinite(cfg.amplitude) and cfg.amplitude != 0.0):
-        raise ConfigError(f"[data] amplitude must be finite and nonzero, got {cfg.amplitude}")
-    for key in ("sigma", "oscillation"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"[data] {key} must be finite, got {getattr(cfg, key)}")
-
-    cfg.T_max = _get(cp, "time", "t_max", float, 20.0)
-    cfg.cfl = _get(cp, "time", "cfl", float, 0.9)
-    cfg.sample_stride = _get(cp, "time", "sample_stride", int, 10)
-    cfg.T_window = _get(cp, "time", "t_window", float, None)
-    cfg.T1_threshold = _get(cp, "time", "t1_threshold", float, None)
-    if not (cfg.T_max > 0.0 and math.isfinite(cfg.T_max)):
-        raise ConfigError(f"[time] t_max must be positive and finite, "
-                          f"got {cfg.T_max}")
-    if not 0.0 < cfg.cfl <= 1.0:
-        raise ConfigError(f"[time] cfl must lie in (0, 1], got {cfg.cfl}")
-    if cfg.sample_stride < 1:
-        raise ConfigError(f"[time] sample_stride must be at least 1, "
-                          f"got {cfg.sample_stride}")
-
-    cfg.use_practical_b = _get(cp, "weights", "use_practical_b", bool, True)
-    cfg.practical_b = _get(cp, "weights", "practical_b", float, math.e)
-
-    cfg.prop1_enabled = _get(cp, "prop1", "enabled", bool, True)
-    cfg.prop1_gamma = _get(cp, "prop1", "gamma", float, 1.0)
-    cfg.prop1_mu = _get(cp, "prop1", "mu", float, 1.0)
-    cfg.prop1_lam = _get(cp, "prop1", "lam", float, 1.0)
-    cfg.obs_enabled = _get(cp, "obs", "enabled", bool, True)
-    cfg.obs_R0 = _get(cp, "obs", "r0", float, None)
-
-    _resolve_and_validate(cfg, gamma)
+    cfg = ScenarioConfig(**{name: _parse(cp, f) for name, f in _ROWS.items()
+                            if name != "center"})
+    keys = {"center": 1.0} if cfg.dim == 1 else _CENTER_2D
+    cfg.center = tuple(_parse(cp, _ROWS["center"], k, d) for k, d in keys.items())
+    _resolve_and_validate(cfg)
     cfg.echo = _echo(cfg)
     return cfg
 
 
-def _gamma_auto(cfg: ScenarioConfig) -> float:
-    """0.9 of the admissible supremum (T2/T3); 1.0 for T1 (unbounded range)."""
-    if cfg.theorem == "T1":
-        return 1.0
-    probe = 1e-6
-    consts = weights.compute_constants(cfg.theorem, cfg.r, cfg.dim,
-                                       cfg.delta0, probe)
-    return 0.9 * min(consts.gamma_bounds.values())
-
-
-def _resolve_and_validate(cfg: ScenarioConfig, gamma):
+def _resolve_and_validate(cfg: ScenarioConfig):
+    """Fill in the unset fields and run every check that reads two or more."""
     if cfg.theorem == "weight_suite":
-        cfg.gamma = None if gamma in ("auto", None) else gamma
         return
     if cfg.theorem == "identity_only":
         cfg.gamma = None
     else:
-        cfg.gamma = _gamma_auto(cfg) if gamma in ("auto", None) else gamma
-        # raises AdmissibilityError naming the violated bound
-        weights.compute_constants(cfg.theorem, cfg.r, cfg.dim, cfg.delta0,
-                                  cfg.gamma)
-
+        try:        # AdmissibilityError names the violated bound
+            if cfg.gamma is None:   # T1: 1; T2/T3: 0.9 of the admissible supremum
+                cfg.gamma = 1.0 if cfg.theorem == "T1" else 0.9 * min(
+                    weights.compute_constants(cfg.theorem, cfg.r, cfg.dim, cfg.delta0,
+                                              1e-6).gamma_bounds.values())
+            weights.compute_constants(cfg.theorem, cfg.r, cfg.dim, cfg.delta0,
+                                      cfg.gamma)
+        except weights.AdmissibilityError as exc:
+            raise ConfigError(f"[scenario] r, delta0, gamma: {exc}") from exc
+    if cfg.epsilon0 > cfg.a_max:
+        raise _bad("scenario", "epsilon0", f"at most a_max = {cfg.a_max}", cfg.epsilon0)
     if cfg.T1_threshold is None:
         cfg.T1_threshold = cfg.T_max / 10.0
-    if cfg.T_window is None:
+    if not cfg.T1_threshold < cfg.T_max:
+        raise _bad("time", "t1_threshold", f"below t_max = {cfg.T_max}",
+                   cfg.T1_threshold)
+    if cfg.T_window is None:        # may exceed t_max: the analyses clip it
         cfg.T_window = cfg.T_max / 4.0
-
-    if cfg.data_kind == "compact":
-        if cfg.R_support is None:
-            raise ConfigError("compact data requires [data] r_support")
-        reach = math.sqrt(sum(c * c for c in cfg.center)) + cfg.radius
-        if reach > cfg.R_support + 1e-12:
-            raise ConfigError(
-                f"compact data support (reach {reach:.4g}) leaves B_R, "
-                f"R = {cfg.R_support}")
-        safe = cfg.R_support + cfg.T_max + 2.0 * cfg.L
-        if cfg.dim == 1:
-            if cfg.x_max in (None, "auto"):
-                cfg.x_max = cfg.alpha + math.ceil(safe - cfg.alpha + 2.0)
-            if cfg.x_max < safe:
-                raise ConfigError(
-                    f"truncation x_max = {cfg.x_max} is not cone-safe: need "
-                    f">= R + T_max + 2L = {safe}")
-        else:
-            if cfg.r_out in (None, "auto"):
-                cfg.r_out = math.ceil(safe + 2.0)
-            if cfg.r_out < safe:
-                raise ConfigError(
-                    f"truncation r_out = {cfg.r_out} is not cone-safe: need "
-                    f">= R + T_max + 2L = {safe}")
-    else:
-        if cfg.dim == 1 and cfg.x_max in (None, "auto"):
-            raise ConfigError("weighted data requires an explicit x_max")
-        if cfg.dim == 2 and cfg.r_out in (None, "auto"):
-            raise ConfigError("weighted data requires an explicit r_out")
-
-    if cfg.dim == 2 and cfg.rho is None:
-        raise ConfigError("2D scenarios require [grid] rho")
     if cfg.obs_R0 is None:
         cfg.obs_R0 = 2.0 * cfg.L
+    if cfg.dim == 2 and cfg.rho is None:
+        raise ConfigError("[grid] rho is required in 2D")
+
+    edge, inner = ("x_max", cfg.alpha) if cfg.dim == 1 else ("r_out", cfg.rho)
+    if cfg.data_kind == "compact":
+        R = cfg.R_support
+        if R is None:
+            raise ConfigError("[data] r_support is required for compact data")
+        if cfg.theorem == "T3" and R < 1.0:
+            raise _bad("data", "r_support", "at least 1 for T3", R)
+        if cfg.cone_enforce and not (cfg.dim == 1 and cfg.cfl == 1.0):
+            raise _bad("data", "cone_enforce", "false unless dim = 1 and cfl = 1, "
+                       "where the scheme rides the exact cone", True)
+        dist = math.hypot(*cfg.center)
+        if dist + cfg.radius > R + 1e-12:
+            raise _bad("data", "r_support", f"at least the data's reach "
+                       f"{dist + cfg.radius:.4g} (its support leaves B_R)", R)
+        if (cfg.center[0] if cfg.dim == 1 else dist) - cfg.radius < inner:
+            raise _bad("data", "center", f"at least radius = {cfg.radius} from "
+                       f"the obstacle at {inner}", cfg.center)
+        safe = R + cfg.T_max + 2.0 * cfg.L
+        if cfg.dim == 1 and cfg.x_max is None:
+            cfg.x_max = cfg.alpha + math.ceil(safe - cfg.alpha + 2.0)
+        if cfg.dim == 2 and cfg.r_out is None:
+            cfg.r_out = math.ceil(safe + 2.0)
+        if getattr(cfg, edge) < safe:
+            raise _bad("grid", edge, f"cone-safe, at least R + t_max + 2l = "
+                       f"{safe}", getattr(cfg, edge))
+    else:
+        if getattr(cfg, edge) is None:
+            raise ConfigError(f"[grid] {edge} is required for weighted data")
+        if cfg.theorem == "T3":
+            raise _bad("data", "kind", "compact for T3", cfg.data_kind)
+        # finite weighted norms on the untruncated domain (make_initial_weighted)
+        floor = (cfg.dim + (cfg.gamma if cfg.theorem == "T2" else 0.0)) / 2.0
+        if not cfg.sigma > floor:
+            raise _bad("data", "sigma", f"above {floor:.6g} for weighted data", cfg.sigma)
+
+    if cfg.dim == 1:
+        floor, need = max(cfg.alpha, 2.0 * cfg.L), "max(alpha, 2l)"
+    else:
+        floor, need = max(cfg.rho + 4.0 * cfg.h, 2.0 * cfg.L), "max(rho + 4h, 2l)"
+    if not getattr(cfg, edge) > floor:
+        raise _bad("grid", edge, f"above {need} = {floor}", getattr(cfg, edge))
+    if cfg.dim == 1 and _cells(cfg) < 16:
+        raise _bad("grid", "h", f"at most (x_max - alpha)/15.5 = "
+                   f"{(cfg.x_max - cfg.alpha) / 15.5:.4g} (16 cells)", cfg.h)
+    if cfg.dim == 2 and cfg.h > cfg.rho / 4.0:
+        raise _bad("grid", "h", f"at most rho/4 = {cfg.rho / 4.0}", cfg.h)
+
+    # the grid `_build` makes sets the step `run` takes and the sample spacing
+    h = (cfg.x_max - cfg.alpha if cfg.dim == 1 else 2.0 * cfg.r_out) / _cells(cfg)
+    dt = cfg.cfl * h / math.sqrt(cfg.dim)
+    spacing = cfg.sample_stride * dt
+    if not cfg.T_window >= spacing:
+        raise _bad("time", "t_window", f"at least the sample spacing {spacing:.4g}",
+                   cfg.T_window)
+    # samples inside the fit window, leaving out one within round-off of an end
+    tol = 1e-9 * cfg.T_max
+    first = math.floor((cfg.T1_threshold + tol) / spacing) + 1
+    last = min(round(cfg.T_max / dt) // cfg.sample_stride,
+               math.ceil((cfg.T_max - tol) / spacing) - 1)
+    fits = cfg.theorem in ("T2", "T3") or (cfg.theorem == "T1" and cfg.use_practical_b)
+    if fits and last - first + 1 < 8:
+        raise _bad("time", "sample_stride", "small enough for 8 samples in the "
+                   "fit window [t1_threshold, t_max]", cfg.sample_stride)
 
 
 def _echo(cfg: ScenarioConfig) -> dict:
-    skip = {"echo"}
-    out = {}
-    for k, v in vars(cfg).items():
-        if k in skip:
-            continue
-        out[k] = list(v) if isinstance(v, tuple) else v
-    return out
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in vars(cfg).items() if k != "echo"}
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +355,12 @@ def _families(cfg: ScenarioConfig):
     return fam, [("thm3", fam)]
 
 
+def _overrides(margin, practical_b) -> dict:
+    """The run-time overrides that are set, checked against their rows."""
+    given = {"margin": margin, "practical_b": practical_b}
+    return {k: _check(_ROWS[k], v) for k, v in given.items() if v is not None}
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir=None,
                  margin: float | None = None,
                  practical_b: float | None = None) -> ScenarioReport:
@@ -371,12 +368,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None,
 
     `margin` and `practical_b` override the config's values for this run
     only: the run and its report's config echo use a copy, and the caller's
-    config is left as it was.
+    config is left as it was.  An override outside its field's range raises
+    ConfigError before the run.
     """
     t_wall = time.time()
     out = Path(out_dir or os.environ.get("DECAYLAB_OUT", "."))
-    overrides = {"margin": margin, "practical_b": practical_b}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    overrides = _overrides(margin, practical_b)
     if overrides:
         cfg = replace(cfg, **overrides)
         cfg.echo = _echo(cfg)
@@ -459,7 +456,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
             "L": damping.L, "a_inf": damping.a_inf,
         },
         "solver": {
-            "dt": params.dt, "cfl": params.cfl, "n_steps": res.n_steps,
+            "dt": params.dt, "cfl": cfg.cfl, "n_steps": res.n_steps,
             "mono_violations": res.mono_violations,
             "mono_worst": res.mono_worst,
         },
@@ -648,11 +645,12 @@ def run_suite(configs: list[ScenarioConfig], parallelism: int = 1,
     down; a large grid spends it in long calls that release the GIL, so
     threads overlap.  With `parallelism` 1, or no large grid, no pool is made.
 
-    Duplicate names are rejected before execution; one scenario's failure
-    does not abort the others.
+    Duplicate names and out-of-range overrides are rejected before
+    execution; one scenario's failure does not abort the others.
     """
     if not (isinstance(parallelism, numbers.Integral) and parallelism >= 1):
         raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
+    _overrides(margin, practical_b)
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})

@@ -79,7 +79,6 @@ class WaveState:
 @dataclass(frozen=True)
 class SolverParams:
     dt: float
-    cfl: float
     r: float
     damping_tol: float = 1e-12
     T_max: float = 0.0
@@ -87,8 +86,6 @@ class SolverParams:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
         if not self.r > 1.0:
             raise ValueError("damping exponent r must exceed 1")
         if not self.damping_tol > 0.0:
@@ -98,9 +95,10 @@ class SolverParams:
     def for_grid(grid: ExteriorGrid, cfl: float, r: float, T_max: float,
                  damping_tol: float = 1e-12) -> "SolverParams":
         """dt from the CFL bound: cfl*h in 1D, cfl*h/sqrt(2) in 2D."""
+        if not 0.0 < cfl <= 1.0:
+            raise ValueError("cfl must lie in (0, 1]")
         dt = cfl * grid.h / math.sqrt(grid.dim)
-        return SolverParams(dt=dt, cfl=cfl, r=r, damping_tol=damping_tol,
-                            T_max=T_max)
+        return SolverParams(dt=dt, r=r, damping_tol=damping_tol, T_max=T_max)
 
 
 @dataclass(frozen=True)

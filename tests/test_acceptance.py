@@ -212,9 +212,9 @@ def test_criterion_06_cross_integrator():
     state = make_initial_compact(grid, 5.0, 2.0, 1.0, "bump_u")
     dt = 0.2 * grid.h
     n = int(round(5.0 / dt))
-    params = SolverParams(dt=dt, cfl=0.2, r=2.0, T_max=5.0)
+    params = SolverParams(dt=dt, r=2.0, T_max=5.0)
     main = run(grid, damping, state.copy(), params, sample_stride=1)
-    fine = SolverParams(dt=dt / 8.0, cfl=0.2, r=2.0, T_max=5.0)
+    fine = SolverParams(dt=dt / 8.0, r=2.0, T_max=5.0)
     ref = reference_solve(grid, damping, state.copy(), fine, sample_stride=8)
     Em = main.E_steps
     assert len(ref.E) == n + 1

@@ -392,7 +392,7 @@ def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
                           for _ in range(2)))
     dt = SolverParams.for_grid(grid, 0.5, 1.5, T_max=0.0).dt
     n_steps = 0 if sharp else 20
-    params = SolverParams(dt=dt, cfl=0.5, r=1.5, T_max=n_steps * dt)
+    params = SolverParams(dt=dt, r=1.5, T_max=n_steps * dt)
     res = run(grid, damping, st0, params, tracker=tracker, sample_stride=10)
     last, st = res.samples[-1], res.final_state
     assert last.t == st.t and res.n_steps == n_steps

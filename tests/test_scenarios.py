@@ -1,11 +1,16 @@
 """Config loading, scenario orchestration, persistence and CLI tests."""
 
+import configparser
+import io
 import json
 import math
 import re
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decaylab import presets, scenarios
 from decaylab.cli import main as cli_main
@@ -38,6 +43,64 @@ cone_enforce = false
 t_max = 6
 sample_stride = 2
 """
+
+
+WEIGHTED_T2 = """
+[scenario]
+name = mini-t2
+theorem = T2
+
+[grid]
+x_max = 12
+h = 0.1
+
+[data]
+kind = weighted
+sigma = 3
+
+[time]
+t_max = 2
+sample_stride = 2
+"""
+
+COMPACT_2D = """
+[scenario]
+name = mini-2d
+theorem = T3
+dim = 2
+l = 0.5
+damping_kind = annulus_plus_exterior
+
+[grid]
+rho = 1.0
+h = 0.2
+
+[data]
+center_x = 2.0
+radius = 0.5
+r_support = 2.5
+cone_enforce = false
+
+[time]
+t_max = 1.5
+sample_stride = 1
+"""
+
+
+def _with(text, *edits):
+    """`text` with each (section, key, value) set, or removed for None."""
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    for section, key, value in edits:
+        if value is None:
+            cp.remove_option(section, key)
+            continue
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, value)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def _mini(name="mini-t3", t_max=6.0):
@@ -97,12 +160,68 @@ def test_config_rejects_negative_h():
     ("data", "amplitude", "nan"),
     ("data", "oscillation", "inf"),
     ("data", "sigma", "nan"),
+    ("scenario", "margin", "-1"),
+    ("prop1", "mu", "-1"),
+    ("prop1", "lam", "-1"),
+    ("obs", "r0", "-3"),
+    ("weights", "practical_b", "1.0"),
+    ("scenario", "seed", "-1"),
+    ("data", "radius", "-1"),
+    ("grid", "rho", "-1"),
+    ("scenario", "epsilon0", "-1"),
+    ("scenario", "a_max", "0"),
+    ("time", "t1_threshold", "200"),
+    ("grid", "alpha", "nan"),
+    ("scenario", "l", "-2"),
+    ("grid", "x_max", "-5"),
+    ("time", "t_window", "-1"),
+    ("prop1", "gamma", "0"),
+    ("scenario", "damping_kind", "foo"),
 ])
 def test_config_rejects_out_of_range_field(section, key, value):
-    text = re.sub(rf"^{key} = .*\n", "", MINIMAL_T3, flags=re.M).replace(
-        f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    text = _with(MINIMAL_T3, (section, key, value))
     with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} "):
         load_config(text)
+
+
+_BASES = {"t3": MINIMAL_T3, "t2": WEIGHTED_T2, "2d": COMPACT_2D,
+          "t3-x12": _with(MINIMAL_T3, ("grid", "x_max", "12")),
+          "2d-t2": _with(COMPACT_2D, ("scenario", "theorem", "T2"),
+                         ("data", "kind", "weighted"))}
+
+
+@pytest.mark.parametrize("base, section, key, value", [
+    ("t3", "scenario", "epsilon0", "2"),          # above a_max
+    ("t3", "time", "t1_threshold", "6"),          # not below t_max
+    ("t2", "grid", "x_max", "1.5"),               # below 2l
+    ("2d-t2", "grid", "r_out", "1.5"),            # within rho + 4h
+    ("t2", "grid", "h", "1"),                     # 12 cells
+    ("2d", "grid", "h", "0.3"),                   # above rho/4
+    ("t3", "data", "cone_enforce", "true"),       # at cfl 0.9
+    ("t3", "data", "center", "1.0"),              # bump reaches alpha
+    ("t3", "data", "r_support", "0.9"),           # T3 needs R >= 1
+    ("t3-x12", "data", "kind", "weighted"),       # T3 with weighted data
+    ("t2", "data", "sigma", "0.5"),               # weighted norm diverges
+    ("t3", "time", "t_window", "0.05"),           # below the sample spacing
+    ("t3", "time", "sample_stride", "20"),        # 6 samples in the fit window
+    ("2d", "grid", "rho", None),                  # required in 2D
+    ("t3", "data", "r_support", None),            # required for compact data
+    ("t2", "grid", "x_max", None),                # required for weighted data
+])
+def test_config_rejects_inconsistent_fields(base, section, key, value):
+    text = _with(_BASES[base], (section, key, value))
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} "):
+        load_config(text)
+
+
+def test_t_window_above_t_max_loads_and_runs(tmp_path):
+    cfg = load_config(_with(MINIMAL_T3, ("time", "t_window", "50")))
+    assert cfg.T_window == 50.0 > cfg.T_max
+    rep = run_scenario(cfg, tmp_path)
+    assert not rep.failed
+    # the analysis clips the window to half the run
+    assert rep.payload["defects"]["prop1"]["window_T"] == pytest.approx(
+        cfg.T_max / 2.0, abs=0.1)
 
 
 def test_config_rejects_unknown_key():
@@ -408,6 +527,44 @@ def test_cli_margin_override(tmp_path, capsys):
     assert out["all_pass"] is False
 
 
+@pytest.mark.parametrize("flag, attr, value", [
+    ("--margin", "margin", "-1"), ("--practical-b", "practical_b", "1.0")])
+def test_out_of_range_override_rejected_before_any_run(tmp_path, capsys,
+                                                       flag, attr, value):
+    section = scenarios._ROWS[attr].metadata["section"]
+    assert cli_main(["run", "t2-poly-1d", "--out", str(tmp_path), flag, value]) == 2
+    assert f"error: [{section}] {attr} must be " in capsys.readouterr().err
+    (tmp_path / "mini.ini").write_text(MINIMAL_T3)
+    assert cli_main(["suite", str(tmp_path), "--out", str(tmp_path), flag, value]) == 2
+    assert not list(tmp_path.glob("*.json"))
+    msg = rf"^\[{section}\] {attr} must be "
+    with pytest.raises(ConfigError, match=msg):
+        run_scenario(_mini(), tmp_path, **{attr: float(value)})
+    with pytest.raises(ConfigError, match=msg):
+        run_suite([_mini()], out_dir=tmp_path, **{attr: float(value)})
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_readme_schema_lists_every_field_with_its_range():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Scenario config schema")[1].split("```")[1]
+    rows, section, last = {}, None, None
+    for line in block.splitlines():
+        m = re.match(r"(?:\[(\w+)\] +|\s{11})(\w+)(.*)", line)
+        if m:
+            section = m[1] or section
+            last = (section, m[2])
+            rows[last] = m[3]
+        elif last:
+            rows[last] += " " + line.strip()
+    assert set(rows) == scenarios._KEYS
+    table = {(f.metadata["section"], f.metadata["key"]): f
+             for f in scenarios._ROWS.values()}
+    for section, key in rows:
+        f = table.get((section, key), scenarios._ROWS["center"])
+        assert f.metadata["rule"][0] in " ".join(rows[section, key].split()), key
+
+
 def test_overrides_leave_caller_config_unchanged(tmp_path):
     text = presets.get("t1-log-desk").replace("t_max = 150", "t_max = 20")
     cfg = load_config(text)
@@ -434,3 +591,56 @@ def test_t1_weight_overflow_fails_at_first_sample(tmp_path):
     assert rep.failed
     assert rep.payload["error"].startswith("WeightOverflowError")
     assert not (tmp_path / "t1-log-desk.series.csv").exists()
+
+
+# Small, short scenarios to draw config documents from: one per data kind
+# and dimension.  Each loads, runs in well under a second, and fits.
+_FUZZ_BASES = [MINIMAL_T3.replace("t_max = 6", "t_max = 2"), WEIGHTED_T2,
+               COMPACT_2D, _with(_BASES["2d-t2"], ("grid", "r_out", "4"))]
+_FUZZ_ROWS = [(f.metadata["section"], f.metadata["key"], f)
+              for f in scenarios._ROWS.values()]
+_FUZZ_ROWS += [("data", key, scenarios._ROWS["center"])
+               for key in scenarios._CENTER_2D]
+
+
+def _fuzz_values(cp, section, key, f):
+    """Text values for one row, in and out of its range: a fixed set, the
+    row's choices, and the base's value halved and doubled.  Nothing above 3
+    or twice the base's value keeps every grid small and every run short."""
+    values = ["-1", "0", "0.5", "1", "2", "3", "nan", "inf", "auto", "foo"]
+    need = f.metadata["rule"][0]
+    if need.startswith("one of "):
+        values += need[len("one of "):].split("|")
+    if f.metadata["cast"] is scenarios._bool:
+        values += ["true", "false"]
+    try:
+        base = float(cp.get(section, key))
+        values += [repr(base / 2), repr(2 * base)]
+    except (configparser.Error, ValueError):
+        pass
+    return values
+
+
+@st.composite
+def _documents(draw):
+    base = draw(st.sampled_from(_FUZZ_BASES))
+    cp = configparser.ConfigParser()
+    cp.read_string(base)
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        section, key, f = draw(st.sampled_from(_FUZZ_ROWS))
+        edits.append((section, key, draw(st.sampled_from(
+            _fuzz_values(cp, section, key, f)))))
+    return _with(base, *edits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=_documents())
+def test_config_documents_fail_at_load_or_run(doc):
+    try:
+        cfg = load_config(doc)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        rep = run_scenario(cfg, out)
+    assert not rep.failed, rep.payload["error"]

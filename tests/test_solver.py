@@ -5,6 +5,7 @@ Energy-conservation oracles use the scheme's two-level quadratic form, which
 plain leapfrog conserves exactly in the linear case.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -224,7 +225,7 @@ def test_step_zero_state_fixed_point():
 def test_eigenmode_shadow_energy_conserved():
     # a == 0: two-level form conserved to roundoff per step, <= 1e-6 over T=100
     grid, damping, _ = _box_setup(n=256)
-    params = SolverParams(dt=0.9 * grid.h, cfl=0.9, r=1.5, T_max=100.0)
+    params = SolverParams(dt=0.9 * grid.h, r=1.5, T_max=100.0)
     x = grid.coords[0]
     state = WaveState(np.sin(np.pi * x), grid.zeros(), 0.0)
     grid.clamp_dirichlet(state.u)
@@ -249,7 +250,7 @@ def test_uniform_velocity_reduces_to_nodal_solve():
 
 def test_run_zero_tmax_single_sample():
     grid, damping, _ = _box_setup()
-    params = SolverParams(dt=0.9 * grid.h, cfl=0.9, r=1.5, T_max=0.0)
+    params = SolverParams(dt=0.9 * grid.h, r=1.5, T_max=0.0)
     res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()), params)
     assert len(res.samples) == 1 and res.samples[0][0] == 0.0
 
@@ -288,9 +289,18 @@ def test_run_determinism_bit_identical():
     assert np.array_equal(r1.E_steps, r2.E_steps)
 
 
+@pytest.mark.parametrize("cfl", [0.0, 1.5, float("nan")])
+def test_for_grid_rejects_cfl_outside_unit_interval(cfl):
+    # dt is the only step size SolverParams holds: no cfl to disagree with it
+    grid, _, _ = _box_setup(n=64)
+    assert "cfl" not in {f.name for f in dataclasses.fields(SolverParams)}
+    with pytest.raises(ValueError, match="cfl"):
+        SolverParams.for_grid(grid, cfl, 1.5, T_max=1.0)
+
+
 def test_unstable_dt_aborts_with_diagnostic():
     grid, damping, _ = _box_setup(n=64)
-    params = SolverParams(dt=4.0 * grid.h, cfl=1.0, r=1.5, T_max=5.0)
+    params = SolverParams(dt=4.0 * grid.h, r=1.5, T_max=5.0)
     state = WaveState(np.sin(np.pi * grid.coords[0]), grid.zeros())
     with pytest.raises(FloatingPointError):
         run(grid, damping, state, params)
@@ -299,7 +309,7 @@ def test_unstable_dt_aborts_with_diagnostic():
 def test_finite_speed_exact_cone_at_unit_cfl():
     grid = build_grid_1d(0.5, 40.0, 790)
     damping = build_damping(grid, "exterior_smooth", 0.5, 0.5, 1.0)
-    params = SolverParams(dt=grid.h, cfl=1.0, r=1.5, T_max=30.0)
+    params = SolverParams(dt=grid.h, r=1.5, T_max=30.0)
     state = make_initial_compact(grid, 1.25, 0.7, 1.0, "bump_u", R=2.0)
     res = run(grid, damping, state, params,
               cone=ConeSpec(R=2.0, enforce=True))
@@ -419,10 +429,10 @@ def test_reference_linear_gap_halves_at_order_two():
     gaps = {}
     for frac in (1.0, 0.5):
         dt = 0.2 * grid.h * frac
-        params = SolverParams(dt=dt, cfl=0.2, r=2.0, T_max=5.0)
+        params = SolverParams(dt=dt, r=2.0, T_max=5.0)
         main = run(grid, damping, state.copy(), params)
         v0_half = state.v + 0.5 * dt * sv.laplacian(grid, state.u)
-        fine = SolverParams(dt=dt / 8.0, cfl=0.2, r=2.0, T_max=5.0)
+        fine = SolverParams(dt=dt / 8.0, r=2.0, T_max=5.0)
         ref = reference_solve(grid, damping,
                               WaveState(state.u.copy(), v0_half, 0.0), fine)
         gaps[frac] = float(np.max(np.abs(main.final_state.u
@@ -493,7 +503,7 @@ def test_step_hands_window_to_the_field_solve(monkeypatch, case):
     # profiling hooks wrap the module global and see every nodal solve;
     # compact data hand over the window, weighted data the full grid
     grid, damping, params, state = _stepping_cases()[case]
-    params = SolverParams(dt=params.dt, cfl=params.cfl, r=params.r,
+    params = SolverParams(dt=params.dt, r=params.r,
                           T_max=6 * params.dt)
     calls = []
     real = sv._solve_damping_field
@@ -597,7 +607,7 @@ def test_run_window_matches_whole_grid_property(dim, frac, radius, n_steps,
     damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
     state = make_initial_compact(grid, center, radius, 1.0, "both")
     params = SolverParams.for_grid(grid, cfl, 1.5, T_max=0.0)
-    params = SolverParams(dt=params.dt, cfl=cfl, r=1.5,
+    params = SolverParams(dt=params.dt, r=1.5,
                           T_max=n_steps * params.dt)
     res = run(grid, damping, state, params, sample_stride=stride)
     assert res.n_steps == n_steps
@@ -607,7 +617,7 @@ def test_run_window_matches_whole_grid_property(dim, frac, radius, n_steps,
 def test_reference_fixed_point_divergence_reported():
     grid = build_grid_1d(0.0, 1.0, 64)
     damping = _zero_damping(grid)
-    params = SolverParams(dt=5.0 * grid.h, cfl=1.0, r=2.0, T_max=1.0)
+    params = SolverParams(dt=5.0 * grid.h, r=2.0, T_max=1.0)
     state = WaveState(np.sin(np.pi * grid.coords[0]), grid.zeros())
     grid.clamp_dirichlet(state.u)
     with pytest.raises(RuntimeError, match="fixed-point"):
