@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import decay, functionals, presets, scenarios
@@ -139,7 +140,6 @@ def _dispatch(args) -> int:
     if args.command == "verify-weights":
         cfg = scenarios.ScenarioConfig(name="verify-weights",
                                        theorem="weight_suite", seed=args.seed)
-        cfg.echo = {"seed": args.seed}
         report = scenarios.run_weight_suite(cfg, args.pairs, args.families)
         print(json.dumps(report.payload, indent=2, sort_keys=True))
         return 0 if report.all_pass else 1
@@ -157,7 +157,7 @@ def _dispatch(args) -> int:
             print(f"error: {args.model} requires {flag}", file=sys.stderr)
             return 2
         fit = decay.fit_decay(ts, Es, args.model, b_or_R, window)
-        print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(asdict(fit), indent=2, sort_keys=True))
         return 0
 
     raise AssertionError(args.command)

@@ -34,15 +34,6 @@ class DecayFit:
     n_samples: int
     truncated_zero_tail: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model, "gamma_hat": self.gamma_hat,
-            "ln_C_hat": self.ln_C_hat, "r_squared": self.r_squared,
-            "window": list(self.window), "residual_max": self.residual_max,
-            "n_samples": self.n_samples,
-            "truncated_zero_tail": self.truncated_zero_tail,
-        }
-
 
 def _abscissa(model: str, t: np.ndarray, b_or_R: float) -> np.ndarray:
     if model == "LogDecay":
@@ -101,13 +92,6 @@ class Verdict:
     gamma_predicted: float
     margin: float
     binding_bound: str
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed, "gamma_hat": self.gamma_hat,
-            "gamma_predicted": self.gamma_predicted, "margin": self.margin,
-            "binding_bound": self.binding_bound,
-        }
 
 
 def theorem_verdict(fit: DecayFit, constants: TheoremConstants,

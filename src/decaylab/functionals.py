@@ -27,12 +27,11 @@ from .weights import (Regime, TheoremConstants, WeightFamily, WeightKind,
                       table_weight)
 
 __all__ = [
-    "FunctionalSample", "DataFunctionals", "Prop1Config", "ObsConfig",
-    "TrackerConfig", "SampleTracker", "Prop1Report", "ObsReport",
-    "HighEnergyReport", "energy", "grad_sq", "weighted_energy",
-    "weighted_energy_log", "X_functional", "data_functionals",
-    "prop1_inequality_check", "observability_ratio", "high_energy_check",
-    "write_series_csv", "read_series_csv",
+    "FunctionalSample", "DataFunctionals", "Prop1Config", "TrackerConfig",
+    "SampleTracker", "Prop1Report", "ObsReport", "HighEnergyReport", "energy",
+    "grad_sq", "weighted_energy", "weighted_energy_log", "X_functional",
+    "data_functionals", "prop1_inequality_check", "observability_ratio",
+    "high_energy_check", "write_series_csv", "read_series_csv",
 ]
 
 
@@ -293,11 +292,6 @@ class Prop1Config:
     lam: float = 1.0
 
 
-@dataclass(frozen=True)
-class ObsConfig:
-    R0: float
-
-
 @dataclass
 class TrackerConfig:
     grid: ExteriorGrid
@@ -308,7 +302,7 @@ class TrackerConfig:
     constants: TheoremConstants | None = None
     bundle_sets: list = field(default_factory=list)  # (prefix, family) pairs
     prop1: Prop1Config | None = None
-    obs: ObsConfig | None = None
+    obs_R0: float | None = None     # observability ball radius; None: off
 
 
 # Registry groups are (member names, fn): fn(ctx) returns one value per
@@ -370,7 +364,7 @@ def _obs_members(cfg: TrackerConfig) -> tuple:
     fam = cfg.family
     table = exponent_table(fam)
     mu = _mu(fam)
-    inside = cfg.grid.fluid & (cfg.grid.radius <= cfg.obs.R0)
+    inside = cfg.grid.fluid & (cfg.grid.radius <= cfg.obs_R0)
 
     def fn(c):
         s = c.s(mu, 1.0)
@@ -403,7 +397,7 @@ class SampleTracker:
                           if cfg.bundle_sets else None)
         if cfg.prop1 is not None:
             self.groups.append(_prop1_members(cfg))
-        if cfg.obs is not None and cfg.family is not None:
+        if cfg.obs_R0 is not None and cfg.family is not None:
             self.groups.append(_obs_members(cfg))
         band_mask = cfg.grid.boundary_band(4.0 * cfg.grid.h)
         self.groups.append((["diag.trunc_band_energy"], lambda c: [
@@ -542,8 +536,11 @@ class ObsReport:
     spread: float
 
 
-def observability_ratio(series: list, window_T: float,
-                        n_starts: int = 10) -> ObsReport:
+# window starts of `observability_ratio`, spread evenly over the series
+_OBS_STARTS = 10
+
+
+def observability_ratio(series: list, window_T: float) -> ObsReport:
     """Windowed LHS/RHS ratios of the localized-energy observability display.
 
     Diagnostic only: the controlling constant is nonconstructive, so the
@@ -557,7 +554,7 @@ def observability_ratio(series: list, window_T: float,
     rhs = np.array([s.bundle["obs.rhs_disp_cum"] for s in series]) + \
         np.array([s.bundle["obs.rhs_u2_cum"] for s in series])
     wlen = _window_len(ts, window_T)
-    starts = np.unique(np.linspace(0, len(ts) - wlen - 1, n_starts, dtype=int))
+    starts = np.unique(np.linspace(0, len(ts) - wlen - 1, _OBS_STARTS, dtype=int))
     ratios = []
     degenerate = False
     for i in starts:

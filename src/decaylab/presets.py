@@ -58,7 +58,6 @@ center = 1.25
 radius = 0.7
 amplitude = 1.0
 r_support = 2.0
-cone_enforce = true
 
 [time]
 t_max = 500
@@ -92,7 +91,6 @@ center_y = 0.0
 radius = 1.0
 amplitude = 1.0
 r_support = 4.5
-cone_enforce = false
 
 [time]
 t_max = 16
@@ -227,7 +225,6 @@ center = 1.0
 radius = 0.75
 amplitude = 1.0
 r_support = 2.0
-cone_enforce = false
 
 [time]
 t_max = 20

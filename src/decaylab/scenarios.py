@@ -26,7 +26,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +98,6 @@ class ScenarioConfig:
     R_support: float | None = _row("data", "r_support", None)
     sigma: float = _row("data", "sigma", 10.0, _FINITE)
     oscillation: float = _row("data", "oscillation", 2.0, _FINITE)
-    cone_enforce: bool = _row("data", "cone_enforce", True, _BOOL, _bool)
     T_max: float = _row("time", "t_max", 20.0)
     cfl: float = _row("time", "cfl", 0.9, ("in (0, 1]", lambda v: 0.0 < v <= 1.0))
     sample_stride: int = _row("time", "sample_stride", 10,
@@ -115,10 +114,9 @@ class ScenarioConfig:
     prop1_lam: float = _row("prop1", "lam", 1.0)
     obs_enabled: bool = _row("obs", "enabled", True, _BOOL, _bool)
     obs_R0: float | None = _row("obs", "r0", None)
-    echo: dict = field(default_factory=dict)
 
 
-_ROWS = {f.name: f for f in fields(ScenarioConfig) if f.metadata}
+_ROWS = {f.name: f for f in fields(ScenarioConfig)}
 # In 2D the `center` row is read from these keys, with these defaults.
 _CENTER_2D = {"center_x": 3.0, "center_y": 0.0}
 _KEYS = {(f.metadata["section"], f.metadata["key"]) for f in _ROWS.values()} | {
@@ -178,7 +176,6 @@ def load_config(source) -> ScenarioConfig:
     keys = {"center": 1.0} if cfg.dim == 1 else _CENTER_2D
     cfg.center = tuple(_parse(cp, _ROWS["center"], k, d) for k, d in keys.items())
     _resolve_and_validate(cfg)
-    cfg.echo = _echo(cfg)
     return cfg
 
 
@@ -219,9 +216,6 @@ def _resolve_and_validate(cfg: ScenarioConfig):
             raise ConfigError("[data] r_support is required for compact data")
         if cfg.theorem == "T3" and R < 1.0:
             raise _bad("data", "r_support", "at least 1 for T3", R)
-        if cfg.cone_enforce and not (cfg.dim == 1 and cfg.cfl == 1.0):
-            raise _bad("data", "cone_enforce", "false unless dim = 1 and cfl = 1, "
-                       "where the scheme rides the exact cone", True)
         dist = math.hypot(*cfg.center)
         if dist + cfg.radius > R + 1e-12:
             raise _bad("data", "r_support", f"at least the data's reach "
@@ -271,15 +265,19 @@ def _resolve_and_validate(cfg: ScenarioConfig):
     first = math.floor((cfg.T1_threshold + tol) / spacing) + 1
     last = min(round(cfg.T_max / dt) // cfg.sample_stride,
                math.ceil((cfg.T_max - tol) / spacing) - 1)
-    fits = cfg.theorem in ("T2", "T3") or (cfg.theorem == "T1" and cfg.use_practical_b)
-    if fits and last - first + 1 < 8:
+    if _fits(cfg) and last - first + 1 < 8:
         raise _bad("time", "sample_stride", "small enough for 8 samples in the "
                    "fit window [t1_threshold, t_max]", cfg.sample_stride)
 
 
+def _fits(cfg: ScenarioConfig) -> bool:
+    """Whether the run fits a decay exponent: T2, T3, and T1 with practical b."""
+    return cfg.theorem in ("T2", "T3") or (cfg.theorem == "T1" and cfg.use_practical_b)
+
+
 def _echo(cfg: ScenarioConfig) -> dict:
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in vars(cfg).items() if k != "echo"}
+    """The config as the report shows it, taken when the report is built."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(cfg).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +290,6 @@ class ScenarioReport:
     payload: dict
     all_pass: bool
     failed: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload, indent=2, sort_keys=True)
 
 
 def _atomic_write(path: Path, data: str):
@@ -373,23 +368,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None,
     """
     t_wall = time.time()
     out = Path(out_dir or os.environ.get("DECAYLAB_OUT", "."))
-    overrides = _overrides(margin, practical_b)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        cfg.echo = _echo(cfg)
+    cfg = replace(cfg, **_overrides(margin, practical_b))
     try:
         report = _run_scenario_inner(cfg, out)
+        path = out / f"{cfg.name}.report.json"
     except Exception as exc:
-        payload = {
-            "schema": 1, "name": cfg.name, "config": cfg.echo,
+        report = ScenarioReport(cfg.name, {
+            "schema": 1, "name": cfg.name, "config": _echo(cfg),
             "error": f"{type(exc).__name__}: {exc}",
-            "wall_clock_s": time.time() - t_wall,
-        }
-        _atomic_write(out / f"{cfg.name}.report.failed.json",
-                      json.dumps(payload, indent=2, sort_keys=True))
-        return ScenarioReport(cfg.name, payload, all_pass=False, failed=True)
+        }, all_pass=False, failed=True)
+        path = out / f"{cfg.name}.report.failed.json"
     report.payload["wall_clock_s"] = time.time() - t_wall
-    _atomic_write(out / f"{cfg.name}.report.json", report.to_json())
+    _atomic_write(path, json.dumps(report.payload, indent=2, sort_keys=True))
     return report
 
 
@@ -410,7 +400,9 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         initial = solver.make_initial_compact(
             grid, cfg.center, cfg.radius, cfg.amplitude, "bump_u",
             R=cfg.R_support)
-        cone = solver.ConeSpec(R=cfg.R_support, enforce=cfg.cone_enforce)
+        # enforced where the scheme rides the exact cone, measured elsewhere
+        cone = solver.ConeSpec(R=cfg.R_support,
+                               enforce=cfg.dim == 1 and cfg.cfl == 1.0)
     else:
         initial = solver.make_initial_weighted(
             grid, cfg.sigma, family, cfg.gamma if cfg.gamma else 0.0,
@@ -424,13 +416,10 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         prop1 = functionals.Prop1Config(
             family=weights.WeightFamily.poly(cfg.prop1_gamma),
             mu=cfg.prop1_mu, lam=cfg.prop1_lam)
-    obs = None
-    if cfg.obs_enabled and family is not None:
-        obs = functionals.ObsConfig(R0=cfg.obs_R0)
-
     tracker = functionals.SampleTracker(functionals.TrackerConfig(
         grid=grid, damping=damping, psi=psi, r=cfg.r, family=family,
-        constants=consts, bundle_sets=bundle_sets, prop1=prop1, obs=obs))
+        constants=consts, bundle_sets=bundle_sets, prop1=prop1,
+        obs_R0=cfg.obs_R0 if cfg.obs_enabled else None))
 
     res = solver.run(grid, damping, initial, params, tracker=tracker,
                      cone=cone, sample_stride=cfg.sample_stride)
@@ -444,17 +433,14 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     payload = {
         "schema": 1,
         "name": cfg.name,
-        "config": cfg.echo,
+        "config": _echo(cfg),
         "series_csv": series_name,
         "grid": {
             "dim": grid.dim, "h": grid.h, "n_fluid": grid.n_fluid,
             "alpha": grid.alpha, "x_max": grid.x_max,
             "rho": grid.rho_obstacle, "r_out": grid.r_out,
         },
-        "damping": {
-            "kind": damping.kind, "epsilon0": damping.epsilon0,
-            "L": damping.L, "a_inf": damping.a_inf,
-        },
+        "damping": {k: v for k, v in vars(damping).items() if k != "values"},
         "solver": {
             "dt": params.dt, "cfl": cfg.cfl, "n_steps": res.n_steps,
             "mono_violations": res.mono_violations,
@@ -464,6 +450,8 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
 
     ts = np.array([s.t for s in series])
     Es = np.array([s.E for s in series])
+    # the prop1 and observability window, clipped to half the run
+    window = min(cfg.T_window, (ts[-1] - ts[0]) / 2.0)
     E0_solver = float(res.E_steps[0])
     identity_final = abs(float(res.E_steps[-1]) + res.D_cum - E0_solver)
     if E0_solver > 0:
@@ -474,7 +462,6 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     }
 
     if cfg.prop1_enabled and len(ts) > 2:
-        window = min(cfg.T_window, (ts[-1] - ts[0]) / 2.0)
         rep = functionals.prop1_inequality_check(series, window,
                                                  cfg.prop1_mu, cfg.prop1_lam)
         defects["prop1"] = {"max_defect": rep.max_defect,
@@ -486,41 +473,28 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     if consts is not None:
         data_family = bundle_sets[0][1]  # the regime's own weights
         dataf = functionals.data_functionals(initial, grid, data_family, consts)
-        payload["data_functionals"] = {
-            "theorem": dataf.theorem, "value": dataf.value,
-            "components": dataf.components,
-        }
+        payload["data_functionals"] = asdict(dataf)
         he = functionals.high_energy_check(series, dataf, damping.a_inf)
-        defects["high_energy"] = {
-            "bound": he.bound, "worst_value": he.worst_value,
-            "worst_t": he.worst_t, "holds_with_slack_1.1": he.holds(1.1),
-        }
+        defects["high_energy"] = {**asdict(he), "holds_with_slack_1.1": he.holds(1.1)}
 
         model = decay.MODEL_FOR_THEOREM[cfg.theorem]
         fit_b_or_R = {"T1": cfg.practical_b, "T2": 1.0,
                       "T3": cfg.R_support}[cfg.theorem]
-        do_fit = cfg.theorem != "T1" or cfg.use_practical_b
-        if do_fit:
+        if _fits(cfg):
             fit = decay.fit_decay(ts, Es, model, fit_b_or_R,
                                   (cfg.T1_threshold, cfg.T_max))
-            fd = fit.to_dict()
+            fits[model] = asdict(fit)
             if cfg.theorem == "T1":
-                fd["illustrative_practical_b"] = True
-            fits[model] = fd
-            verdicts[model] = decay.theorem_verdict(
-                fit, consts, cfg.margin).to_dict()
+                fits[model]["illustrative_practical_b"] = True
+            verdicts[model] = asdict(decay.theorem_verdict(fit, consts, cfg.margin))
             _write_fit_dat(out, cfg.name, model, ts, Es, fit, fit_b_or_R)
 
         payload["constants"] = consts.to_dict()
         payload["bundle_boundedness"] = _bundle_boundedness(series, bundle_sets)
 
         if cfg.obs_enabled and len(ts) > 2:
-            window = min(cfg.T_window, (ts[-1] - ts[0]) / 2.0)
-            orep = functionals.observability_ratio(series, window)
-            payload["observability"] = {
-                "ratios": list(orep.ratios), "degenerate": orep.degenerate,
-                "spread": orep.spread,
-            }
+            payload["observability"] = asdict(
+                functionals.observability_ratio(series, window))
 
     payload["defects"] = defects
     payload["fits"] = fits
@@ -601,7 +575,7 @@ def run_weight_suite(cfg: ScenarioConfig, n_constant_pairs: int = 200,
         all_ok = all_ok and rep.all_passed
 
     payload = {
-        "schema": 1, "name": cfg.name, "config": cfg.echo,
+        "schema": 1, "name": cfg.name, "config": _echo(cfg),
         "constant_identities": {
             "pairs": n_constant_pairs,
             "t2_worst_relative_residual": worst_t2,

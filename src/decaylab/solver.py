@@ -80,7 +80,6 @@ class WaveState:
 class SolverParams:
     dt: float
     r: float
-    damping_tol: float = 1e-12
     T_max: float = 0.0
 
     def __post_init__(self):
@@ -88,17 +87,15 @@ class SolverParams:
             raise ValueError("dt must be positive")
         if not self.r > 1.0:
             raise ValueError("damping exponent r must exceed 1")
-        if not self.damping_tol > 0.0:
-            raise ValueError("damping_tol must be positive")
 
     @staticmethod
-    def for_grid(grid: ExteriorGrid, cfl: float, r: float, T_max: float,
-                 damping_tol: float = 1e-12) -> "SolverParams":
+    def for_grid(grid: ExteriorGrid, cfl: float, r: float,
+                 T_max: float) -> "SolverParams":
         """dt from the CFL bound: cfl*h in 1D, cfl*h/sqrt(2) in 2D."""
         if not 0.0 < cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
         dt = cfl * grid.h / math.sqrt(grid.dim)
-        return SolverParams(dt=dt, r=r, damping_tol=damping_tol, T_max=T_max)
+        return SolverParams(dt=dt, r=r, T_max=T_max)
 
 
 @dataclass(frozen=True)
@@ -120,6 +117,9 @@ class ConeSpec:
 # buffers under 1 KiB for reuse, per byte size; temporaries whose length
 # changed every step would fill that cache with megabytes.
 _BLOCK = 1024
+
+# absolute residual tolerance of the nodal damping solve
+_DAMPING_TOL = 1e-12
 
 
 def _gather(x: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
@@ -188,7 +188,8 @@ def _solve_damping_field(c, w, r, tol, max_iter=90):
     return out
 
 
-def solve_damping_scalar(c: float, w: float, r: float, tol: float = 1e-12) -> float:
+def solve_damping_scalar(c: float, w: float, r: float,
+                         tol: float = _DAMPING_TOL) -> float:
     """Unique root v of v + c |v|^(r-1) v = w (c >= 0, r > 1).
 
     The map is strictly increasing, so sign(v) = sign(w) and |v| <= |w|;
@@ -278,8 +279,7 @@ def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
     dt = params.dt
     w = state.v + dt * laplacian(grid, state.u)
     grid.clamp_dirichlet(w)
-    v_new = _solve_damping_field(dt * damping.values, w, params.r,
-                                 params.damping_tol)
+    v_new = _solve_damping_field(dt * damping.values, w, params.r, _DAMPING_TOL)
     grid.clamp_dirichlet(v_new)
     u_new = state.u + dt * v_new
     grid.clamp_dirichlet(u_new)
@@ -476,10 +476,14 @@ class ReferenceResult:
     max_fixed_point_iters: int
 
 
+# fixed-point iteration of `reference_solve`: tolerance and iteration cap
+_FP_TOL = 1e-12
+_FP_MAX_ITER = 200
+
+
 def reference_solve(grid: ExteriorGrid, damping: DampingProfile,
                     initial: WaveState, params_fine: SolverParams,
-                    sample_stride: int = 1, fp_tol: float = 1e-12,
-                    fp_max_iter: int = 200) -> ReferenceResult:
+                    sample_stride: int = 1) -> ReferenceResult:
     """Implicit midpoint with fixed-point iteration on the damping.
 
     Oracle-grade but small-instance only (<= 10^4 nodes).  Samples the plain
@@ -504,7 +508,7 @@ def reference_solve(grid: ExteriorGrid, damping: DampingProfile,
     u, v = state.u, state.v
     for n in range(1, n_steps + 1):
         um, vm = u.copy(), v.copy()
-        for it in range(1, fp_max_iter + 1):
+        for it in range(1, _FP_MAX_ITER + 1):
             um_next = u + 0.5 * dt * vm
             vm_next = v + 0.5 * dt * (laplacian(grid, um)
                                       - a * np.abs(vm) ** (r - 1.0) * vm)
@@ -513,11 +517,11 @@ def reference_solve(grid: ExteriorGrid, damping: DampingProfile,
             delta = max(float(np.max(np.abs(um_next - um))),
                         float(np.max(np.abs(vm_next - vm))))
             um, vm = um_next, vm_next
-            if delta <= fp_tol:
+            if delta <= _FP_TOL:
                 break
         else:
             raise RuntimeError(
-                f"midpoint fixed-point failed to converge in {fp_max_iter} "
+                f"midpoint fixed-point failed to converge in {_FP_MAX_ITER} "
                 f"iterations at step {n}")
         worst_iters = max(worst_iters, it)
         u = 2.0 * um - u

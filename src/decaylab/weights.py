@@ -354,16 +354,25 @@ class TheoremConstants:
     delta0: float
     gamma: float
     k: float
-    k1: float
     k2: float
-    p: float
     ln_b: float | None = None    # T1 only
-    b_overflow: bool = False
     gamma_bounds: dict = field(default_factory=dict)
+
+    # large enough for every lemma-side sign condition at eps0 >= 0.1
+    k1 = 8.0 * (2.0 / 0.1 + 1.0)
 
     @property
     def beta(self) -> float:
         return self.gamma - 1.0
+
+    @property
+    def p(self) -> float:
+        return sobolev_p(self.r, self.d)
+
+    @property
+    def b_overflow(self) -> bool:
+        """exp(ln_b) is not representable (T1 only)."""
+        return self.ln_b is not None and self.ln_b > _LN_MAX
 
     def to_dict(self) -> dict:
         d = {
@@ -377,10 +386,6 @@ class TheoremConstants:
         if self.gamma_bounds:
             d["gamma_bounds"] = dict(self.gamma_bounds)
         return d
-
-
-# k1 default: large enough for every lemma-side sign condition at eps0 >= 0.1
-_K1_FLOOR = 8.0 * (2.0 / 0.1 + 1.0)
 
 
 def compute_constants(theorem: str, r: float, d: int, delta0: float,
@@ -403,7 +408,7 @@ def compute_constants(theorem: str, r: float, d: int, delta0: float,
         if r == r_sup:
             bounds["2/(r-1)"] = 2.0 / (r - 1.0)
         _check_gamma(gamma, bounds)
-        bv = compute_b(r, gamma, delta0, "lemma")
+        ln_b = compute_b(r, gamma, delta0, "lemma").ln_b
         k = (1.0 - delta0) / (2.0 * gamma)
         # the log-regime X(t) carries unit coefficient on its |u|^{r+1} term
         k2 = 1.0
@@ -425,17 +430,13 @@ def compute_constants(theorem: str, r: float, d: int, delta0: float,
             "(p-2r)/(r-1)": (p - 2.0 * r) / (r - 1.0),
         }
         _check_gamma(gamma, bounds)
-        bv = None
+        ln_b = None
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
 
-    consts = TheoremConstants(
-        theorem=theorem, r=r, d=d, delta0=delta0, gamma=gamma,
-        k=k, k1=_K1_FLOOR, k2=k2, p=sobolev_p(r, d),
-        ln_b=None if bv is None else bv.ln_b,
-        b_overflow=False if bv is None else bv.overflow,
-        gamma_bounds=bounds,
-    )
+    consts = TheoremConstants(theorem=theorem, r=r, d=d, delta0=delta0,
+                              gamma=gamma, k=k, k2=k2, ln_b=ln_b,
+                              gamma_bounds=bounds)
     _check_identities(consts)
     return consts
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from decaylab.functionals import (ObsConfig, Prop1Config, SampleTracker,
+from decaylab.functionals import (Prop1Config, SampleTracker,
                                   TrackerConfig, data_functionals, energy,
                                   grad_sq, high_energy_check,
                                   observability_ratio,
@@ -263,7 +263,7 @@ def _tracked_run(T_max=5.0, cfl=0.5, theorem="T3", gamma=0.2):
     tracker = SampleTracker(TrackerConfig(
         grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
         constants=consts, bundle_sets=[("thm3", fam)],
-        prop1=Prop1Config(WeightFamily.poly(1.0)), obs=ObsConfig(R0=1.0)))
+        prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=1.0))
     params = SolverParams.for_grid(grid, cfl, 1.5, T_max=T_max)
     st = make_initial_compact(grid, 1.25, 0.7, 1.0, "bump_u", R=2.0)
     res = run(grid, damping, st, params, tracker=tracker,
@@ -327,7 +327,7 @@ def _regime_tracker(theorem):
     tracker = SampleTracker(TrackerConfig(
         grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
         constants=consts, bundle_sets=sets,
-        prop1=Prop1Config(WeightFamily.poly(1.0)), obs=ObsConfig(R0=1.0)))
+        prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=1.0))
     return grid, damping, psi, consts, fam, tracker
 
 
@@ -469,7 +469,7 @@ def test_observability_zero_solution_degenerate():
     fam = WeightFamily.compact(consts.gamma, 2.0, r=1.5)
     tracker = SampleTracker(TrackerConfig(
         grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
-        constants=consts, bundle_sets=[("thm3", fam)], obs=ObsConfig(R0=1.0)))
+        constants=consts, bundle_sets=[("thm3", fam)], obs_R0=1.0))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=2.0)
     res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
               params, tracker=tracker)

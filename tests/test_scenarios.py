@@ -37,7 +37,6 @@ kind = compact
 center = 1.25
 radius = 0.7
 r_support = 2.0
-cone_enforce = false
 
 [time]
 t_max = 6
@@ -79,7 +78,6 @@ h = 0.2
 center_x = 2.0
 radius = 0.5
 r_support = 2.5
-cone_enforce = false
 
 [time]
 t_max = 1.5
@@ -197,7 +195,6 @@ _BASES = {"t3": MINIMAL_T3, "t2": WEIGHTED_T2, "2d": COMPACT_2D,
     ("2d-t2", "grid", "r_out", "1.5"),            # within rho + 4h
     ("t2", "grid", "h", "1"),                     # 12 cells
     ("2d", "grid", "h", "0.3"),                   # above rho/4
-    ("t3", "data", "cone_enforce", "true"),       # at cfl 0.9
     ("t3", "data", "center", "1.0"),              # bump reaches alpha
     ("t3", "data", "r_support", "0.9"),           # T3 needs R >= 1
     ("t3-x12", "data", "kind", "weighted"),       # T3 with weighted data
@@ -468,6 +465,9 @@ def test_cli_verify_weights(capsys):
     assert cli_main(["verify-weights", "--pairs", "50", "--families", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_pass"] is True
+    # the config echo is the whole config, as in the weight-suite preset
+    assert set(payload["config"]) == set(scenarios._ROWS)
+    assert payload["config"]["seed"] == 20240809
     # run options have no meaning here: argparse rejects them
     for flag, value in (("--out", "x"), ("--margin", "99"),
                         ("--practical-b", "3")):
@@ -568,11 +568,11 @@ def test_readme_schema_lists_every_field_with_its_range():
 def test_overrides_leave_caller_config_unchanged(tmp_path):
     text = presets.get("t1-log-desk").replace("t_max = 150", "t_max = 20")
     cfg = load_config(text)
-    echo = dict(cfg.echo)
+    before = vars(cfg).copy()
     rep = run_scenario(cfg, tmp_path, margin=5.0, practical_b=3.5)
     assert not rep.failed
     assert cfg.margin == 0.8 and cfg.practical_b == math.e
-    assert cfg.echo == echo
+    assert vars(cfg) == before
     assert rep.payload["config"]["margin"] == 5.0
     assert rep.payload["config"]["practical_b"] == 3.5
     on_disk = json.loads((tmp_path / "t1-log-desk.report.json").read_text())
@@ -580,6 +580,49 @@ def test_overrides_leave_caller_config_unchanged(tmp_path):
     # without overrides the run uses the config as loaded
     rep = run_scenario(cfg, tmp_path / "plain")
     assert rep.payload["config"]["margin"] == 0.8
+
+
+def test_echo_shows_fields_set_after_load(tmp_path):
+    cfg = presets.load("t2-poly-1d")
+    cfg.T_max, cfg.margin = 40.0, 0.5
+    rep = run_scenario(cfg, tmp_path)
+    assert not rep.failed
+    assert rep.payload["solver"]["n_steps"] == round(40.0 / rep.payload["solver"]["dt"])
+    on_disk = json.loads((tmp_path / "t2-poly-1d.report.json").read_text())
+    for config in (rep.payload["config"], on_disk["config"]):
+        assert (config["T_max"], config["margin"]) == (40.0, 0.5)
+
+
+def test_compact_config_without_cone_keys_loads_and_runs(tmp_path):
+    # cfl takes its default 0.9: the cone is measured, not enforced
+    text = _with(presets.get("t3-compact-1d"), ("time", "cfl", None),
+                 ("time", "t_max", "60"), ("time", "t_window", "10"))
+    rep = run_scenario(load_config(text), tmp_path)
+    assert not rep.failed
+    assert rep.payload["cone"]["declared"]
+
+
+@pytest.mark.parametrize("name, edits, enforce", [
+    ("t3-compact-1d", (), True),
+    ("t3-compact-1d", (("time", "cfl", "0.9"),), False),
+    ("t3-compact-2d", (), False),
+    ("identity-refinement", (), False),
+    ("identity-refinement-h2", (), False),
+    ("identity-refinement-h4", (), False),
+    ("identity-refinement", (("time", "cfl", "1"),), True),
+])
+def test_cone_enforced_exactly_at_dim_1_cfl_1(tmp_path, monkeypatch, name,
+                                               edits, enforce):
+    seen = []
+
+    def recording(*args, cone=None, **kwargs):
+        seen.append(cone)
+        raise RuntimeError("stop before stepping")
+
+    monkeypatch.setattr(scenarios.solver, "run", recording)
+    cfg = load_config(_with(presets.get(name), *edits))
+    assert run_scenario(cfg, tmp_path).failed
+    assert len(seen) == 1 and seen[0].enforce is enforce
 
 
 def test_t1_weight_overflow_fails_at_first_sample(tmp_path):
