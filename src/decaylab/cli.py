@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import decay, functionals, presets, scenarios
@@ -43,9 +43,9 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None,
                         help="output directory (default $DECAYLAB_OUT or .)")
     common.add_argument("--margin", type=float, default=None,
-                        help="verdict margin override")
-    common.add_argument("--practical-b", type=float, default=None,
-                        dest="practical_b", help="practical-b override")
+                        help="set [scenario] margin, the verdict margin")
+    common.add_argument("--practical-b", type=float, default=None, dest="practical_b",
+                        help="set [weights] practical_b, the log-fit offset")
 
     p_run = sub.add_parser("run", parents=[common],
                            help="run one scenario config or preset")
@@ -64,9 +64,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_vw = sub.add_parser("verify-weights",
                           help="constant identities and weight inequalities")
-    p_vw.add_argument("--seed", type=int, default=20240809)
-    p_vw.add_argument("--pairs", type=int, default=200)
-    p_vw.add_argument("--families", type=int, default=20)
+    p_vw.add_argument("--seed", type=int, default=20240809, help="[scenario] seed")
+    p_vw.add_argument("--pairs", type=int, default=200, help="[weights] pairs")
+    p_vw.add_argument("--families", type=int, default=20, help="[weights] families")
 
     p_fit = sub.add_parser("fit", help="fit a decay model to a series CSV")
     p_fit.add_argument("csv")
@@ -84,6 +84,12 @@ def _load_config_arg(arg: str) -> scenarios.ScenarioConfig:
     if arg in presets.CATALOG:
         return presets.load(arg)
     return scenarios.load_config(arg)
+
+
+def _with_flags(cfg: scenarios.ScenarioConfig, args) -> scenarios.ScenarioConfig:
+    """`cfg` with `--margin` / `--practical-b` applied, checked like a load."""
+    given = {"margin": args.margin, "practical_b": args.practical_b}
+    return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 def _exit_code(reports) -> int:
@@ -105,9 +111,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "run":
-        cfg = _load_config_arg(args.config)
-        report = scenarios.run_scenario(cfg, args.out, args.margin,
-                                        args.practical_b)
+        cfg = _with_flags(_load_config_arg(args.config), args)
+        report = scenarios.run_scenario(cfg, args.out)
         print(json.dumps(_summary(report), indent=2, sort_keys=True))
         return _exit_code([report])
 
@@ -118,9 +123,8 @@ def _dispatch(args) -> int:
             print(f"error: no *.ini or *.cfg configs under {root}",
                   file=sys.stderr)
             return 2
-        configs = [scenarios.load_config(p) for p in paths]
-        reports = scenarios.run_suite(configs, args.parallel, args.out,
-                                      args.margin, args.practical_b)
+        configs = [_with_flags(scenarios.load_config(p), args) for p in paths]
+        reports = scenarios.run_suite(configs, args.parallel, args.out)
         for rep in reports:
             print(json.dumps(_summary(rep), sort_keys=True))
         return _exit_code(reports)
@@ -138,9 +142,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify-weights":
-        cfg = scenarios.ScenarioConfig(name="verify-weights",
-                                       theorem="weight_suite", seed=args.seed)
-        report = scenarios.run_weight_suite(cfg, args.pairs, args.families)
+        cfg = scenarios.ScenarioConfig(
+            name="verify-weights", theorem="weight_suite", seed=args.seed,
+            pairs=args.pairs, families=args.families)
+        report = scenarios.run_weight_suite(cfg)
         print(json.dumps(report.payload, indent=2, sort_keys=True))
         return 0 if report.all_pass else 1
 
@@ -165,17 +170,10 @@ def _dispatch(args) -> int:
 
 def _summary(report: scenarios.ScenarioReport) -> dict:
     p = report.payload
-    out = {"name": report.name, "all_pass": report.all_pass,
-           "failed": report.failed}
-    if "error" in p:
-        out["error"] = p["error"]
-    if p.get("verdicts"):
-        out["verdicts"] = p["verdicts"]
-    if "defects" in p:
-        out["defects"] = p["defects"]
-    if "truncation_contamination" in p:
-        out["truncation_contamination"] = p["truncation_contamination"]
-    return out
+    keys = ("error", "defects", "truncation_contamination") + (
+        ("verdicts",) if p.get("verdicts") else ())
+    return {"name": report.name, "all_pass": report.all_pass,
+            "failed": report.failed, **{k: p[k] for k in keys if k in p}}
 
 
 if __name__ == "__main__":

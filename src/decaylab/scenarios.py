@@ -4,9 +4,12 @@ A scenario is a flat INI document (sections [scenario], [grid], [data],
 [time], [weights], [prop1], [obs]) naming one of the decay regimes T1/T2/T3
 or one of the non-PDE suites (identity_only, weight_suite).  The fields of
 `ScenarioConfig` are the schema: each names its section, key, parser, range
-and default, and loading checks every value against its row.  The checks
-that read two or more fields (regime admissibility, cone-safe truncation, a
-grid the builders accept, enough samples to fit) run at load too.
+and default.  A config is immutable and checks itself when made (by
+`load_config`, directly or by `dataclasses.replace`): each value against its
+row, then the checks that read two or more fields (regime admissibility,
+cone-safe truncation, a grid the builders accept and numpy can allocate,
+enough samples to fit).  Auto fields stay None; a run uses and echoes
+`_resolved(cfg)`, so `replace(cfg, T_max=40)` re-derives them.
 
 Running a scenario builds grid / damping / cutoff / constants / data, marches
 the solver with a functional tracker attached, then runs the analyses and
@@ -47,6 +50,7 @@ class ConfigError(ValueError):
 _POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
 _NON_NEGATIVE = ("non-negative and finite", lambda v: 0.0 <= v < math.inf)
 _FINITE = ("finite", math.isfinite)
+_COUNT = ("an integer >= 1", lambda v: v >= 1)
 _BOOL = ("true or false", lambda v: True)
 
 
@@ -58,18 +62,22 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
+# The type a row's value must have, by the parser that reads its text.
+_TYPES = {float: numbers.Real, int: numbers.Integral, str: str, _bool: bool}
+
+
 def _row(section, key, default=MISSING, rule=_POSITIVE, cast=float, auto=False):
     """A config field read from `[section] key`.  `cast` parses the text and
     the value must satisfy `rule`; with `auto` the text `auto` gives None,
-    which `_resolve_and_validate` fills in.  A row without default is
-    required."""
+    which `_derived` fills in.  A row without default is required."""
     return field(default=default, metadata={
         "section": section, "key": key, "cast": cast, "rule": rule, "auto": auto})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario's settings; each field is a config row (see `_row`)."""
+    """One scenario's settings; each field is a config row (see `_row`).
+    Immutable and checked when made, also by `dataclasses.replace`."""
     name: str = _row("scenario", "name", rule=("non-empty", bool), cast=str)
     theorem: str = _row("scenario", "theorem", rule=_one_of(*THEOREMS), cast=str)
     dim: int = _row("scenario", "dim", 1, _one_of(1, 2), int)
@@ -94,19 +102,21 @@ class ScenarioConfig:
     center: tuple = _row("data", "center", (1.0,), _FINITE)   # dim 2: _CENTER_2D
     radius: float = _row("data", "radius", 0.5)
     amplitude: float = _row("data", "amplitude", 1.0, (
-        "finite and nonzero", lambda v: math.isfinite(v) and v != 0.0))
+        f"nonzero, magnitude at most {solver.BLOWUP:g}",
+        lambda v: 0.0 < abs(v) <= solver.BLOWUP))
     R_support: float | None = _row("data", "r_support", None)
     sigma: float = _row("data", "sigma", 10.0, _FINITE)
     oscillation: float = _row("data", "oscillation", 2.0, _FINITE)
     T_max: float = _row("time", "t_max", 20.0)
     cfl: float = _row("time", "cfl", 0.9, ("in (0, 1]", lambda v: 0.0 < v <= 1.0))
-    sample_stride: int = _row("time", "sample_stride", 10,
-                              ("an integer >= 1", lambda v: v >= 1), int)
+    sample_stride: int = _row("time", "sample_stride", 10, _COUNT, int)
     T_window: float | None = _row("time", "t_window", None)
     T1_threshold: float | None = _row("time", "t1_threshold", None, _NON_NEGATIVE)
     use_practical_b: bool = _row("weights", "use_practical_b", True, _BOOL, _bool)
     practical_b: float = _row("weights", "practical_b", math.e,
                               (">= e and finite", lambda v: math.e <= v < math.inf))
+    pairs: int = _row("weights", "pairs", 200, _COUNT, int)       # weight suite
+    families: int = _row("weights", "families", 20, _COUNT, int)  # weight suite
     prop1_enabled: bool = _row("prop1", "enabled", True, _BOOL, _bool)
     prop1_gamma: float = _row("prop1", "gamma", 1.0,
                               ("in (0, 1]", lambda v: 0.0 < v <= 1.0))
@@ -115,12 +125,28 @@ class ScenarioConfig:
     obs_enabled: bool = _row("obs", "enabled", True, _BOOL, _bool)
     obs_R0: float | None = _row("obs", "r0", None)
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "center":      # one value per axis, named by its key
+                keys = ("center",) if self.dim == 1 else tuple(_CENTER_2D)
+                if not (isinstance(value, tuple) and len(value) == len(keys)):
+                    raise _bad("data", "center", f"{len(keys)} number(s)", value)
+                for key, v in zip(keys, value):
+                    _check(f, v, key)
+            elif not (value is None and f.default is None):     # None: unset
+                _check(f, value)
+        _derived(self)      # the checks that read two or more fields
+
 
 _ROWS = {f.name: f for f in fields(ScenarioConfig)}
 # In 2D the `center` row is read from these keys, with these defaults.
 _CENTER_2D = {"center_x": 3.0, "center_y": 0.0}
 _KEYS = {(f.metadata["section"], f.metadata["key"]) for f in _ROWS.values()} | {
     ("data", key) for key in _CENTER_2D}
+# The most float64 elements numpy can hold in one array: the bound on grid
+# nodes and on time steps (`run` keeps one energy per step).
+_MAX_LEN = np.iinfo(np.intp).max // 8
 
 
 def _bad(section, key, need, got) -> ConfigError:
@@ -128,15 +154,17 @@ def _bad(section, key, need, got) -> ConfigError:
 
 
 def _check(f, value, key=None):
-    """`value` if it satisfies row `f`'s rule, else ConfigError naming the row."""
+    """ConfigError naming row `f` (or `key`) unless `value` fits its type and rule."""
     need, ok = f.metadata["rule"]
-    if not ok(value):
+    kind = _TYPES[f.metadata["cast"]]      # a bool is an int, but only fits bool rows
+    if (isinstance(value, bool) is not (kind is bool)
+            or not isinstance(value, kind) or not ok(value)):
         raise _bad(f.metadata["section"], key or f.metadata["key"], need, value)
-    return value
 
 
 def _parse(cp, f, key=None, default=None):
-    """Row `f`'s value in the document (read from `key` if given), checked."""
+    """Row `f`'s value as the document gives it (read from `key` if given):
+    its default if absent, None for `auto`, else the parsed text."""
     section, key = f.metadata["section"], key or f.metadata["key"]
     if not cp.has_option(section, key):
         if f.default is MISSING:
@@ -146,10 +174,9 @@ def _parse(cp, f, key=None, default=None):
     if f.metadata["auto"] and raw.lower() == "auto":
         return None
     try:
-        value = f.metadata["cast"](raw)
+        return f.metadata["cast"](raw)
     except (ValueError, KeyError):
         raise _bad(section, key, f.metadata["rule"][0], raw) from None
-    return _check(f, value, key)
 
 
 def load_config(source) -> ScenarioConfig:
@@ -171,45 +198,40 @@ def load_config(source) -> ScenarioConfig:
             if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
-    cfg = ScenarioConfig(**{name: _parse(cp, f) for name, f in _ROWS.items()
-                            if name != "center"})
-    keys = {"center": 1.0} if cfg.dim == 1 else _CENTER_2D
-    cfg.center = tuple(_parse(cp, _ROWS["center"], k, d) for k, d in keys.items())
-    _resolve_and_validate(cfg)
-    return cfg
+    values = {name: _parse(cp, f) for name, f in _ROWS.items() if name != "center"}
+    keys = {"center": 1.0} if values["dim"] == 1 else _CENTER_2D
+    values["center"] = tuple(_parse(cp, _ROWS["center"], k, d) for k, d in keys.items())
+    return ScenarioConfig(**values)
 
 
-def _resolve_and_validate(cfg: ScenarioConfig):
-    """Fill in the unset fields and run every check that reads two or more."""
+def _derived(cfg: ScenarioConfig) -> dict:
+    """The auto fields' values, the unset ones filled in.  Raises ConfigError
+    unless every check that reads two or more fields passes."""
     if cfg.theorem == "weight_suite":
-        return
-    if cfg.theorem == "identity_only":
-        cfg.gamma = None
-    else:
+        return {}
+    gamma = None
+    if cfg.theorem != "identity_only":
+        gamma = cfg.gamma
         try:        # AdmissibilityError names the violated bound
-            if cfg.gamma is None:   # T1: 1; T2/T3: 0.9 of the admissible supremum
-                cfg.gamma = 1.0 if cfg.theorem == "T1" else 0.9 * min(
+            if gamma is None:       # T1: 1; T2/T3: 0.9 of the admissible supremum
+                gamma = 1.0 if cfg.theorem == "T1" else 0.9 * min(
                     weights.compute_constants(cfg.theorem, cfg.r, cfg.dim, cfg.delta0,
                                               1e-6).gamma_bounds.values())
-            weights.compute_constants(cfg.theorem, cfg.r, cfg.dim, cfg.delta0,
-                                      cfg.gamma)
+            weights.compute_constants(cfg.theorem, cfg.r, cfg.dim, cfg.delta0, gamma)
         except weights.AdmissibilityError as exc:
             raise ConfigError(f"[scenario] r, delta0, gamma: {exc}") from exc
     if cfg.epsilon0 > cfg.a_max:
         raise _bad("scenario", "epsilon0", f"at most a_max = {cfg.a_max}", cfg.epsilon0)
-    if cfg.T1_threshold is None:
-        cfg.T1_threshold = cfg.T_max / 10.0
-    if not cfg.T1_threshold < cfg.T_max:
-        raise _bad("time", "t1_threshold", f"below t_max = {cfg.T_max}",
-                   cfg.T1_threshold)
-    if cfg.T_window is None:        # may exceed t_max: the analyses clip it
-        cfg.T_window = cfg.T_max / 4.0
-    if cfg.obs_R0 is None:
-        cfg.obs_R0 = 2.0 * cfg.L
+    t1 = cfg.T_max / 10.0 if cfg.T1_threshold is None else cfg.T1_threshold
+    if not t1 < cfg.T_max:
+        raise _bad("time", "t1_threshold", f"below t_max = {cfg.T_max}", t1)
+    # may exceed t_max: the analyses clip it
+    window = cfg.T_max / 4.0 if cfg.T_window is None else cfg.T_window
     if cfg.dim == 2 and cfg.rho is None:
         raise ConfigError("[grid] rho is required in 2D")
 
     edge, inner = ("x_max", cfg.alpha) if cfg.dim == 1 else ("r_out", cfg.rho)
+    outer = getattr(cfg, edge)
     if cfg.data_kind == "compact":
         R = cfg.R_support
         if R is None:
@@ -224,20 +246,22 @@ def _resolve_and_validate(cfg: ScenarioConfig):
             raise _bad("data", "center", f"at least radius = {cfg.radius} from "
                        f"the obstacle at {inner}", cfg.center)
         safe = R + cfg.T_max + 2.0 * cfg.L
-        if cfg.dim == 1 and cfg.x_max is None:
-            cfg.x_max = cfg.alpha + math.ceil(safe - cfg.alpha + 2.0)
-        if cfg.dim == 2 and cfg.r_out is None:
-            cfg.r_out = math.ceil(safe + 2.0)
-        if getattr(cfg, edge) < safe:
+        if not math.isfinite(safe):
+            raise _bad("data", "r_support", "small enough for a finite "
+                       "R + t_max + 2l", R)
+        if outer is None:           # cone-safe, rounded up, 2 to spare
+            outer = (cfg.alpha + math.ceil(safe - cfg.alpha + 2.0) if cfg.dim == 1
+                     else math.ceil(safe + 2.0))
+        if outer < safe:
             raise _bad("grid", edge, f"cone-safe, at least R + t_max + 2l = "
-                       f"{safe}", getattr(cfg, edge))
+                       f"{safe}", outer)
     else:
-        if getattr(cfg, edge) is None:
+        if outer is None:
             raise ConfigError(f"[grid] {edge} is required for weighted data")
         if cfg.theorem == "T3":
             raise _bad("data", "kind", "compact for T3", cfg.data_kind)
         # finite weighted norms on the untruncated domain (make_initial_weighted)
-        floor = (cfg.dim + (cfg.gamma if cfg.theorem == "T2" else 0.0)) / 2.0
+        floor = (cfg.dim + (gamma if cfg.theorem == "T2" else 0.0)) / 2.0
         if not cfg.sigma > floor:
             raise _bad("data", "sigma", f"above {floor:.6g} for weighted data", cfg.sigma)
 
@@ -245,29 +269,47 @@ def _resolve_and_validate(cfg: ScenarioConfig):
         floor, need = max(cfg.alpha, 2.0 * cfg.L), "max(alpha, 2l)"
     else:
         floor, need = max(cfg.rho + 4.0 * cfg.h, 2.0 * cfg.L), "max(rho + 4h, 2l)"
-    if not getattr(cfg, edge) > floor:
-        raise _bad("grid", edge, f"above {need} = {floor}", getattr(cfg, edge))
-    if cfg.dim == 1 and _cells(cfg) < 16:
+    if not outer > floor:
+        raise _bad("grid", edge, f"above {need} = {floor}", outer)
+    span = outer - cfg.alpha if cfg.dim == 1 else 2.0 * outer
+    too_big = _bad("grid", edge, f"small enough for at most {_MAX_LEN:.3g} "
+                   f"array nodes at h = {cfg.h}", outer)
+    if not math.isfinite(span / cfg.h):
+        raise too_big
+    cells = _cells(cfg, outer)
+    if cfg.dim == 1 and cells < 16:
         raise _bad("grid", "h", f"at most (x_max - alpha)/15.5 = "
-                   f"{(cfg.x_max - cfg.alpha) / 15.5:.4g} (16 cells)", cfg.h)
+                   f"{span / 15.5:.4g} (16 cells)", cfg.h)
     if cfg.dim == 2 and cfg.h > cfg.rho / 4.0:
         raise _bad("grid", "h", f"at most rho/4 = {cfg.rho / 4.0}", cfg.h)
 
     # the grid `_build` makes sets the step `run` takes and the sample spacing
-    h = (cfg.x_max - cfg.alpha if cfg.dim == 1 else 2.0 * cfg.r_out) / _cells(cfg)
-    dt = cfg.cfl * h / math.sqrt(cfg.dim)
+    dt = cfg.cfl * (span / cells) / math.sqrt(cfg.dim)
+    if not cfg.T_max / dt < _MAX_LEN:
+        raise _bad("time", "t_max", f"small enough for at most {_MAX_LEN:.3g} "
+                   f"steps of dt = {dt:.4g}", cfg.T_max)
+    if (cells + 1) ** cfg.dim > _MAX_LEN:
+        raise too_big
     spacing = cfg.sample_stride * dt
-    if not cfg.T_window >= spacing:
+    if not window >= spacing:
         raise _bad("time", "t_window", f"at least the sample spacing {spacing:.4g}",
-                   cfg.T_window)
+                   window)
     # samples inside the fit window, leaving out one within round-off of an end
     tol = 1e-9 * cfg.T_max
-    first = math.floor((cfg.T1_threshold + tol) / spacing) + 1
+    first = math.floor((t1 + tol) / spacing) + 1
     last = min(round(cfg.T_max / dt) // cfg.sample_stride,
                math.ceil((cfg.T_max - tol) / spacing) - 1)
     if _fits(cfg) and last - first + 1 < 8:
         raise _bad("time", "sample_stride", "small enough for 8 samples in the "
                    "fit window [t1_threshold, t_max]", cfg.sample_stride)
+    obs_R0 = 2.0 * cfg.L if cfg.obs_R0 is None else cfg.obs_R0
+    return {"gamma": gamma, edge: outer, "T1_threshold": t1, "T_window": window,
+            "obs_R0": obs_R0}
+
+
+def _resolved(cfg: ScenarioConfig) -> ScenarioConfig:
+    """`cfg` with its auto fields filled in: the config a run uses and echoes."""
+    return replace(cfg, **_derived(cfg))
 
 
 def _fits(cfg: ScenarioConfig) -> bool:
@@ -305,34 +347,30 @@ def _atomic_write(path: Path, data: str):
         raise
 
 
-def _cells(cfg: ScenarioConfig) -> int:
-    """Grid cells per axis, as `_build` asks for them or the 2D grid rounds them."""
+def _cells(cfg: ScenarioConfig, outer) -> int:
+    """Grid cells per axis up to the outer edge `outer` (x_max in 1D, r_out in
+    2D), as `_build` asks for them or the 2D grid rounds them."""
     if cfg.dim == 1:
-        return int(round((cfg.x_max - cfg.alpha) / cfg.h))
-    return grids._disk_cells(cfg.r_out, 1.0 / cfg.h)
+        return int(round((outer - cfg.alpha) / cfg.h))
+    return grids._disk_cells(outer, 1.0 / cfg.h)
 
 
 def _grid_nodes(cfg: ScenarioConfig) -> int:
-    """Array nodes of the scenario's grid, counted without building it.  The
-    weight suite has none; nor does a grid that cannot be built, whose run
-    reports why."""
+    """Array nodes of the scenario's grid, counted without building it (the
+    weight suite has none)."""
     if cfg.theorem == "weight_suite":
         return 0
-    try:
-        return (_cells(cfg) + 1) ** cfg.dim
-    except (TypeError, ValueError, ArithmeticError):
-        return 0
+    cfg = _resolved(cfg)
+    return (_cells(cfg, cfg.x_max if cfg.dim == 1 else cfg.r_out) + 1) ** cfg.dim
 
 
 def _build(cfg: ScenarioConfig):
     if cfg.dim == 1:
-        grid = grids.build_grid_1d(cfg.alpha, cfg.x_max, _cells(cfg))
+        grid = grids.build_grid_1d(cfg.alpha, cfg.x_max, _cells(cfg, cfg.x_max))
     else:
         grid = grids.build_grid_2d_disk(cfg.rho, cfg.r_out, 1.0 / cfg.h)
-    damping = grids.build_damping(grid, cfg.damping_kind, cfg.epsilon0,
-                                  cfg.L, cfg.a_max)
-    psi = grids.build_psi(grid, cfg.L)
-    return grid, damping, psi
+    damping = grids.build_damping(grid, cfg.damping_kind, cfg.epsilon0, cfg.L, cfg.a_max)
+    return grid, damping, grids.build_psi(grid, cfg.L)
 
 
 def _families(cfg: ScenarioConfig):
@@ -350,25 +388,15 @@ def _families(cfg: ScenarioConfig):
     return fam, [("thm3", fam)]
 
 
-def _overrides(margin, practical_b) -> dict:
-    """The run-time overrides that are set, checked against their rows."""
-    given = {"margin": margin, "practical_b": practical_b}
-    return {k: _check(_ROWS[k], v) for k, v in given.items() if v is not None}
-
-
-def run_scenario(cfg: ScenarioConfig, out_dir=None,
-                 margin: float | None = None,
-                 practical_b: float | None = None) -> ScenarioReport:
+def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioReport:
     """Execute one scenario and persist series + report (+ plot data).
 
-    `margin` and `practical_b` override the config's values for this run
-    only: the run and its report's config echo use a copy, and the caller's
-    config is left as it was.  An override outside its field's range raises
-    ConfigError before the run.
+    The run and its report's config echo use `_resolved(cfg)`, the config
+    with its auto fields filled in.
     """
     t_wall = time.time()
     out = Path(out_dir or os.environ.get("DECAYLAB_OUT", "."))
-    cfg = replace(cfg, **_overrides(margin, practical_b))
+    cfg = _resolved(cfg)
     try:
         report = _run_scenario_inner(cfg, out)
         path = out / f"{cfg.name}.report.json"
@@ -388,9 +416,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         return run_weight_suite(cfg)
 
     grid, damping, psi = _build(cfg)
-    consts = None
-    family = None
-    bundle_sets = []
+    consts, family, bundle_sets = None, None, []
     if cfg.theorem != "identity_only":
         consts = weights.compute_constants(cfg.theorem, cfg.r, cfg.dim,
                                            cfg.delta0, cfg.gamma)
@@ -411,11 +437,9 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
 
     params = solver.SolverParams.for_grid(grid, cfg.cfl, cfg.r, cfg.T_max)
 
-    prop1 = None
-    if cfg.prop1_enabled:
-        prop1 = functionals.Prop1Config(
-            family=weights.WeightFamily.poly(cfg.prop1_gamma),
-            mu=cfg.prop1_mu, lam=cfg.prop1_lam)
+    prop1 = functionals.Prop1Config(
+        family=weights.WeightFamily.poly(cfg.prop1_gamma), mu=cfg.prop1_mu,
+        lam=cfg.prop1_lam) if cfg.prop1_enabled else None
     tracker = functionals.SampleTracker(functionals.TrackerConfig(
         grid=grid, damping=damping, psi=psi, r=cfg.r, family=family,
         constants=consts, bundle_sets=bundle_sets, prop1=prop1,
@@ -435,17 +459,13 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         "name": cfg.name,
         "config": _echo(cfg),
         "series_csv": series_name,
-        "grid": {
-            "dim": grid.dim, "h": grid.h, "n_fluid": grid.n_fluid,
-            "alpha": grid.alpha, "x_max": grid.x_max,
-            "rho": grid.rho_obstacle, "r_out": grid.r_out,
-        },
+        "grid": {"dim": grid.dim, "h": grid.h, "n_fluid": grid.n_fluid,
+                 "alpha": grid.alpha, "x_max": grid.x_max,
+                 "rho": grid.rho_obstacle, "r_out": grid.r_out},
         "damping": {k: v for k, v in vars(damping).items() if k != "values"},
-        "solver": {
-            "dt": params.dt, "cfl": cfg.cfl, "n_steps": res.n_steps,
-            "mono_violations": res.mono_violations,
-            "mono_worst": res.mono_worst,
-        },
+        "solver": {"dt": params.dt, "cfl": cfg.cfl, "n_steps": res.n_steps,
+                   "mono_violations": res.mono_violations,
+                   "mono_worst": res.mono_worst},
     }
 
     ts = np.array([s.t for s in series])
@@ -456,10 +476,8 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     identity_final = abs(float(res.E_steps[-1]) + res.D_cum - E0_solver)
     if E0_solver > 0:
         identity_final /= E0_solver
-    defects = {
-        "identity_final": identity_final,
-        "identity_max": max(s.bundle["diag.identity_defect"] for s in series),
-    }
+    defects = {"identity_final": identity_final, "identity_max": max(
+        s.bundle["diag.identity_defect"] for s in series)}
 
     if cfg.prop1_enabled and len(ts) > 2:
         rep = functionals.prop1_inequality_check(series, window,
@@ -468,8 +486,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
                             "n_windows": rep.n_windows,
                             "window_T": rep.window_T}
 
-    fits = {}
-    verdicts = {}
+    fits, verdicts = {}, {}
     if consts is not None:
         data_family = bundle_sets[0][1]  # the regime's own weights
         dataf = functionals.data_functionals(initial, grid, data_family, consts)
@@ -490,46 +507,32 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
             _write_fit_dat(out, cfg.name, model, ts, Es, fit, fit_b_or_R)
 
         payload["constants"] = consts.to_dict()
-        payload["bundle_boundedness"] = _bundle_boundedness(series, bundle_sets)
+        payload["bundle_boundedness"] = _bundle_boundedness(series, ts, bundle_sets)
 
         if cfg.obs_enabled and len(ts) > 2:
             payload["observability"] = asdict(
                 functionals.observability_ratio(series, window))
 
-    payload["defects"] = defects
-    payload["fits"] = fits
-    payload["verdicts"] = verdicts
-    payload["truncation_contamination"] = decay.truncation_contamination(series)
-    payload["cone"] = {
-        "declared": cone is not None,
-        "worst_overshoot": res.cone_worst_overshoot,
-        "ok": res.cone_ok,
-    }
-
     all_pass = all(v["passed"] for v in verdicts.values())
-    payload["all_pass"] = all_pass
+    payload.update(defects=defects, fits=fits, verdicts=verdicts, all_pass=all_pass,
+                   truncation_contamination=decay.truncation_contamination(series),
+                   cone={"declared": cone is not None, "ok": res.cone_ok,
+                         "worst_overshoot": res.cone_worst_overshoot})
     return ScenarioReport(cfg.name, payload, all_pass=all_pass)
 
 
-def _bundle_boundedness(series, bundle_sets) -> dict:
+def _bundle_boundedness(series, ts, bundle_sets) -> dict:
     """Final-decade increment of every cumulative theorem member vs its total.
 
     The desk-scale surrogate for finiteness of the infinite-time integrals:
     the increment over [T/10, T] must be a small fraction of the total.
     """
-    ts = np.array([s.t for s in series])
-    t_cut = ts[-1] / 10.0
-    i_cut = int(np.searchsorted(ts, t_cut))
-    out = {}
+    early = series[int(np.searchsorted(ts, ts[-1] / 10.0))].bundle
     prefixes = tuple(p for p, _ in bundle_sets)
-    for name in series[-1].bundle:
-        if not name.endswith("_cum") or not name.startswith(prefixes):
-            continue
-        total = series[-1].bundle[name]
-        early = series[i_cut].bundle[name]
-        frac = 0.0 if total == 0.0 else (total - early) / total
-        out[name] = {"total": total, "final_decade_fraction": frac}
-    return out
+    return {name: {"total": total, "final_decade_fraction":
+                   0.0 if total == 0.0 else (total - early[name]) / total}
+            for name, total in series[-1].bundle.items()
+            if name.endswith("_cum") and name.startswith(prefixes)}
 
 
 def _write_fit_dat(out: Path, name: str, model: str, ts, Es, fit, b_or_R):
@@ -543,13 +546,12 @@ def _write_fit_dat(out: Path, name: str, model: str, ts, Es, fit, b_or_R):
 # the non-PDE weight suite
 # ---------------------------------------------------------------------------
 
-def run_weight_suite(cfg: ScenarioConfig, n_constant_pairs: int = 200,
-                     n_weight_families: int = 20) -> ScenarioReport:
-    """Constant identities plus the five weight inequalities, on random draws."""
+def run_weight_suite(cfg: ScenarioConfig) -> ScenarioReport:
+    """Constant identities on `cfg.pairs` random draws plus the five weight
+    inequalities on `cfg.families` random weight families."""
     rng = np.random.default_rng(cfg.seed)
-    worst_t2 = 0.0
-    worst_t3 = 0.0
-    for _ in range(n_constant_pairs):
+    worst_t2 = worst_t3 = 0.0
+    for _ in range(cfg.pairs):
         d = int(rng.integers(1, 3))
         r = 1.0 + rng.uniform(1e-3, 1.0) * (2.0 / d)
         d0 = rng.uniform(1e-4, 0.05)
@@ -563,9 +565,8 @@ def run_weight_suite(cfg: ScenarioConfig, n_constant_pairs: int = 200,
                 worst_t3 = max(worst_t3, target - lhs)
 
     s_grid = np.concatenate([[0.0], np.logspace(0.0, 9.0, 10_000)])
-    min_margin = math.inf
-    all_ok = True
-    for _ in range(n_weight_families):
+    min_margin, all_ok = math.inf, True
+    for _ in range(cfg.families):
         beta = rng.uniform(-1.0 + 1e-6, 3.0)
         r = rng.uniform(1.0 + 1e-3, 3.0)
         d0 = rng.uniform(1e-3, 0.999)
@@ -574,25 +575,20 @@ def run_weight_suite(cfg: ScenarioConfig, n_constant_pairs: int = 200,
         min_margin = min(min_margin, rep.min_margin)
         all_ok = all_ok and rep.all_passed
 
-    payload = {
-        "schema": 1, "name": cfg.name, "config": _echo(cfg),
+    all_pass = worst_t2 <= 1e-9 and worst_t3 <= 1e-12 and all_ok
+    return ScenarioReport(cfg.name, {
+        "schema": 1, "name": cfg.name, "config": _echo(cfg), "all_pass": all_pass,
         "constant_identities": {
-            "pairs": n_constant_pairs,
+            "pairs": cfg.pairs,
             "t2_worst_relative_residual": worst_t2,
             "t3_worst_slack_deficit": worst_t3,
             "t2_ok": worst_t2 <= 1e-9,
             "t3_ok": worst_t3 <= 1e-12,
         },
         "weight_inequalities": {
-            "families": n_weight_families,
-            "min_margin": min_margin,
-            "all_passed": all_ok,
+            "families": cfg.families, "min_margin": min_margin, "all_passed": all_ok,
         },
-    }
-    all_pass = payload["constant_identities"]["t2_ok"] and \
-        payload["constant_identities"]["t3_ok"] and all_ok
-    payload["all_pass"] = all_pass
-    return ScenarioReport(cfg.name, payload, all_pass=all_pass)
+    }, all_pass=all_pass)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +604,7 @@ _POOL_MIN_NODES = 110_000
 
 
 def run_suite(configs: list[ScenarioConfig], parallelism: int = 1,
-              out_dir=None, margin: float | None = None,
-              practical_b: float | None = None) -> list[ScenarioReport]:
+              out_dir=None) -> list[ScenarioReport]:
     """Run scenarios; results follow config order.
 
     Only scenarios whose grid has at least `_POOL_MIN_NODES` array nodes go to
@@ -619,23 +614,21 @@ def run_suite(configs: list[ScenarioConfig], parallelism: int = 1,
     down; a large grid spends it in long calls that release the GIL, so
     threads overlap.  With `parallelism` 1, or no large grid, no pool is made.
 
-    Duplicate names and out-of-range overrides are rejected before
-    execution; one scenario's failure does not abort the others.
+    Duplicate names are rejected before execution; one scenario's failure
+    does not abort the others.
     """
     if not (isinstance(parallelism, numbers.Integral) and parallelism >= 1):
         raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
-    _overrides(margin, practical_b)
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"duplicate scenario names: {dupes}")
-    args = (out_dir, margin, practical_b)
     large = [c for c in configs
              if parallelism > 1 and _grid_nodes(c) >= _POOL_MIN_NODES]
     if not large:
-        return [run_scenario(c, *args) for c in configs]
+        return [run_scenario(c, out_dir) for c in configs]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {c.name: pool.submit(run_scenario, c, *args) for c in large}
-        done = {c.name: run_scenario(c, *args)
+        futures = {c.name: pool.submit(run_scenario, c, out_dir) for c in large}
+        done = {c.name: run_scenario(c, out_dir)
                 for c in configs if c.name not in futures}
     return [done[n] if n in done else futures[n].result() for n in names]

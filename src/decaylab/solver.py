@@ -269,6 +269,9 @@ def support_radius(grid: ExteriorGrid, state: WaveState, threshold: float) -> fl
 # stepping
 # ---------------------------------------------------------------------------
 
+# `step` stops a run once |u| or |v| exceeds this: the scheme has blown up
+BLOWUP = 1e100
+
 def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
          params: SolverParams) -> tuple[WaveState, float]:
     """One semi-implicit leapfrog step; returns (new state, dissipation increment).
@@ -284,7 +287,7 @@ def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
     u_new = state.u + dt * v_new
     grid.clamp_dirichlet(u_new)
     peak = max(float(np.max(np.abs(u_new))), float(np.max(np.abs(v_new))))
-    if not math.isfinite(peak) or peak > 1e100:
+    if not math.isfinite(peak) or peak > BLOWUP:
         raise FloatingPointError(
             f"field magnitude {peak:.3g} at t = {state.t + dt:.6g}; "
             "check the CFL bound and damping parameters")

@@ -7,6 +7,7 @@ import math
 import re
 import tempfile
 import threading
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -107,15 +108,27 @@ def _mini(name="mini-t3", t_max=6.0):
     return load_config(text)
 
 
+def _fails_in_run(name="t1-log-desk"):
+    """A config that loads and then fails in the run: at gamma = 100 the
+    honest-b bundle weight of t1-log-desk is e^1903, which overflows at the
+    first sample."""
+    text = presets.get("t1-log-desk").replace("gamma = 1.0", "gamma = 100")
+    text = text.replace("t_max = 150", "t_max = 10")
+    return load_config(text.replace("name = t1-log-desk", f"name = {name}"))
+
+
 def test_minimal_config_defaults():
     bare = MINIMAL_T3.replace("sample_stride = 2\n", "")
     cfg = load_config(bare)
     assert cfg.cfl == 0.9
     assert cfg.margin == 0.8
     assert cfg.sample_stride == 10
-    assert cfg.gamma == pytest.approx(0.9 * (1.0 - 0.01) / 3.347398, rel=1e-3)
+    # auto fields stay unset in the config; a run fills them in
+    assert cfg.gamma is None and cfg.x_max is None
+    run = scenarios._resolved(cfg)
+    assert run.gamma == pytest.approx(0.9 * (1.0 - 0.01) / 3.347398, rel=1e-3)
     # auto truncation is cone-safe
-    assert cfg.x_max >= cfg.R_support + cfg.T_max + 2 * cfg.L
+    assert run.x_max >= cfg.R_support + cfg.T_max + 2 * cfg.L
 
 
 def test_config_rejects_inadmissible_gamma():
@@ -239,8 +252,7 @@ def test_config_rejects_support_outside_ball():
 
 
 def test_identity_scenario_runs_and_reports(tmp_path):
-    cfg = presets.load("identity-refinement")
-    cfg.T_max = 5.0
+    cfg = replace(presets.load("identity-refinement"), T_max=5.0)
     rep = run_scenario(cfg, tmp_path)
     assert not rep.failed
     d = rep.payload["defects"]
@@ -274,11 +286,9 @@ def test_scenario_determinism(tmp_path):
 
 
 def test_failed_scenario_writes_failed_report(tmp_path):
-    cfg = _mini(t_max=3.0)
-    cfg.radius = 40.0            # support outside the domain: solver rejects
-    rep = run_scenario(cfg, tmp_path)
+    rep = run_scenario(_fails_in_run(), tmp_path)
     assert rep.failed and not rep.all_pass
-    assert (tmp_path / "mini-t3.report.failed.json").exists()
+    assert (tmp_path / "t1-log-desk.report.failed.json").exists()
     assert "error" in rep.payload
 
 
@@ -312,8 +322,7 @@ def test_suite_parallel_matches_serial(tmp_path):
 
 def test_suite_one_failure_does_not_abort(tmp_path):
     good = _mini("good", 2.0)
-    bad = _mini("bad", 2.0)
-    bad.radius = 40.0
+    bad = _fails_in_run("bad")
     reports = run_suite([bad, good], parallelism=2, out_dir=tmp_path)
     assert reports[0].failed and not reports[1].failed
 
@@ -375,12 +384,17 @@ def test_suite_mixed_paths_keep_order_and_isolate_failures(tmp_path,
         return load_config(MINIMAL_T3.replace("mini-t3", name).replace(
             "t_max = 6", "t_max = 2").replace("h = 0.05", f"h = {h}"))
 
-    small_bad, large_bad = mini("small-bad", 0.05), mini("large-bad", 0.025)
-    small_bad.x_max = None      # cannot even be counted: runs inline, fails
-    large_bad.radius = 40.0     # support outside the domain: solver rejects
-    configs = [small_bad, mini("large-good", 0.025), mini("small-good", 0.05),
-               large_bad]
-    assert [scenarios._grid_nodes(c) for c in configs] == [0, 281, 141, 281]
+    build = scenarios._build
+
+    def failing_build(cfg):     # the "-bad" scenarios fail in the run
+        if cfg.name.endswith("-bad"):
+            raise RuntimeError("grid build failed")
+        return build(cfg)
+
+    configs = [mini("small-bad", 0.05), mini("large-good", 0.025),
+               mini("small-good", 0.05), mini("large-bad", 0.025)]
+    assert [scenarios._grid_nodes(c) for c in configs] == [141, 281, 141, 281]
+    monkeypatch.setattr(scenarios, "_build", failing_build)
     monkeypatch.setattr(scenarios, "_POOL_MIN_NODES", 200)
     threads = _record_threads(monkeypatch)
     reports = run_suite(configs, parallelism=2, out_dir=tmp_path)
@@ -398,7 +412,7 @@ def test_grid_node_count_matches_built_grid():
             assert scenarios._grid_nodes(cfg) == 0
         else:
             assert scenarios._grid_nodes(cfg) == \
-                scenarios._build(cfg)[0].fluid.size, name
+                scenarios._build(scenarios._resolved(cfg))[0].fluid.size, name
 
 
 @pytest.mark.parametrize("parallelism", [0, -3, 1.5])
@@ -468,6 +482,9 @@ def test_cli_verify_weights(capsys):
     # the config echo is the whole config, as in the weight-suite preset
     assert set(payload["config"]) == set(scenarios._ROWS)
     assert payload["config"]["seed"] == 20240809
+    assert (payload["config"]["pairs"], payload["config"]["families"]) == (50, 5)
+    assert payload["constant_identities"]["pairs"] == 50
+    assert payload["weight_inequalities"]["families"] == 5
     # run options have no meaning here: argparse rejects them
     for flag, value in (("--out", "x"), ("--margin", "99"),
                         ("--practical-b", "3")):
@@ -537,11 +554,10 @@ def test_out_of_range_override_rejected_before_any_run(tmp_path, capsys,
     (tmp_path / "mini.ini").write_text(MINIMAL_T3)
     assert cli_main(["suite", str(tmp_path), "--out", str(tmp_path), flag, value]) == 2
     assert not list(tmp_path.glob("*.json"))
-    msg = rf"^\[{section}\] {attr} must be "
-    with pytest.raises(ConfigError, match=msg):
-        run_scenario(_mini(), tmp_path, **{attr: float(value)})
-    with pytest.raises(ConfigError, match=msg):
-        run_suite([_mini()], out_dir=tmp_path, **{attr: float(value)})
+    cfg = _mini()
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {attr} must be "):
+        replace(cfg, **{attr: float(value)})
+    assert getattr(cfg, attr) == scenarios._ROWS[attr].default
     assert not list(tmp_path.glob("*.json"))
 
 
@@ -565,11 +581,11 @@ def test_readme_schema_lists_every_field_with_its_range():
         assert f.metadata["rule"][0] in " ".join(rows[section, key].split()), key
 
 
-def test_overrides_leave_caller_config_unchanged(tmp_path):
+def test_overrides_leave_caller_config_unchanged(tmp_path, capsys):
     text = presets.get("t1-log-desk").replace("t_max = 150", "t_max = 20")
     cfg = load_config(text)
     before = vars(cfg).copy()
-    rep = run_scenario(cfg, tmp_path, margin=5.0, practical_b=3.5)
+    rep = run_scenario(replace(cfg, margin=5.0, practical_b=3.5), tmp_path)
     assert not rep.failed
     assert cfg.margin == 0.8 and cfg.practical_b == math.e
     assert vars(cfg) == before
@@ -577,20 +593,133 @@ def test_overrides_leave_caller_config_unchanged(tmp_path):
     assert rep.payload["config"]["practical_b"] == 3.5
     on_disk = json.loads((tmp_path / "t1-log-desk.report.json").read_text())
     assert on_disk["config"]["margin"] == 5.0
-    # without overrides the run uses the config as loaded
+    # the run uses the config as loaded
     rep = run_scenario(cfg, tmp_path / "plain")
     assert rep.payload["config"]["margin"] == 0.8
+    # the CLI's flags reach the run, and only the run
+    (tmp_path / "t1.ini").write_text(text)
+    out = tmp_path / "cli"
+    assert cli_main(["run", str(tmp_path / "t1.ini"), "--out", str(out),
+                     "--margin", "5", "--practical-b", "3.5"]) in (0, 1)
+    capsys.readouterr()
+    on_disk = json.loads((out / "t1-log-desk.report.json").read_text())
+    assert (on_disk["config"]["margin"], on_disk["config"]["practical_b"]) == (5.0, 3.5)
 
 
 def test_echo_shows_fields_set_after_load(tmp_path):
-    cfg = presets.load("t2-poly-1d")
-    cfg.T_max, cfg.margin = 40.0, 0.5
+    # a field changed after load goes through `replace`, which re-derives the
+    # auto fields; the echo shows the config the run used
+    loaded = presets.load("t2-poly-1d")
+    cfg = replace(loaded, T_max=40.0, margin=0.5)
+    assert (loaded.T_max, loaded.margin) == (150.0, 0.8)
     rep = run_scenario(cfg, tmp_path)
     assert not rep.failed
     assert rep.payload["solver"]["n_steps"] == round(40.0 / rep.payload["solver"]["dt"])
     on_disk = json.loads((tmp_path / "t2-poly-1d.report.json").read_text())
     for config in (rep.payload["config"], on_disk["config"]):
         assert (config["T_max"], config["margin"]) == (40.0, 0.5)
+        assert config["T1_threshold"] == 4.0        # auto: t_max/10
+        assert config == scenarios._echo(scenarios._resolved(cfg))
+
+
+def test_config_fields_cannot_be_assigned():
+    cfg = _mini()
+    for name in scenarios._ROWS:
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+
+def test_replace_rederives_cone_safe_truncation(tmp_path):
+    # loaded at t_max = 20 the auto x_max is 25.5; at 40 it must be >= 43
+    loaded = load_config(_with(presets.get("t3-compact-1d"),
+                               ("time", "t_max", "20")))
+    assert loaded.x_max is None
+    assert scenarios._resolved(loaded).x_max == 25.5
+    cfg = replace(loaded, T_max=40.0)
+    rep = run_scenario(cfg, tmp_path)
+    assert not rep.failed
+    assert rep.payload["config"]["x_max"] >= 43.0
+    assert rep.payload["grid"]["x_max"] >= 43.0
+    assert rep.payload["truncation_contamination"] == 0.0
+    # a truncation set by hand is re-checked against the new horizon
+    fixed = replace(loaded, x_max=25.5)
+    with pytest.raises(ConfigError, match=r"^\[grid\] x_max must be cone-safe"):
+        replace(fixed, T_max=40.0)
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"radius": 40.0}, "[data] r_support"),       # support leaves B_R
+    ({"sample_stride": 2.5}, "[time] sample_stride"),
+    ({"h": "0.1"}, "[grid] h"),
+    ({"use_practical_b": 1}, "[weights] use_practical_b"),
+    ({"T_max": True}, "[time] t_max"),
+    ({"dim": 2}, "[data] center"),                # one centre value in 2D
+    ({"center": (1.25, 0.0)}, "[data] center"),
+    ({"center": [1.25]}, "[data] center"),
+    ({"x_max": None, "theorem": "T2", "data_kind": "weighted"}, "[grid] x_max"),
+    ({"name": ""}, "[scenario] name"),
+    ({"R_support": 1.5e308, "T_max": 1.5e308}, "[data] r_support"),  # R + t_max = inf
+])
+def test_replace_checks_like_load(changes, named):
+    cfg = _mini()
+    with pytest.raises(ConfigError, match=rf"^{re.escape(named)} "):
+        replace(cfg, **changes)
+
+
+def test_2d_center_errors_name_the_key_read():
+    for key in scenarios._CENTER_2D:
+        with pytest.raises(ConfigError, match=rf"^\[data\] {key} must be finite"):
+            load_config(_with(COMPACT_2D, ("data", key, "nan")))
+    cfg = load_config(COMPACT_2D)
+    with pytest.raises(ConfigError, match=r"^\[data\] center_y must be finite"):
+        replace(cfg, center=(2.0, math.inf))
+
+
+@pytest.mark.parametrize("base, name, value, named", [
+    ("t3", "amplitude", 1e300, "[data] amplitude"),
+    ("t3", "amplitude", -2e100, "[data] amplitude"),
+    ("t3", "R_support", 1e300, "[grid] x_max"),     # the auto, cone-safe x_max
+    ("2d", "R_support", 1e300, "[grid] r_out"),
+    ("t3", "T_max", 1e300, "[time] t_max"),
+    ("t2", "T_max", 1e300, "[time] t_max"),
+    ("2d", "T_max", 1e300, "[time] t_max"),
+    ("t2", "x_max", 1e300, "[grid] x_max"),
+    ("2d", "h", 1e-9, "[grid] r_out"),          # 2e20 nodes, 2e9 steps
+    ("t2", "h", 1e-300, "[time] t_max"),        # the steps run out first
+])
+def test_magnitudes_beyond_numpy_arrays_fail_at_load(base, name, value, named):
+    # the blow-up guard bounds the data; numpy's largest array bounds the
+    # grid's nodes and the run's steps
+    f = scenarios._ROWS[name]
+    text = _with(_BASES[base], (f.metadata["section"], f.metadata["key"], repr(value)))
+    msg = rf"^{re.escape(named)} must be "
+    with pytest.raises(ConfigError, match=msg):
+        load_config(text)
+    with pytest.raises(ConfigError, match=msg):
+        replace(load_config(_BASES[base]), **{name: value})
+
+
+@pytest.mark.parametrize("flag, value, row", [
+    ("--families", "0", "[weights] families"),
+    ("--pairs", "0", "[weights] pairs"),
+    ("--seed", "-1", "[scenario] seed"),
+])
+def test_cli_verify_weights_rejects_bad_counts(capsys, flag, value, row):
+    assert cli_main(["verify-weights", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {row} must be ")
+    assert captured.out == ""
+
+
+def test_weight_suite_counts_are_config_rows(tmp_path):
+    text = _with(presets.get("weight-suite"), ("weights", "pairs", "7"),
+                 ("weights", "families", "2"))
+    rep = run_scenario(load_config(text), tmp_path)
+    assert rep.all_pass
+    assert rep.payload["constant_identities"]["pairs"] == 7
+    assert rep.payload["weight_inequalities"]["families"] == 2
+    with pytest.raises(ConfigError, match=r"^\[weights\] pairs must be an integer"):
+        load_config(_with(text, ("weights", "pairs", "0")))
 
 
 def test_compact_config_without_cone_keys_loads_and_runs(tmp_path):
@@ -626,11 +755,8 @@ def test_cone_enforced_exactly_at_dim_1_cfl_1(tmp_path, monkeypatch, name,
 
 
 def test_t1_weight_overflow_fails_at_first_sample(tmp_path):
-    # at gamma = 100 the honest-b bundle weight is e^1903: the run must fail
-    # on sampling instead of writing a series of capped values
-    text = presets.get("t1-log-desk").replace("gamma = 1.0", "gamma = 100")
-    text = text.replace("t_max = 150", "t_max = 10")
-    rep = run_scenario(load_config(text), tmp_path)
+    # the run must fail on sampling instead of writing a series of capped values
+    rep = run_scenario(_fails_in_run(), tmp_path)
     assert rep.failed
     assert rep.payload["error"].startswith("WeightOverflowError")
     assert not (tmp_path / "t1-log-desk.series.csv").exists()
@@ -677,13 +803,37 @@ def _documents(draw):
     return _with(base, *edits)
 
 
+def _typed(f, text):
+    """`text` as row `f`'s parser reads it; text that does not parse stays
+    text, which the config must reject."""
+    if f.metadata["auto"] and text == "auto":
+        return None
+    try:
+        return f.metadata["cast"](text)
+    except (ValueError, KeyError):
+        return text
+
+
 @settings(max_examples=30, deadline=None)
-@given(doc=_documents())
-def test_config_documents_fail_at_load_or_run(doc):
+@given(doc=_documents(), data=st.data())
+def test_config_documents_fail_at_load_or_run(doc, data):
     try:
         cfg = load_config(doc)
     except ConfigError:
         return
+    # one more field, changed after load: rejected naming its row, or run
+    cp = configparser.ConfigParser()
+    cp.read_string(doc)
+    section, key, f = data.draw(st.sampled_from(_FUZZ_ROWS))
+    value = _typed(f, data.draw(st.sampled_from(
+        _fuzz_values(cp, section, key, f))))
+    if f.name == "center":      # the axis `key` names
+        i = int(key == "center_y")
+        value = cfg.center[:i] + (value,) + cfg.center[i + 1:]
+    try:
+        cfg = replace(cfg, **{f.name: value})
+    except ConfigError as exc:
+        assert re.match(r"\[\w+\] \w+", str(exc)), exc
     with tempfile.TemporaryDirectory() as out:
         rep = run_scenario(cfg, out)
     assert not rep.failed, rep.payload["error"]
