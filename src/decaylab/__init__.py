@@ -6,65 +6,23 @@ machinery behind logarithmic / polynomial / compact-support decay estimates,
 and fits observed decay exponents against the admissible predictions.
 """
 
-from .weights import (
-    Regime,
-    WeightFamily,
-    TheoremConstants,
-    BValue,
-    eval_q,
-    eval_weight,
-    compute_b,
-    compute_constants,
-    verify_weight_inequalities,
-)
-from .grids import (
-    ExteriorGrid,
-    DampingProfile,
-    CutoffPsi,
-    build_grid_1d,
-    build_grid_2d_disk,
-    build_damping,
-    build_psi,
-)
-from .solver import (
-    WaveState,
-    SolverParams,
-    RunResult,
-    solve_damping_scalar,
-    step,
-    run,
-    make_initial_compact,
-    make_initial_weighted,
-    reference_solve,
-)
-from .functionals import (
-    FunctionalSample,
-    DataFunctionals,
-    TrackerConfig,
-    SampleTracker,
-    energy,
-    weighted_energy,
-    weighted_energy_log,
-    X_functional,
-    data_functionals,
-    prop1_inequality_check,
-    observability_ratio,
-    high_energy_check,
-)
-from .decay import (
-    DecayFit,
-    Verdict,
-    fit_decay,
-    theorem_verdict,
-    truncation_contamination,
-)
-from .scenarios import (
-    ScenarioConfig,
-    ScenarioReport,
-    load_config,
-    run_scenario,
-    run_suite,
-)
+from .weights import (Regime, WeightFamily, TheoremConstants, BValue, eval_q,
+                      eval_weight, compute_b, compute_constants,
+                      verify_weight_inequalities)
+from .grids import (ExteriorGrid, DampingProfile, CutoffPsi, build_grid_1d,
+                    build_grid_2d_disk, build_damping, build_psi)
+from .solver import (WaveState, SolverParams, RunResult, solve_damping_scalar,
+                     step, run, make_initial_compact, make_initial_weighted,
+                     reference_solve)
+from .functionals import (FunctionalSample, DataFunctionals, TrackerConfig,
+                          SampleTracker, energy, weighted_energy,
+                          weighted_energy_log, X_functional, data_functionals,
+                          prop1_inequality_check, observability_ratio,
+                          high_energy_check)
+from .decay import (DecayFit, Verdict, fit_decay, theorem_verdict,
+                    truncation_contamination)
+from .scenarios import (ScenarioConfig, ScenarioReport, load_config,
+                        run_scenario, run_suite)
 from . import presets
 
 __version__ = "0.1.0"

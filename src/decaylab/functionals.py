@@ -72,7 +72,8 @@ def energy(state: WaveState, grid: ExteriorGrid) -> float:
 class _SampleContext:
     """One state's nodal densities (e = |grad u|^2 + |u_t|^2, u2, ur1 =
     |u|^(r+1), and their products with a) and weight arguments, each built
-    on first use and shared by every functional evaluated on that state.
+    on first use and shared by every functional evaluated on that state;
+    so are a log family's ln(b+s) and ln ln(b+s), keyed by its ln b.
 
     Grid, state and a are cut to `box`: the box of the state's nonzeros plus
     the 2-node halo of `grad_sq` and `laplacian` (Ellipsis for the whole grid).
@@ -85,13 +86,21 @@ class _SampleContext:
         self.u, self.v, self.t = self.state.u, self.state.v, state.t
         self.a, self.r = None if a is None else a[box], r
         self.vol = grid.cell_volume
-        self._s, self._totals = {}, {}
+        self._s, self._logs, self._totals = {}, {}, {}
 
     def s(self, mu: float, lam: float) -> np.ndarray:
         """The weight argument mu q(x) + lam t."""
         if (mu, lam) not in self._s:
             self._s[mu, lam] = mu * self.grid.q() + lam * self.t
         return self._s[mu, lam]
+
+    def weight(self, family: WeightFamily, entry: tuple, mu: float,
+               lam: float) -> np.ndarray:
+        """`table_weight` of an exponent-table entry at s(mu, lam)."""
+        s, key = self.s(mu, lam), (family.ln_b, mu, lam)
+        if family.regime is Regime.LOG and key not in self._logs:
+            self._logs[key] = family._logs(s)
+        return table_weight(family, entry, s, self._logs.get(key))
 
     def total(self, name: str) -> float:
         """h^d times the sum of a density; "E" is the plain energy.  A
@@ -140,8 +149,7 @@ def weighted_energy(state: WaveState, grid: ExteriorGrid,
 
 def _weighted_energy(c: _SampleContext, family, mu, lam) -> float:
     try:
-        w = table_weight(family, exponent_table(family)[WeightKind.PHI],
-                         c.s(mu, lam))
+        w = c.weight(family, exponent_table(family)[WeightKind.PHI], mu, lam)
     except WeightOverflowError as exc:
         raise WeightOverflowError(
             "phi exceeds the double range; ln E_phi supplied",
@@ -195,10 +203,10 @@ def _x_value(c: _SampleContext, psi, constants, family) -> float:
     if family.r is not None and abs(family.r - constants.r) > 1e-12:
         raise ValueError("family r disagrees with the constant pack")
     table = exponent_table(family, r=constants.r)
-    s = c.s(_mu(family), 1.0)
+    mu = _mu(family)
 
     def w(kind):
-        return table_weight(family, table[kind], s)
+        return c.weight(family, table[kind], mu, 1.0)
 
     one_m_psi = 1.0 - psi.values[c.box]
     vv, vvt = one_m_psi * c.u, one_m_psi * c.v
@@ -335,8 +343,7 @@ def _theorem_members(prefix: str, family: WeightFamily,
                     for entry, dens in specs]
     else:
         def fn(c):
-            s = c.s(1.0, 1.0)
-            return [c.vol * float(np.sum(table_weight(family, entry, s)
+            return [c.vol * float(np.sum(c.weight(family, entry, 1.0, 1.0)
                                          * getattr(c, dens)))
                     for entry, dens in specs]
     return names, fn
@@ -349,10 +356,10 @@ def _prop1_members(cfg: TrackerConfig) -> tuple:
     table = exponent_table(fam)
 
     def fn(c):
-        s = c.s(p.mu, p.lam)
-        phi = table_weight(fam, table[WeightKind.PHI], s)
+        phi = c.weight(fam, table[WeightKind.PHI], p.mu, p.lam)
         # phi' of the phi-role: d/ds of the family's phi
-        phip = np.abs((fam.beta + 1.0) * table_weight(fam, table[WeightKind.F], s))
+        phip = np.abs((fam.beta + 1.0) * c.weight(fam, table[WeightKind.F],
+                                                  p.mu, p.lam))
         return (0.5 * c.vol * float(np.sum(phi * c.e)),
                 c.vol * float(np.sum(phi * c.a_vel_r1)),
                 c.vol * float(np.sum(phip * c.e)))
@@ -367,12 +374,11 @@ def _obs_members(cfg: TrackerConfig) -> tuple:
     inside = cfg.grid.fluid & (cfg.grid.radius <= cfg.obs_R0)
 
     def fn(c):
-        s = c.s(mu, 1.0)
-        f = table_weight(fam, table[WeightKind.F], s)
+        f = c.weight(fam, table[WeightKind.F], mu, 1.0)
         a_vel_obs = c.a * c.v**2 + c.a * np.abs(c.v) ** (2.0 * c.r)
         return (c.vol * float(np.sum((f * c.e)[inside[c.box]])),
                 c.vol * float(np.sum(f * a_vel_obs)),
-                c.vol * float(np.sum(table_weight(fam, table["obs_u2"], s)
+                c.vol * float(np.sum(c.weight(fam, table["obs_u2"], mu, 1.0)
                                      * c.a * c.u2)))
 
     return ["obs.lhs_cum", "obs.rhs_disp_cum", "obs.rhs_u2_cum"], fn

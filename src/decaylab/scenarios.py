@@ -88,7 +88,8 @@ class ScenarioConfig:
     gamma: float | None = _row("scenario", "gamma", None, auto=True)
     epsilon0: float = _row("scenario", "epsilon0", 0.5)
     L: float = _row("scenario", "l", 1.0)
-    a_max: float = _row("scenario", "a_max", 1.0)
+    a_max: float = _row("scenario", "a_max", 1.0, (
+        f"positive, at most {solver.BLOWUP:g}", lambda v: 0.0 < v <= solver.BLOWUP))
     damping_kind: str = _row("scenario", "damping_kind", "exterior_smooth",
                              _one_of(*grids._DAMPING_KINDS), str)
     margin: float = _row("scenario", "margin", 0.8)

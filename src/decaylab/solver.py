@@ -9,19 +9,16 @@ exists), then drifts the displacement:
     v' = root of  v' + dt a(x) |v'|^(r-1) v' = w     (per node)
     u' = u + dt * v'
 
-The nodal solve is monotone with a guaranteed bracket [0, |w|], handled by
-safeguarded Newton/bisection.  The bracket is closed: a Newton iterate is
-bisected only when it falls strictly outside [lo, hi].  An iterate on the
-bracket's edge is the converged value of a node whose residual is 0 or
-negative within round-off (it set lo = v), so it is kept.  The solve runs
-only on the active nodes, where dt a != 0 and w != 0: elsewhere v' = w
-exactly, so the result is bit-identical to solving every node (damping is
-localized, and compact data leave most of the grid at rest).  Results match
-the earlier rule, which also bisected iterates on the bracket's edge, only
-within the solver tolerance.  Newton stops once every residual is within the
-absolute tolerance; a solve that has not reached it after `max_iter`
-iterations raises FloatingPointError unless each residual is within
-tol * max(1, |w|), the limit round-off sets for large |w|.
+The nodal solve is plain Newton on |v'|: the map v + c v^r - |w| is
+increasing and convex on [0, |w|], and the starting guess lies at or below
+its root, so the first update lands in [root, |w|] and every later one falls
+monotonically to the root; no bracket is needed.  The solve runs only on the
+active nodes, where dt a != 0 and w != 0: elsewhere v' = w exactly, so the
+result is bit-identical to solving every node (damping is localized, and
+compact data leave most of the grid at rest).  Newton stops once every
+residual is within the absolute tolerance; a solve that has not reached it
+after `max_iter` iterations raises FloatingPointError unless each residual
+is within tol * max(1, |w|), the limit round-off sets for large |w|.
 
 A step moves a nonzero value by at most one node, so `run` works on the box of
 the nonzeros, widened by the steps to the next re-window plus a 2-node halo
@@ -36,8 +33,11 @@ quadratic form
     E* = 1/2 ||v||^2 + 1/2 <K u, u> - dt/2 <K v, u>
 
 exactly (up to roundoff); with a >= 0 each step subtracts a nonnegative
-dissipation from it.  That form is the per-step energy monitor; the
-continuum energy's nodal quadrature lives in `functionals.energy`.
+dissipation from it.  That form is the per-step energy monitor; u and v
+vanish on every Dirichlet node and on the array border, so summation by parts
+turns it into 1/2 h^d (v.v - u.Lap_h u + dt v.Lap_h u), and `run` computes
+Lap_h(u) once per step for the monitor and the next kick.  The continuum
+energy's nodal quadrature lives in `functionals.energy`.
 
 A fully implicit midpoint integrator (`reference_solve`) cross-validates the
 main stepper on small instances.
@@ -130,31 +130,35 @@ def _gather(x: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
 
 
 def _newton_abs(c, aw, r, tol, max_iter):
-    """|v| with |v| + c|v|^r = aw per node: Newton kept inside [lo, hi].
-
-    [lo, hi] starts as [0, aw] and shrinks around the root; an iterate
-    strictly outside it is replaced by its midpoint.
+    """|v| with |v| + c|v|^r = aw per node, by Newton from a guess below
+    the root, which needs no bracket (see the module docstring).
 
     Every node runs until the worst residual is at most tol.  After max_iter
     steps the result stands if each residual is within tol * max(1, aw):
     round-off keeps residuals near a few ulps of aw, so an absolute tol is
     out of reach once aw is large.  Otherwise raises FloatingPointError.
+    Small arrays take as long to allocate as to compute, so the guess
+    aw / (1 + c aw^(r-1)), g = v + c v p - aw and v -= g / (1 + rc p) are
+    formed in place, in that order of operations.
     """
-    lo = np.zeros_like(aw)
-    hi = aw.copy()
     rc = r * c
-    v = aw / (1.0 + c * aw ** (r - 1.0))
+    v = aw ** (r - 1.0)
+    v *= c
+    v += 1.0
+    np.divide(aw, v, out=v)
+    g, d = np.empty_like(v), np.empty_like(v)
     for _ in range(max_iter):
         p = v ** (r - 1.0)          # one power serves g and its derivative
-        g = v + c * v * p - aw
-        if np.max(np.abs(g)) <= tol:
+        np.multiply(c, v, out=g)
+        g *= p
+        g += v
+        g -= aw
+        if np.abs(g, out=d).max() <= tol:
             return v
-        up = g > 0.0
-        hi = np.where(up, v, hi)
-        lo = np.where(up, lo, v)
-        newton = v - g / (1.0 + rc * p)
-        outside = (newton < lo) | (newton > hi)
-        v = np.where(outside, 0.5 * (lo + hi), newton)
+        np.multiply(rc, p, out=d)
+        d += 1.0
+        g /= d
+        v -= g
     res = np.abs(v + c * v * v ** (r - 1.0) - aw)
     bad = ~(res <= tol * np.maximum(1.0, aw))
     if not bad.any():
@@ -166,7 +170,7 @@ def _newton_abs(c, aw, r, tol, max_iter):
 
 
 def _solve_damping_field(c, w, r, tol, max_iter=90):
-    """Vector root of v + c|v|^(r-1) v = w: safeguarded Newton on |v|.
+    """Vector root of v + c|v|^(r-1) v = w: Newton on |v|.
 
     Only nodes with c != 0 and w != 0 are solved; every other node returns
     w itself (-0.0 as +0.0).  Newton is elementwise and those nodes have a
@@ -177,14 +181,17 @@ def _solve_damping_field(c, w, r, tol, max_iter=90):
     """
     active = (c != 0.0) & (w != 0.0)
     if 2 * np.count_nonzero(active) >= active.size:
-        return np.sign(w) * _newton_abs(c, np.abs(w), r, tol, max_iter)
+        v = _newton_abs(c, np.abs(w), r, tol, max_iter)
+        v *= np.sign(w)
+        return v
     idx = np.flatnonzero(active)
     out = w + 0.0
     if idx.size:
         size = -(-idx.size // _BLOCK) * _BLOCK
         ws = _gather(w, idx, size)
         v = _newton_abs(_gather(c, idx, size), np.abs(ws), r, tol, max_iter)
-        np.put(out, idx, (np.sign(ws) * v)[:idx.size])
+        v *= np.sign(ws)
+        np.put(out, idx, v[:idx.size])
     return out
 
 
@@ -193,7 +200,8 @@ def solve_damping_scalar(c: float, w: float, r: float,
     """Unique root v of v + c |v|^(r-1) v = w (c >= 0, r > 1).
 
     The map is strictly increasing, so sign(v) = sign(w) and |v| <= |w|;
-    bisection on [0, |w|] always brackets, Newton accelerates inside it.
+    on |v| it is also convex, and Newton from a guess below the root
+    converges monotonically from above after its first update.
     """
     if c < 0.0:
         raise ValueError("damping scale c must be nonnegative")
@@ -236,12 +244,17 @@ def edge_form(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
         + float(np.sum(np.diff(u1, axis=1) * np.diff(u2, axis=1))))
 
 
-def solver_energy(grid: ExteriorGrid, state: WaveState, dt: float) -> float:
-    """Two-level leapfrog energy: exactly conserved by the undamped scheme."""
-    vol = grid.cell_volume
-    kin = 0.5 * vol * float(np.sum(state.v * state.v))
-    return (kin + 0.5 * edge_form(grid, state.u, state.u)
-            - 0.5 * dt * edge_form(grid, state.v, state.u))
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b); a strided 2D window is read in place, not copied."""
+    flat = a.flags.c_contiguous and b.flags.c_contiguous
+    return float(np.vdot(a, b) if flat else np.einsum("ij,ij->", a, b))
+
+
+def solver_energy(grid: ExteriorGrid, state: WaveState, dt: float,
+                  lap: np.ndarray) -> float:
+    """Two-level leapfrog energy E*, summed by parts with lap = Lap_h(u)."""
+    u, v = state.u, state.v
+    return 0.5 * grid.cell_volume * (_dot(v, v) - _dot(u, lap) + dt * _dot(v, lap))
 
 
 def _support_box(u: np.ndarray, v: np.ndarray, pad: int):
@@ -273,26 +286,34 @@ def support_radius(grid: ExteriorGrid, state: WaveState, threshold: float) -> fl
 BLOWUP = 1e100
 
 def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
-         params: SolverParams) -> tuple[WaveState, float]:
+         params: SolverParams, lap: np.ndarray | None = None,
+         c: np.ndarray | None = None) -> tuple[WaveState, float]:
     """One semi-implicit leapfrog step; returns (new state, dissipation increment).
 
     The increment is dt * sum h^d a |v'|^(r+1), the discrete counterpart of
-    the energy-identity dissipation over the step.
+    the energy-identity dissipation over the step.  A caller that holds
+    `lap` = Lap_h(state.u) and `c` = dt * damping.values passes them in.
     """
     dt = params.dt
-    w = state.v + dt * laplacian(grid, state.u)
+    lap = laplacian(grid, state.u) if lap is None else lap
+    w = dt * lap
+    w += state.v
     grid.clamp_dirichlet(w)
-    v_new = _solve_damping_field(dt * damping.values, w, params.r, _DAMPING_TOL)
+    c = dt * damping.values if c is None else c
+    v_new = _solve_damping_field(c, w, params.r, _DAMPING_TOL)
     grid.clamp_dirichlet(v_new)
-    u_new = state.u + dt * v_new
+    u_new = dt * v_new
+    u_new += state.u
     grid.clamp_dirichlet(u_new)
-    peak = max(float(np.max(np.abs(u_new))), float(np.max(np.abs(v_new))))
+    av = np.abs(v_new)
+    peak = float(np.abs(u_new).max(initial=av.max()))
     if not math.isfinite(peak) or peak > BLOWUP:
         raise FloatingPointError(
             f"field magnitude {peak:.3g} at t = {state.t + dt:.6g}; "
             "check the CFL bound and damping parameters")
-    diss = dt * grid.cell_volume * float(np.sum(
-        damping.values * np.abs(v_new) ** (params.r + 1.0)))
+    av **= params.r + 1.0
+    av *= damping.values
+    diss = dt * grid.cell_volume * float(av.sum())
     return WaveState(u_new, v_new, state.t + dt), diss
 
 
@@ -339,14 +360,16 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
 
     def window(st):     # every node that can be nonzero until the next call
         box = _support_box(st.u, st.v, _REWINDOW + 2)
-        if box is None:
-            return box, grid, damping, st
-        return (box, grid.window(box), replace(damping, values=damping.values[box]),
-                WaveState(st.u[box], st.v[box], st.t))
+        g, d = grid, damping
+        if box is not None:
+            g, d = grid.window(box), replace(damping, values=damping.values[box])
+            st = WaveState(st.u[box], st.v[box], st.t)
+        # Lap_h(u) serves E* and the next kick; c = dt a serves every solve
+        return box, g, d, st, laplacian(g, st.u), params.dt * d.values
 
-    box, g, d, sub = window(state)
+    box, g, d, sub, lap, c = window(state)
     E = np.empty(n_steps + 1)
-    E[0] = solver_energy(g, sub, params.dt)
+    E[0] = solver_energy(g, sub, params.dt, lap)
     D_cum = 0.0
     result = RunResult(samples=[], final_state=state, E_steps=E, D_cum=0.0,
                        n_steps=n_steps, dt=params.dt)
@@ -374,13 +397,14 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     take_sample(state, 0)
 
     for n in range(1, n_steps + 1):
-        sub, diss = step(sub, g, d, params)
+        sub, diss = step(sub, g, d, params, lap, c)
+        lap = laplacian(g, sub.u)
         if box is None:
             state = sub
         else:
             state.u[box], state.v[box], state.t = sub.u, sub.v, sub.t
         D_cum += diss
-        E[n] = solver_energy(g, sub, params.dt)
+        E[n] = solver_energy(g, sub, params.dt, lap)
         if E[n] > E[n - 1] * (1.0 + 1e-12) and E[n - 1] > 0.0:
             result.mono_violations += 1
             result.mono_worst = max(result.mono_worst, E[n] / E[n - 1] - 1.0)
@@ -389,7 +413,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
                 check_cone(sub)
             take_sample(state, n)
         if box is not None and n % _REWINDOW == 0:
-            box, g, d, sub = window(state)
+            box, g, d, sub, lap, c = window(state)
 
     result.final_state = state
     result.D_cum = D_cum
@@ -413,13 +437,19 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != grid.dim:
         raise ValueError(f"center must have {grid.dim} coordinates")
+    # the bump's box: one node more per side than the nodes within `radius`
+    # of the centre along each (ascending) axis
+    axes = grid.coords if grid.dim == 1 else (grid.coords[0][:, 0], grid.coords[1][0])
+    box = tuple(slice(max(lo - 1, 0), hi + 1) for lo, hi in (
+        np.searchsorted(ax, (ck - radius, ck + radius)).tolist()
+        for ax, ck in zip(axes, center)))
+    x = [coord[box] for coord in grid.coords]
     if grid.dim == 1:
-        dist = np.abs(grid.coords[0] - center[0])
+        dist = np.abs(x[0] - center[0])
     else:
-        dist = np.sqrt((grid.coords[0] - center[0]) ** 2
-                       + (grid.coords[1] - center[1]) ** 2)
+        dist = np.sqrt((x[0] - center[0]) ** 2 + (x[1] - center[1]) ** 2)
     inside = dist < radius
-    if np.any(inside & ~grid.fluid):
+    if np.any(inside & ~grid.fluid[box]):
         raise ValueError("bump support touches a Dirichlet node "
                          "(obstacle or truncation boundary)")
     if R is not None:
@@ -428,7 +458,9 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
             raise ValueError(f"bump support B({center}, {radius}) leaves the "
                              f"declared ball B_R, R = {R} (reach {reach:.4g})")
     z = np.where(inside, dist / radius, 1.0)
-    bump = amplitude * np.where(inside, (1.0 - z * z) ** 3, 0.0)
+    # off the box the bump is amplitude * 0.0, signed zero included
+    bump = np.full(grid.shape, amplitude * 0.0)
+    bump[box] = amplitude * np.where(inside, (1.0 - z * z) ** 3, 0.0)
     u = bump if mode in ("bump_u", "both") else grid.zeros()
     v = bump if mode in ("bump_v", "both") else grid.zeros()
     return WaveState(u.copy(), v.copy(), 0.0)

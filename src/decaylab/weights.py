@@ -176,6 +176,11 @@ class WeightFamily:
             ln_s = np.log(s)
         return np.logaddexp(self.ln_b, ln_s)
 
+    def _logs(self, s):
+        """(ln(b+s), ln ln(b+s)): the two logarithms of every log weight."""
+        L = self.ln_bs(s)
+        return L, np.log(L)
+
     def log_weight(self, A: float, M: float, s):
         """ln(clock^A / base^M) at s.
 
@@ -184,8 +189,8 @@ class WeightFamily:
         (compact), so A ln(base) - M ln(base).
         """
         if self.regime is Regime.LOG:
-            L = self.ln_bs(s)
-            return A * np.log(L) - M * L
+            L, ln_L = self._logs(s)
+            return A * ln_L - M * L
         ln_base = np.log(self._offset + np.asarray(s, dtype=float))
         return A * ln_base - M * ln_base
 
@@ -210,16 +215,6 @@ def eval_q(x) -> np.ndarray | float:
     else:
         r = np.abs(x)
     return np.hypot(1.0, r)
-
-
-def _signed_exp(sign, log_mag):
-    """sign * exp(log_mag); underflow to 0, overflow raises."""
-    log_mag = np.asarray(log_mag, dtype=float)
-    if np.any(log_mag > _LN_MAX):
-        raise WeightOverflowError("weight value exceeds double range",
-                                  float(np.max(log_mag)))
-    with np.errstate(over="raise"):
-        return sign * np.exp(log_mag)
 
 
 @functools.lru_cache(maxsize=256)
@@ -268,24 +263,30 @@ def exponent_table(family: WeightFamily, gamma: float = math.nan,
     return {k: (A, 0.0, p) for k, (_, (A, p)) in rows.items() if k not in skip}
 
 
-def table_weight(family: WeightFamily, entry: tuple, s):
+def table_weight(family: WeightFamily, entry: tuple, s, logs=None):
     """Value of one exponent-table entry of `family` at s.
 
     Power regimes take base ** (A - M), with M = 0 in their tables (a
     Python float for a float s); the log regime exponentiates its log-space
     value, so overflow raises WeightOverflowError and underflow gives 0.0.
+    `logs` is `family._logs(s)` when the caller holds it.
     """
     A, M, p = entry
     if family.regime is not Regime.LOG:
         w = (family._offset + s) ** (A - M)
         return w if p is None else p * w
-    if p is None:
-        return _signed_exp(1.0, family.log_weight(A, M, s))
-    L = family.ln_bs(s)
-    p = p(L)
-    with np.errstate(divide="ignore"):
-        ln_p = np.log(np.abs(p))
-    return _signed_exp(np.sign(p), A * np.log(L) + ln_p - M * L)
+    L, ln_L = family._logs(s) if logs is None else logs
+    ln_w = A * ln_L                 # A ln L (+ ln|p|) - M L, in place
+    if p is not None:
+        p = p(L)
+        with np.errstate(divide="ignore"):
+            ln_w += np.log(np.abs(p))
+    ln_w -= M * L
+    if (ln_w > _LN_MAX).any():      # exp(_LN_MAX) is finite: no overflow below
+        raise WeightOverflowError("weight value exceeds double range",
+                                  float(np.max(ln_w)))
+    w = np.exp(ln_w)
+    return w if p is None else np.sign(p) * w
 
 
 def eval_weight(family: WeightFamily, which: WeightKind | str, s):

@@ -22,8 +22,10 @@ from decaylab.grids import (CutoffPsi, build_damping, build_grid_1d,
                             build_grid_2d_disk, build_psi)
 from decaylab.solver import (ConeSpec, SolverParams, WaveState, laplacian,
                              make_initial_compact, make_initial_weighted, run)
+from decaylab import functionals
 from decaylab.weights import (WeightFamily, WeightKind, WeightOverflowError,
-                              compute_constants, eval_weight)
+                              compute_constants, eval_weight, exponent_table,
+                              table_weight)
 
 
 def _setup_1d(n=600, x_max=30.0, alpha=0.0, kind="constant", eps0=1.0,
@@ -345,6 +347,36 @@ def test_tracker_E_phi_and_X_match_public_functionals(theorem):
     assert last.E_phi == weighted_energy(state, grid, fam, mu, 1.0)
     assert last.X == X_functional(state, grid, psi, damping, consts, fam)
     assert last.X != 0.0
+
+
+def test_t1_sample_takes_ln_b_plus_s_once_per_family(monkeypatch):
+    # ln(b+s) and ln ln(b+s) are shared by every weight row of a sample
+    grid, damping, psi, consts, fam, tracker = _regime_tracker("T1")
+    state = make_initial_weighted(grid, 10.0, fam, consts.gamma)
+    calls = []
+    real = WeightFamily.ln_bs
+
+    def counting(self, s):
+        calls.append(self.ln_b)
+        return real(self, s)
+
+    monkeypatch.setattr(WeightFamily, "ln_bs", counting)
+    sample = tracker.sample(state, 0.0, 1.0)
+    ln_bs = {f.ln_b for _, f in tracker.cfg.bundle_sets}
+    assert len(ln_bs) == 2 and fam.ln_b in ln_bs
+    assert sorted(calls) == sorted(ln_bs)
+    assert sample.X != 0.0 and math.isfinite(sample.E_phi)
+
+
+def test_sample_weights_match_uncached_table_weight():
+    grid, damping, psi, consts, fam, tracker = _regime_tracker("T1")
+    state = make_initial_weighted(grid, 10.0, fam, consts.gamma)
+    ctx = functionals._SampleContext(grid, state)
+    s = ctx.s(1.0, 1.0)
+    for family in (fam, tracker.cfg.bundle_sets[0][1]):
+        for entry in exponent_table(family, consts.gamma, 1.5).values():
+            want = table_weight(family, entry, s)
+            assert ctx.weight(family, entry, 1.0, 1.0).tobytes() == want.tobytes()
 
 
 def test_log_bundle_overflow_raises():

@@ -686,6 +686,8 @@ def test_2d_center_errors_name_the_key_read():
     ("t2", "x_max", 1e300, "[grid] x_max"),
     ("2d", "h", 1e-9, "[grid] r_out"),          # 2e20 nodes, 2e9 steps
     ("t2", "h", 1e-300, "[time] t_max"),        # the steps run out first
+    ("t2", "a_max", 1e300, "[scenario] a_max"),     # the blow-up guard
+    ("t3", "a_max", 1e300, "[scenario] a_max"),
 ])
 def test_magnitudes_beyond_numpy_arrays_fail_at_load(base, name, value, named):
     # the blow-up guard bounds the data; numpy's largest array bounds the
@@ -697,6 +699,15 @@ def test_magnitudes_beyond_numpy_arrays_fail_at_load(base, name, value, named):
         load_config(text)
     with pytest.raises(ConfigError, match=msg):
         replace(load_config(_BASES[base]), **{name: value})
+
+
+def test_a_max_at_the_blowup_guard_loads_and_runs(tmp_path):
+    # a_max = 1e100 makes dt * a huge; the nodal solve still converges
+    text = _with(presets.get("t2-poly-1d"), ("scenario", "a_max", "1e100"),
+                 ("time", "t_max", "10"))
+    rep = run_scenario(load_config(text), tmp_path)
+    assert not rep.failed
+    assert rep.payload["config"]["a_max"] == 1e100
 
 
 @pytest.mark.parametrize("flag, value, row", [

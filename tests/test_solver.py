@@ -77,8 +77,23 @@ def test_damping_solve_properties(c, w, r):
 
 
 def dense_newton_oracle(c, w, r, tol, max_iter=90):
-    """Whole-grid safeguarded Newton, as the field solve ran before it
-    restricted itself to active nodes."""
+    """Whole-grid Newton, as the field solve ran before it restricted itself
+    to active nodes."""
+    sign = np.sign(w)
+    aw = np.abs(w)
+    v = aw / (1.0 + c * aw ** (r - 1.0))
+    for _ in range(max_iter):
+        p = v ** (r - 1.0)
+        g = v + c * v * p - aw
+        if np.max(np.abs(g)) <= tol:
+            break
+        v = v - g / (1.0 + r * c * p)
+    return sign * v
+
+
+def bracketed_newton_oracle(c, w, r, tol, max_iter=90):
+    """Whole-grid Newton kept inside [lo, hi], as the field solve ran while
+    it carried a bisection safeguard."""
     sign = np.sign(w)
     aw = np.abs(w)
     lo = np.zeros_like(aw)
@@ -139,6 +154,34 @@ def test_active_node_solve_bit_identical_to_dense(regime, shape, frac, r, seed):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(min_value=1.0, max_value=3.0, exclude_min=True),
+       n=st.integers(min_value=1, max_value=3000),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_matches_bracketed_newton_on_weighted_like_fields(r, n, seed):
+    # the safeguard never fires on such fields: dropping it changes no bit
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.005, 0.05, n)
+    w = rng.uniform(-1.6, 1.6, n)
+    got = sv._solve_damping_field(c, w, r, 1e-12)
+    assert got.tobytes() == bracketed_newton_oracle(c, w, r, 1e-12).tobytes()
+
+
+def test_solve_within_tol_of_bisection_on_mixed_fields():
+    # stiff nodes (c up to 1e6) too, where the bracketed loop bisected on
+    # some fields: the solve without it stays within tol of the bisection
+    changed = 0
+    for seed in range(8):
+        r = 1.001 + 1.999 * (seed % 4) / 3
+        c, w = _mixed_field((45, 50), 1500, seed)
+        got = sv._solve_damping_field(c, w, r, 1e-12)
+        want = np.array([bisect_oracle(ci, wi, r)
+                         for ci, wi in zip(c.ravel(), w.ravel())])
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-12
+        changed += got.tobytes() != bracketed_newton_oracle(c, w, r, 1e-12).tobytes()
+    assert changed
+
+
 def test_field_solve_raises_when_unconverged():
     # stiff node: v ~ (w/c)^(1/r) is far from the starting guess
     with pytest.raises(FloatingPointError, match="in 3 iterations"):
@@ -153,7 +196,7 @@ def test_field_solve_raises_when_unconverged():
 
 
 def test_field_solve_keeps_converged_nodes():
-    # Newton iterates on the bracket's edge are kept, not bisected, so this
+    # Newton falls monotonically to the root from its first update, so this
     # weighted-data-like field converges well inside max_iter = 3
     rng = np.random.default_rng(0)
     c = rng.uniform(0.005, 0.05, 2001)
@@ -369,6 +412,45 @@ def test_compact_bump_validation():
         make_initial_compact(grid, 5.0, 1.0, 1.0, "bump_u", R=4.0)
 
 
+def _whole_grid_bump(grid, center, radius, amplitude, mode):
+    """The bump evaluated on every node, as `make_initial_compact` once did."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if grid.dim == 1:
+        dist = np.abs(grid.coords[0] - center[0])
+    else:
+        dist = np.sqrt((grid.coords[0] - center[0]) ** 2
+                       + (grid.coords[1] - center[1]) ** 2)
+    inside = dist < radius
+    z = np.where(inside, dist / radius, 1.0)
+    bump = amplitude * np.where(inside, (1.0 - z * z) ** 3, 0.0)
+    u = bump if mode in ("bump_u", "both") else grid.zeros()
+    v = bump if mode in ("bump_v", "both") else grid.zeros()
+    return u, v
+
+
+@pytest.mark.parametrize("dim, center, radius, amplitude, mode", [
+    (1, 5.0, 1.0, 2.5, "bump_u"),       # support ends exactly on nodes
+    (1, 5.003, 0.7, -1.0, "both"),      # -0.0 off the support
+    (1, 1.0, 0.5, 1.0, "bump_v"),       # support open at the wall: box from 0
+    (1, 9.5, 0.5, 3.0, "both"),         # ... and to the last node
+    (2, (3.5, 0.0), 1.0, 1.0, "bump_u"),
+    (2, (-2.25, 1.5), 0.75, -4.0, "both"),
+    (2, (9.0, 9.0), 1.0, 1.0, "both"),  # open at the outer square's corner
+])
+def test_compact_bump_on_box_byte_identical_to_whole_grid(
+        dim, center, radius, amplitude, mode):
+    if dim == 1:
+        grid = build_grid_1d(0.5, 10.0, 950)
+    else:
+        grid = build_grid_2d_disk(1.0, 10.0, 10.0)
+    state = make_initial_compact(grid, center, radius, amplitude, mode)
+    u, v = _whole_grid_bump(grid, center, radius, amplitude, mode)
+    assert np.count_nonzero(state.u) + np.count_nonzero(state.v) > 0
+    assert state.u.tobytes() == u.tobytes()
+    assert state.v.tobytes() == v.tobytes()
+    assert state.u is not state.v
+
+
 def test_weighted_data_tail_negligible_at_large_sigma():
     grid = build_grid_1d(0.0, 100.0, 2000)
     state = make_initial_weighted(grid, sigma=20.0, weight_check=None, gamma=1.0)
@@ -491,6 +573,58 @@ def test_step_dissipation_bit_equal_to_full_sum(case):
         state = new
 
 
+def _edge_energy(grid, state, dt):
+    """E* from the edge forms, before summation by parts."""
+    return (0.5 * grid.cell_volume * float(np.sum(state.v * state.v))
+            + 0.5 * sv.edge_form(grid, state.u, state.u)
+            - 0.5 * dt * sv.edge_form(grid, state.v, state.u))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("windowed", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_solver_energy_matches_edge_form(dim, windowed, seed):
+    # random states, zero on the Dirichlet nodes (1D ends, 2D obstacle and
+    # outer square); windowed ones are cut to their nonzeros plus a 2-node
+    # halo, which leaves strided views in 2D
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        grid, center = build_grid_1d(0.5, 12.0, 400), 4.0
+    else:
+        grid, center = build_grid_2d_disk(1.0, 4.0, 8.0), (2.5, 0.5)
+    dt = SolverParams.for_grid(grid, 0.9, 1.5, T_max=0.0).dt
+    u, v = (rng.uniform(-1.0, 1.0, grid.shape) for _ in range(2))
+    if windowed:
+        mask = make_initial_compact(grid, center, 1.0, 1.0, "bump_u").u != 0.0
+        u, v = u * mask, v * mask
+    state = WaveState(grid.clamp_dirichlet(u), grid.clamp_dirichlet(v))
+    want = _edge_energy(grid, state, dt)
+    box = sv._support_box(u, v, 2) if windowed else ...
+    assert (box is not ...) == windowed
+    g, sub = grid.window(box), WaveState(u[box], v[box])
+    if windowed and dim == 2:
+        assert not sub.u.flags.c_contiguous
+    got = sv.solver_energy(g, sub, dt, sv.laplacian(g, sub.u))
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_whole_grid_run_takes_one_laplacian_per_step(monkeypatch):
+    # Lap_h(u_n) serves E*[n] and the kick of step n + 1
+    grid, damping, params, state = _stepping_cases()[2]     # weighted data
+    params = SolverParams(dt=params.dt, r=params.r, T_max=25 * params.dt)
+    calls = []
+    real = sv.laplacian
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(sv, "laplacian", counting)
+    res = run(grid, damping, state, params)
+    assert res.n_steps == 25
+    assert len(calls) == 26 and all(g is grid for g in calls)
+
+
 def _padded_box(state, pad):
     """Bounding box of the nonzeros of u or v, widened by pad and clipped."""
     idx = np.nonzero((state.u != 0.0) | (state.v != 0.0))
@@ -537,12 +671,12 @@ def _whole_grid_loop(grid, damping, state, params):
     grid.clamp_dirichlet(st.u)
     grid.clamp_dirichlet(st.v)
     n_steps = int(round(params.T_max / params.dt))
-    E = [sv.solver_energy(grid, st, params.dt)]
+    E = [sv.solver_energy(grid, st, params.dt, sv.laplacian(grid, st.u))]
     D = 0.0
     for _ in range(n_steps):
         st, diss = step(st, grid, damping, params)
         D += diss
-        E.append(sv.solver_energy(grid, st, params.dt))
+        E.append(sv.solver_energy(grid, st, params.dt, sv.laplacian(grid, st.u)))
     return st, np.array(E), D
 
 
