@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import CutoffPsi, DampingProfile, ExteriorGrid
-from .solver import WaveState, _support_box, edge_form, laplacian
+from .solver import WaveState, _support_box, _within, edge_form, laplacian
 from .weights import (Regime, TheoremConstants, WeightFamily, WeightKind,
                       WeightOverflowError, eval_weight, exponent_table,
                       table_weight)
@@ -77,12 +77,19 @@ class _SampleContext:
 
     Grid, state and a are cut to `box`: the box of the state's nonzeros plus
     the 2-node halo of `grad_sq` and `laplacian` (Ellipsis for the whole grid).
-    Every density vanishes outside it."""
+    Every density vanishes outside it.  A state held on the index box `window`
+    of the grid alone (zero elsewhere) is scanned there; the halo must fit."""
 
-    def __init__(self, grid: ExteriorGrid, state: WaveState, a=None, r=None):
-        self.box = box = _support_box(state.u, state.v, 2) or ...
+    def __init__(self, grid: ExteriorGrid, state: WaveState, a=None, r=None,
+                 window=None):
+        self.box = box = _support_box(state.u, state.v, 2, window,
+                                      grid.shape) or window or ...
+        if window is not None and any(b.start < w.start or b.stop > w.stop
+                                      for b, w in zip(box, window)):
+            raise ValueError("the 2-node halo of the state's support leaves its window")
+        cut = box if window is None else _within(box, window)
         self.grid, self.state = grid.window(box), WaveState(
-            state.u[box], state.v[box], state.t)
+            state.u[cut], state.v[cut], state.t)
         self.u, self.v, self.t = self.state.u, self.state.v, state.t
         self.a, self.r = None if a is None else a[box], r
         self.vol = grid.cell_volume
@@ -162,8 +169,9 @@ def weighted_energy_log(state: WaveState, grid: ExteriorGrid,
     """ln E_phi computed fully in log space (stable for extreme weights)."""
     c = _SampleContext(grid, state)
     A, M, _ = exponent_table(family)[WeightKind.PHI]
-    ln_w = family.log_weight(A, M, c.s(mu, lam))
     dens = c.e
+    # one node stands for all when ln(b+s) is the same everywhere
+    ln_w = np.broadcast_to(family.log_weight(A, M, c.s(mu, lam)), dens.shape)
     pos = dens > 0.0
     if not pos.any():
         return -math.inf
@@ -371,12 +379,12 @@ def _obs_members(cfg: TrackerConfig) -> tuple:
     fam = cfg.family
     table = exponent_table(fam)
     mu = _mu(fam)
-    inside = cfg.grid.fluid & (cfg.grid.radius <= cfg.obs_R0)
 
     def fn(c):
         f = c.weight(fam, table[WeightKind.F], mu, 1.0)
         a_vel_obs = c.a * c.v**2 + c.a * np.abs(c.v) ** (2.0 * c.r)
-        return (c.vol * float(np.sum((f * c.e)[inside[c.box]])),
+        inside = c.grid.fluid & (c.grid.radius <= cfg.obs_R0)
+        return (c.vol * float(np.sum((f * c.e)[inside])),
                 c.vol * float(np.sum(f * a_vel_obs)),
                 c.vol * float(np.sum(c.weight(fam, table["obs_u2"], mu, 1.0)
                                      * c.a * c.u2)))
@@ -405,9 +413,8 @@ class SampleTracker:
             self.groups.append(_prop1_members(cfg))
         if cfg.obs_R0 is not None and cfg.family is not None:
             self.groups.append(_obs_members(cfg))
-        band_mask = cfg.grid.boundary_band(4.0 * cfg.grid.h)
         self.groups.append((["diag.trunc_band_energy"], lambda c: [
-            0.5 * c.vol * float(np.sum(c.e[band_mask[c.box]]))]))
+            0.5 * c.vol * float(np.sum(c.e[c.grid.boundary_band(4.0 * c.grid.h)]))]))
         self._names = [n for names, _ in self.groups for n in names]
         self._prev_t = None
         self._stride = None
@@ -419,10 +426,12 @@ class SampleTracker:
     def bundle_names(self) -> list[str]:
         return self._names + ["diag.E_solver", "diag.identity_defect"]
 
-    def sample(self, state: WaveState, D_cum: float,
-               E_solver: float) -> FunctionalSample:
+    def sample(self, state: WaveState, D_cum: float, E_solver: float,
+               box=None) -> FunctionalSample:
+        """Sample of `state`, held on the index box `box` of the grid (None: the
+        whole grid) and zero elsewhere; a non-finite column is an error."""
         cfg = self.cfg
-        ctx = _SampleContext(cfg.grid, state, cfg.damping.values, cfg.r)
+        ctx = _SampleContext(cfg.grid, state, cfg.damping.values, cfg.r, box)
         E_plain = ctx._totals["E"] = energy(ctx.state, ctx.grid)
         # E_phi and X first, while few per-sample arrays are live
         if cfg.family is None:
@@ -465,10 +474,16 @@ class SampleTracker:
 
         D_weighted = bundle.get(self._disp_key, 0.0) if self._disp_key else 0.0
 
-        return FunctionalSample(
+        out = FunctionalSample(
             t=state.t, E=E_plain, E_phi=E_phi, X=X, D_cum=D_cum,
             D_weighted_cum=D_weighted, bundle=bundle,
             high_energy=self._high_energy(*cut))
+        row = {**vars(out), **bundle}
+        for name in _FIXED_COLUMNS + self.bundle_names + ["high_energy"]:
+            if not math.isfinite(row[name]):
+                raise FloatingPointError(
+                    f"sampled column {name} is {row[name]} at t = {state.t:.6g}")
+        return out
 
     def _high_energy(self, grid: ExteriorGrid, state: WaveState, a) -> float:
         """||grad v||^2 + ||u_tt||^2 with u_tt rebuilt from the equation."""

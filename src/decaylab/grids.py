@@ -86,19 +86,25 @@ class ExteriorGrid:
         return q
 
     def window(self, box) -> "ExteriorGrid":
-        """The grid on an index box: views of its node arrays, q and mask."""
+        """The grid on an index box (Ellipsis: the grid itself): views of its
+        node arrays, and of q and the mask where the grid has built them;
+        otherwise the window builds its own, node for node the same."""
+        if box is ...:
+            return self
         sub = replace(self, shape=self.fluid[box].shape, fluid=self.fluid[box],
                       radius=self.radius[box], coords=tuple(c[box] for c in self.coords))
-        sub.__dict__.update(_q=self._q[box], _pinned=self._pinned[box])
+        sub.__dict__.update({k: self.__dict__[k][box] for k in ("_q", "_pinned")
+                             if k in self.__dict__})
         return sub
 
     def boundary_band(self, width: float) -> np.ndarray:
         """Fluid nodes within ``width`` of the outer truncation boundary."""
         if self.dim == 1:
             return self.fluid & (self.coords[0] >= self.x_max - width)
+        # max(|x|, |y|) >= edge, tested per axis: x varies along axis 0 only
         x, y = self.coords
-        edge = np.maximum(np.abs(x), np.abs(y))
-        return self.fluid & (edge >= self.r_out - width)
+        edge = self.r_out - width
+        return self.fluid & ((np.abs(x[:, :1]) >= edge) | (np.abs(y[:1]) >= edge))
 
 
 def build_grid_1d(alpha: float, x_max: float, n_cells: int) -> ExteriorGrid:

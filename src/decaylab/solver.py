@@ -22,7 +22,8 @@ is within tol * max(1, |w|), the limit round-off sets for large |w|.
 
 A step moves a nonzero value by at most one node, so `run` works on the box of
 the nonzeros, widened by the steps to the next re-window plus a 2-node halo
-and clipped to the grid, and writes each step back into the full arrays.
+and clipped to the grid, and holds the state on that window alone: it never
+copies the caller's arrays, and builds the full final state only on request.
 States are bit-identical to whole-grid stepping; E*, the dissipation and the
 sampled sums differ only in summation order.  Weighted data fill the grid, so
 their box is the whole grid and they take the whole-grid path.
@@ -46,7 +47,8 @@ main stepper on small instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -257,17 +259,37 @@ def solver_energy(grid: ExteriorGrid, state: WaveState, dt: float,
     return 0.5 * grid.cell_volume * (_dot(v, v) - _dot(u, lap) + dt * _dot(v, lap))
 
 
-def _support_box(u: np.ndarray, v: np.ndarray, pad: int):
+def _support_box(u: np.ndarray, v: np.ndarray, pad: int, window=None,
+                 shape=None):
     """Box of the nodes where u or v is nonzero, widened by `pad` per side and
-    clipped; None for the whole array, which also stands for a zero state."""
-    nz = (u != 0.0) | (v != 0.0)
-    hits = [np.flatnonzero(nz.any(axis=1 - k) if nz.ndim == 2 else nz)
-            for k in range(nz.ndim)]
+    clipped; None for the whole array, which also stands for a zero state.
+    For u, v on the index box `window` of arrays of `shape`: in their indices."""
+    if u.ndim == 1:
+        hits = [np.flatnonzero((u != 0.0) | (v != 0.0))]
+    else:       # the rows and columns hit, with no node-sized mask
+        hits = [np.flatnonzero(u.any(axis=1 - k) | v.any(axis=1 - k)) for k in (0, 1)]
     if not hits[0].size:
         return None
-    box = tuple(slice(max(i[0] - pad, 0), min(i[-1] + 1 + pad, n))
-                for i, n in zip(hits, nz.shape))
-    return None if all(s.stop - s.start == n for s, n in zip(box, nz.shape)) else box
+    shape = u.shape if shape is None else shape
+    origin = [0] * u.ndim if window is None else [s.start for s in window]
+    box = tuple(slice(max(o + i[0] - pad, 0), min(o + i[-1] + 1 + pad, n))
+                for i, o, n in zip(hits, origin, shape))
+    return None if all(s.stop - s.start == n for s, n in zip(box, shape)) else box
+
+
+def _within(box, window):
+    """The index box `box` in the indices of its enclosing box `window`."""
+    return tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
+
+
+def _lay_out(x: np.ndarray, old, new, shape) -> np.ndarray:
+    """x, the values on index box `old` of an array of `shape` that is zero
+    elsewhere, laid out on box `new` (None: the whole array)."""
+    new = new or tuple(slice(0, n) for n in shape)
+    out = np.zeros(tuple(s.stop - s.start for s in new))
+    both = [slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(old, new)]
+    out[_within(both, new)] = x[_within(both, old)]
+    return out
 
 
 def support_radius(grid: ExteriorGrid, state: WaveState, threshold: float) -> float:
@@ -300,8 +322,8 @@ def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
     w += state.v
     grid.clamp_dirichlet(w)
     c = dt * damping.values if c is None else c
+    # the solve maps the clamped w's +0.0 to +0.0, so v_new is clamped too
     v_new = _solve_damping_field(c, w, params.r, _DAMPING_TOL)
-    grid.clamp_dirichlet(v_new)
     u_new = dt * v_new
     u_new += state.u
     grid.clamp_dirichlet(u_new)
@@ -325,7 +347,6 @@ _REWINDOW = 8
 @dataclass
 class RunResult:
     samples: list
-    final_state: WaveState
     E_steps: np.ndarray          # solver energy at every step, E_steps[0] = t0
     D_cum: float
     n_steps: int
@@ -334,6 +355,15 @@ class RunResult:
     mono_worst: float = 0.0
     cone_worst_overshoot: float = -math.inf
     cone_ok: bool = True
+    _end: tuple = field(default=(), repr=False)   # (last state, its box, grid shape)
+
+    @cached_property
+    def final_state(self) -> WaveState:
+        """The full-grid state at T_max, built on first access: never `initial`."""
+        st, box, shape = self._end
+        u, v = np.zeros(shape), np.zeros(shape)
+        u[box or ...], v[box or ...] = st.u, st.v
+        return WaveState(u, v, st.t)
 
 
 def run(grid: ExteriorGrid, damping: DampingProfile,
@@ -341,44 +371,44 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         cone: ConeSpec | None = None, sample_stride: int = 10) -> RunResult:
     """March to T_max, sampling functionals every `sample_stride` steps.
 
-    `tracker` is any object with sample(state, D_cum, E_solver) returning a
-    record to collect (see functionals.SampleTracker); with tracker=None the
-    records are (t, E_solver) pairs.  When `cone` declares compact data the
-    numerical support is checked at every sample against R + t + 2h + 2dt and
-    a violation is a hard error (truncation contamination would follow).
+    `tracker` is any object with sample(state, D_cum, E_solver, box=box)
+    returning a record to collect (see functionals.SampleTracker), where
+    `state` holds the index box `box` of the grid (None: the whole grid) and
+    is zero elsewhere; with tracker=None the records are (t, E_solver) pairs.
+    When `cone` declares compact data the numerical support is checked at
+    every sample against R + t + 2h + 2dt and a violation is a hard error
+    (truncation contamination would follow).  `initial` is only read.
     Deterministic for fixed inputs.
     """
-    state = initial.copy()
-    grid.clamp_dirichlet(state.u)
-    grid.clamp_dirichlet(state.v)
+    u, v = initial.u, initial.v
+    # copied and clamped if any Dirichlet node holds a nonzero, NaN or -0.0
+    if any(p.any() or np.signbit(p).any() for p in (u[grid._pinned], v[grid._pinned])):
+        u, v = grid.clamp_dirichlet(u.copy()), grid.clamp_dirichlet(v.copy())
     n_steps = int(round(params.T_max / params.dt)) if params.T_max > 0 else 0
+
+    def window(box, st):    # Lap_h(u) serves E* and the next kick, c = dt a every solve
+        g, d = grid.window(box or ...), replace(damping, values=damping.values[box or ...])
+        return g, d, laplacian(g, st.u), params.dt * d.values
+
+    # every node that can be nonzero until the next re-window
+    box = _support_box(u, v, _REWINDOW + 2)
+    sub = WaveState(u[box or ...], v[box or ...], initial.t)
+    g, d, lap, c = window(box, sub)
     if cone is not None:
-        amp0 = max(float(np.max(np.abs(state.u))),
-                   float(np.max(np.abs(state.v))))
+        amp0 = max(float(np.max(np.abs(sub.u))), float(np.max(np.abs(sub.v))))
         cone_thresh = 1e-12 * amp0 if amp0 > 0 else math.inf
         cone_slack = 2.0 * grid.h + 2.0 * params.dt
-
-    def window(st):     # every node that can be nonzero until the next call
-        box = _support_box(st.u, st.v, _REWINDOW + 2)
-        g, d = grid, damping
-        if box is not None:
-            g, d = grid.window(box), replace(damping, values=damping.values[box])
-            st = WaveState(st.u[box], st.v[box], st.t)
-        # Lap_h(u) serves E* and the next kick; c = dt a serves every solve
-        return box, g, d, st, laplacian(g, st.u), params.dt * d.values
-
-    box, g, d, sub, lap, c = window(state)
     E = np.empty(n_steps + 1)
     E[0] = solver_energy(g, sub, params.dt, lap)
     D_cum = 0.0
-    result = RunResult(samples=[], final_state=state, E_steps=E, D_cum=0.0,
-                       n_steps=n_steps, dt=params.dt)
+    result = RunResult(samples=[], E_steps=E, D_cum=0.0, n_steps=n_steps,
+                       dt=params.dt)
 
     def take_sample(st, n):
         if tracker is None:
             result.samples.append((st.t, float(E[n])))
         else:
-            result.samples.append(tracker.sample(st, D_cum, float(E[n])))
+            result.samples.append(tracker.sample(st, D_cum, float(E[n]), box=box))
 
     def check_cone(st):
         rad = support_radius(g, st, cone_thresh)
@@ -394,15 +424,11 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
 
     if cone is not None:
         check_cone(sub)
-    take_sample(state, 0)
+    take_sample(sub, 0)
 
     for n in range(1, n_steps + 1):
         sub, diss = step(sub, g, d, params, lap, c)
         lap = laplacian(g, sub.u)
-        if box is None:
-            state = sub
-        else:
-            state.u[box], state.v[box], state.t = sub.u, sub.v, sub.t
         D_cum += diss
         E[n] = solver_energy(g, sub, params.dt, lap)
         if E[n] > E[n - 1] * (1.0 + 1e-12) and E[n - 1] > 0.0:
@@ -411,11 +437,16 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         if n % sample_stride == 0:
             if cone is not None:
                 check_cone(sub)
-            take_sample(state, n)
+            take_sample(sub, n)
         if box is not None and n % _REWINDOW == 0:
-            box, g, d, sub, lap, c = window(state)
+            # nothing outside the window is nonzero, so its scan finds the box
+            new = _support_box(sub.u, sub.v, _REWINDOW + 2, box, grid.shape)
+            sub = WaveState(_lay_out(sub.u, box, new, grid.shape),
+                            _lay_out(sub.v, box, new, grid.shape), sub.t)
+            box = new
+            g, d, lap, c = window(box, sub)
 
-    result.final_state = state
+    result._end = (sub, box, grid.shape)
     result.D_cum = D_cum
     return result
 
@@ -461,9 +492,9 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
     # off the box the bump is amplitude * 0.0, signed zero included
     bump = np.full(grid.shape, amplitude * 0.0)
     bump[box] = amplitude * np.where(inside, (1.0 - z * z) ** 3, 0.0)
-    u = bump if mode in ("bump_u", "both") else grid.zeros()
-    v = bump if mode in ("bump_v", "both") else grid.zeros()
-    return WaveState(u.copy(), v.copy(), 0.0)
+    u = grid.zeros() if mode == "bump_v" else bump
+    v = grid.zeros() if mode == "bump_u" else bump.copy() if mode == "both" else bump
+    return WaveState(u, v, 0.0)     # "both" copies: u and v must not alias
 
 
 def make_initial_weighted(grid: ExteriorGrid, sigma: float,

@@ -177,8 +177,12 @@ class WeightFamily:
         return np.logaddexp(self.ln_b, ln_s)
 
     def _logs(self, s):
-        """(ln(b+s), ln ln(b+s)): the two logarithms of every log weight."""
+        """(ln(b+s), ln ln(b+s)): the two logarithms of every log weight.  Where
+        ln(b+s) is one value on every node (every honest b: ln b absorbs s),
+        both are one-node arrays that broadcast against s: one exp per weight."""
         L = self.ln_bs(s)
+        if L.size > 1 and (L == L.flat[0]).all():
+            L = L.reshape(-1)[:1]
         return L, np.log(L)
 
     def log_weight(self, A: float, M: float, s):
@@ -186,7 +190,7 @@ class WeightFamily:
 
         Log regime: clock ln(b+s) over base b+s, so A ln L - M L with
         L = ln(b+s).  Power regimes: clock = base = 1+s (poly) or R+s
-        (compact), so A ln(base) - M ln(base).
+        (compact), so A ln(base) - M ln(base).  See `_logs` for one-node results.
         """
         if self.regime is Regime.LOG:
             L, ln_L = self._logs(s)
@@ -269,7 +273,7 @@ def table_weight(family: WeightFamily, entry: tuple, s, logs=None):
     Power regimes take base ** (A - M), with M = 0 in their tables (a
     Python float for a float s); the log regime exponentiates its log-space
     value, so overflow raises WeightOverflowError and underflow gives 0.0.
-    `logs` is `family._logs(s)` when the caller holds it.
+    `logs` is `family._logs(s)` when the caller holds it (see it for one-node results).
     """
     A, M, p = entry
     if family.regime is not Regime.LOG:
@@ -304,7 +308,9 @@ def eval_weight(family: WeightFamily, which: WeightKind | str, s):
         raise ValueError(f"{which.value} requires the damping exponent r bound "
                          "into the weight family")
     out = table_weight(family, exponent_table(family)[which], s_arr)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    if np.isscalar(s) or s_arr.ndim == 0:
+        return float(out)
+    return out if out.shape == s_arr.shape else np.broadcast_to(out, s_arr.shape).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -394,15 +394,12 @@ def test_log_bundle_overflow_raises():
     assert exc.value.log_value == pytest.approx(1903.0, abs=1.0)
 
 
-@pytest.mark.parametrize("sharp", [False, True])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
-    # the tracker sums over the box of the state's nonzeros; the same
-    # quantities summed over the full arrays must agree to round-off.  A
-    # sharp state (random values on a block, sampled at t = 0) has O(1)
-    # gradients at its edge, which only the 2-node halo catches
+def _window_sample_case(dim, sharp, theorem="T3"):
+    """(grid, damping, fam, tracker, state) of the windowed-sample tests: a
+    tracker with prop1 and observability members, and a smooth bump or (sharp)
+    random values on a block, zero elsewhere.  2D runs T3 alone."""
     if dim == 1:
-        grid, damping, psi, consts, fam, tracker = _regime_tracker("T3")
+        grid, damping, psi, consts, fam, tracker = _regime_tracker(theorem)
         st0 = make_initial_compact(grid, 1.25, 0.7, 1.0, "both", R=2.0)
     else:
         grid = build_grid_2d_disk(1.0, 8.0, 8.0)
@@ -413,7 +410,7 @@ def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
         tracker = SampleTracker(TrackerConfig(
             grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
             constants=consts, bundle_sets=[("thm3", fam)],
-            prop1=Prop1Config(WeightFamily.poly(1.0))))
+            prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.5))
         st0 = make_initial_compact(grid, (2.0, 0.5), 0.8, 1.0, "both", R=3.0)
     if sharp:
         rng = np.random.default_rng(dim)
@@ -422,6 +419,17 @@ def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
         st0 = WaveState(*(np.where(block & grid.fluid,
                                    rng.normal(size=grid.shape), 0.0)
                           for _ in range(2)))
+    return grid, damping, fam, tracker, st0
+
+
+@pytest.mark.parametrize("sharp", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
+    # the tracker sums over the box of the state's nonzeros; the same
+    # quantities summed over the full arrays must agree to round-off.  A
+    # sharp state (random values on a block, sampled at t = 0) has O(1)
+    # gradients at its edge, which only the 2-node halo catches
+    grid, damping, fam, tracker, st0 = _window_sample_case(dim, sharp)
     dt = SolverParams.for_grid(grid, 0.5, 1.5, T_max=0.0).dt
     n_steps = 0 if sharp else 20
     params = SolverParams(dt=dt, r=1.5, T_max=n_steps * dt)
@@ -449,6 +457,34 @@ def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
     for name, value in expect.items():
         assert value > 0.0
         assert got[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("case", [(1, False, "T1"), (1, True, "T1"),
+                                  (1, False, "T3"), (1, True, "T3"),
+                                  (2, False, "T3"), (2, True, "T3")])
+def test_window_sample_byte_identical_to_full_state(case):
+    # `run` hands the tracker its window, the support padded by 10 nodes per
+    # side, and the window's box; two samples (so the cumulative members
+    # accumulate) must match those of the full state byte for byte
+    dim, sharp, theorem = case
+    grid, damping, fam, tracker, st = _window_sample_case(dim, sharp, theorem)
+    if not sharp:
+        dt = SolverParams.for_grid(grid, 0.5, 1.5, T_max=0.0).dt
+        st = run(grid, damping, st, SolverParams(dt=dt, r=1.5, T_max=20 * dt)
+                 ).final_state
+    box = functionals._support_box(st.u, st.v, 10)
+    assert box is not None
+    full, part = SampleTracker(tracker.cfg), SampleTracker(tracker.cfg)
+    for t in (st.t, st.t + 0.5):
+        want = full.sample(WaveState(st.u, st.v, t), 0.25, 1.0)
+        got = part.sample(WaveState(st.u[box], st.v[box], t), 0.25, 1.0,
+                          box=box)
+        assert repr(got) == repr(want)
+    assert sharp or want.bundle["obs.lhs_cum"] > 0.0
+    tight = functionals._support_box(st.u, st.v, 1)
+    with pytest.raises(ValueError, match="halo"):
+        part.sample(WaveState(st.u[tight], st.v[tight], st.t + 1.0), 0.25, 1.0,
+                    box=tight)
 
 
 def test_tracker_rejects_stride_change():

@@ -773,6 +773,20 @@ def test_t1_weight_overflow_fails_at_first_sample(tmp_path):
     assert not (tmp_path / "t1-log-desk.series.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_t1_sum_overflow_fails_at_first_sample(tmp_path):
+    # at gamma = 41.5 every weight of t1-log-desk is finite, but the sum of
+    # the honest-b energy_weighted_inst member overflows: the sample fails,
+    # naming the column, instead of writing inf into the series
+    text = presets.get("t1-log-desk").replace("gamma = 1.0", "gamma = 41.5")
+    rep = run_scenario(load_config(text.replace("t_max = 150", "t_max = 10")),
+                       tmp_path)
+    assert rep.failed
+    assert rep.payload["error"] == ("FloatingPointError: sampled column "
+                                    "thm1.energy_weighted_inst is inf at t = 0")
+    assert not (tmp_path / "t1-log-desk.series.csv").exists()
+
+
 # Small, short scenarios to draw config documents from: one per data kind
 # and dimension.  Each loads, runs in well under a second, and fits.
 _FUZZ_BASES = [MINIMAL_T3.replace("t_max = 6", "t_max = 2"), WEIGHTED_T2,

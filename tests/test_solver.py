@@ -7,6 +7,7 @@ plain leapfrog conserves exactly in the linear case.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,30 @@ def test_uniform_velocity_reduces_to_nodal_solve():
     new, _ = step(state, grid, damping, params)
     expect = solve_damping_scalar(params.dt * 2.0, v0, 2.0)
     assert np.allclose(new.v[grid.fluid], expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_clamps_unclamped_state(dim, dense):
+    # `step` clamps w and u' but not v': the solve maps the clamped w's +0.0
+    # to +0.0, by its sparse (fewer than half the nodes active) and its dense
+    # path alike
+    if dim == 1:
+        grid = build_grid_1d(0.0, 1.0, 64)
+    else:
+        grid = build_grid_2d_disk(1.0, 3.0, 6.0)
+    damping = build_damping(grid, "constant", 1.0, 0.5, 1.0)
+    params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=0.0)
+    pinned = ~grid.fluid
+    rng = np.random.default_rng(dim)
+    u, v = (rng.uniform(-1.0, 1.0, grid.shape) * (1.0 if dense else pinned)
+            for _ in range(2))
+    w = grid.clamp_dirichlet(params.dt * sv.laplacian(grid, u) + v)
+    assert (2 * np.count_nonzero(w) >= w.size) == dense
+    new, _ = step(WaveState(u, v), grid, damping, params)
+    for x in (new.u, new.v):
+        assert not x[pinned].any() and not np.signbit(x[pinned]).any()
+        assert x[grid.fluid].any()
 
 
 def test_run_zero_tmax_single_sample():
@@ -746,6 +771,101 @@ def test_run_window_matches_whole_grid_property(dim, frac, radius, n_steps,
     res = run(grid, damping, state, params, sample_stride=stride)
     assert res.n_steps == n_steps
     _assert_matches_whole_grid(res, grid, damping, state, params)
+
+
+def _run_cases():
+    """(grid, damping, initial): 1D and 2D bumps, which take the window, and
+    1D and 2D weighted data, which fill the grid and take the whole of it."""
+    g1 = build_grid_1d(0.5, 12.0, 230)
+    d1 = build_damping(g1, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+    g2 = build_grid_2d_disk(1.0, 4.0, 8.0)
+    d2 = build_damping(g2, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+    return [(g1, d1, make_initial_compact(g1, 3.0, 0.7, 1.0, "both")),
+            (g2, d2, make_initial_compact(g2, (2.5, 0.5), 0.7, 1.0, "bump_v")),
+            (g1, d1, make_initial_weighted(g1, 10.0, None, 0.0)),
+            (g2, d2, make_initial_weighted(g2, 10.0, None, 0.0))]
+
+
+def _n_step_params(grid, n_steps):
+    dt = SolverParams.for_grid(grid, 0.9, 1.5, T_max=0.0).dt
+    return SolverParams(dt=dt, r=1.5, T_max=n_steps * dt)
+
+
+@pytest.mark.parametrize("n_steps", [0, 12])
+@pytest.mark.parametrize("case", range(4))
+def test_run_reads_initial_and_final_state_owns_memory(case, n_steps):
+    grid, damping, state = _run_cases()[case]
+    windowed = sv._support_box(state.u, state.v, sv._REWINDOW + 2) is not None
+    assert windowed == (case < 2)
+    before = state.copy()
+    res = run(grid, damping, state, _n_step_params(grid, n_steps),
+              sample_stride=4)
+    assert res.n_steps == n_steps
+    assert state.u.tobytes() == before.u.tobytes()
+    assert state.v.tobytes() == before.v.tobytes()
+    fin = res.final_state
+    assert fin is res.final_state
+    for x in (fin.u, fin.v):
+        assert x.shape == grid.shape
+        assert not np.shares_memory(x, state.u)
+        assert not np.shares_memory(x, state.v)
+    if n_steps == 0:
+        assert fin.u.tobytes() == state.u.tobytes()
+        assert fin.v.tobytes() == state.v.tobytes()
+    else:
+        _assert_matches_whole_grid(res, grid, damping, state,
+                                   _n_step_params(grid, n_steps))
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_run_unclamped_initial_matches_clamped(case):
+    # values on Dirichlet nodes, -0.0 included, are clamped away first; the
+    # caller's arrays keep them
+    grid, damping, state = _run_cases()[case]
+    pinned = ~grid.fluid
+    rng = np.random.default_rng(case)
+    raw = WaveState(np.where(pinned, rng.uniform(-1.0, 1.0, grid.shape), state.u),
+                    np.where(pinned, -0.0, state.v))
+    kept = raw.copy()
+    params = _n_step_params(grid, 20)
+    want = run(grid, damping, state, params, sample_stride=5)
+    got = run(grid, damping, raw, params, sample_stride=5)
+    assert raw.u.tobytes() == kept.u.tobytes()
+    assert raw.v.tobytes() == kept.v.tobytes()
+    assert got.samples == want.samples
+    assert got.E_steps.tobytes() == want.E_steps.tobytes()
+    assert got.final_state.u.tobytes() == want.final_state.u.tobytes()
+    assert got.final_state.v.tobytes() == want.final_state.v.tobytes()
+
+
+def test_windowed_run_allocates_less_than_one_full_array():
+    # a small bump on a 2D grid: the run, its samples and its cone checks
+    # hold the support window alone (about 0.4 of one full-grid array at
+    # its peak here), never a full-grid array
+    from decaylab.functionals import Prop1Config, SampleTracker, TrackerConfig
+    from decaylab.grids import build_psi
+    from decaylab.weights import WeightFamily, compute_constants
+
+    grid = build_grid_2d_disk(1.0, 20.0, 10.0)
+    damping = build_damping(grid, "annulus_plus_exterior", 0.5, 2.0, 1.0)
+    consts = compute_constants("T3", 1.5, 2, 0.01, 0.2)
+    fam = WeightFamily.compact(consts.gamma, 4.5, r=1.5)
+    tracker = SampleTracker(TrackerConfig(
+        grid=grid, damping=damping, psi=build_psi(grid, 2.0), r=1.5,
+        family=fam, constants=consts, bundle_sets=[("thm3", fam)],
+        prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=3.0))
+    state = make_initial_compact(grid, (3.5, 0.0), 1.0, 1.0, "bump_u", R=4.5)
+    params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=1.5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = run(grid, damping, state, params, tracker=tracker,
+                  cone=ConeSpec(R=4.5, enforce=False))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.n_steps == 24 and len(res.samples) == 3
+    assert peak < state.u.nbytes
 
 
 def test_reference_fixed_point_divergence_reported():
