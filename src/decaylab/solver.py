@@ -221,10 +221,8 @@ def solve_damping_scalar(c: float, w: float, r: float,
 # ---------------------------------------------------------------------------
 
 def laplacian(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
-    """Discrete Laplacian on fluid nodes (3-point / 5-point), zero elsewhere.
-
-    Dirichlet data enters through the pinned zeros of u itself.
-    """
+    """Discrete Laplacian on fluid nodes (3-point / 5-point), zero elsewhere;
+    Dirichlet data enter through the pinned zeros of u itself."""
     out = np.zeros_like(u)
     h2 = grid.h * grid.h
     if grid.dim == 1:
@@ -247,9 +245,18 @@ def edge_form(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b); a strided 2D window is read in place, not copied."""
-    flat = a.flags.c_contiguous and b.flags.c_contiguous
-    return float(np.vdot(a, b) if flat else np.einsum("ij,ij->", a, b))
+    """sum(a * b) on one thread; a strided 2D window is read in place, not
+    copied.  numpy's OpenBLAS runs a dot of over 10 000 elements on every core:
+    it waits for them, leaves their threads spinning and rounds by their count,
+    so a longer dot is summed in order over the fewest near-equal parts."""
+    if not (a.flags.c_contiguous and b.flags.c_contiguous):
+        return float(np.einsum("ij,ij->", a, b))
+    k = -(-a.size // 10_000)
+    if k <= 1:
+        return float(np.vdot(a, b))
+    cuts = [-(-a.size * i // k) for i in range(k + 1)]
+    a, b = a.reshape(-1), b.reshape(-1)
+    return float(sum(np.vdot(a[i:j], b[i:j]) for i, j in zip(cuts, cuts[1:])))
 
 
 def solver_energy(grid: ExteriorGrid, state: WaveState, dt: float,
@@ -523,11 +530,8 @@ def make_initial_weighted(grid: ExteriorGrid, sigma: float,
         phase = oscillation * (grid.coords[0] - grid.alpha)
     else:
         phase = oscillation * (grid.radius - grid.rho_obstacle)
-    u = envelope * np.sin(phase)
-    v = envelope * np.cos(phase)
-    grid.clamp_dirichlet(u)
-    grid.clamp_dirichlet(v)
-    return WaveState(u, v, 0.0)
+    return WaveState(grid.clamp_dirichlet(envelope * np.sin(phase)),
+                     grid.clamp_dirichlet(envelope * np.cos(phase)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +562,7 @@ def reference_solve(grid: ExteriorGrid, damping: DampingProfile,
     """
     if grid.fluid.size > 10_000:
         raise ValueError("reference integrator is restricted to <= 10^4 nodes")
-    state = initial.copy()
-    grid.clamp_dirichlet(state.u)
-    grid.clamp_dirichlet(state.v)
+    u, v = (grid.clamp_dirichlet(x.copy()) for x in (initial.u, initial.v))
     dt, r, a = params_fine.dt, params_fine.r, damping.values
     n_steps = int(round(params_fine.T_max / dt))
 
@@ -569,9 +571,8 @@ def reference_solve(grid: ExteriorGrid, damping: DampingProfile,
                 + 0.5 * edge_form(grid, st.u, st.u))
 
     ts = [0.0]
-    Es = [plain_energy(state)]
+    Es = [plain_energy(WaveState(u, v))]
     worst_iters = 0
-    u, v = state.u, state.v
     for n in range(1, n_steps + 1):
         um, vm = u.copy(), v.copy()
         for it in range(1, _FP_MAX_ITER + 1):
@@ -590,10 +591,8 @@ def reference_solve(grid: ExteriorGrid, damping: DampingProfile,
                 f"midpoint fixed-point failed to converge in {_FP_MAX_ITER} "
                 f"iterations at step {n}")
         worst_iters = max(worst_iters, it)
-        u = 2.0 * um - u
-        v = 2.0 * vm - v
-        grid.clamp_dirichlet(u)
-        grid.clamp_dirichlet(v)
+        u = grid.clamp_dirichlet(2.0 * um - u)
+        v = grid.clamp_dirichlet(2.0 * vm - v)
         if n % sample_stride == 0:
             ts.append(n * dt)
             Es.append(plain_energy(WaveState(u, v, n * dt)))

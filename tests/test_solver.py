@@ -7,6 +7,9 @@ plain leapfrog conserves exactly in the linear case.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -631,6 +634,41 @@ def test_solver_energy_matches_edge_form(dim, windowed, seed):
         assert not sub.u.flags.c_contiguous
     got = sv.solver_energy(g, sub, dt, sv.laplacian(g, sub.u))
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(2_001,), (10_000,), (10_001,), (25_003,),
+                                   (120, 117), (211, 200), (211, 201)])
+def test_dot_hands_blas_near_equal_parts_of_at_most_10000(monkeypatch, shape):
+    # OpenBLAS runs a longer dot on every core, rounding by their count; a
+    # strided 2D window (the last shape, cut) takes einsum and no BLAS call
+    rng = np.random.default_rng(shape[0])
+    a, b = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+    if shape == (211, 201):
+        a, b = a[:, :-1], b[:, :-1]
+    vdot, sizes = np.vdot, []
+    monkeypatch.setattr(np, "vdot", lambda x, y: sizes.append(x.size) or vdot(x, y))
+    got = sv._dot(a, b)
+    assert got == pytest.approx(math.fsum((a * b).ravel()), rel=1e-13, abs=0.0)
+    if not a.flags.c_contiguous:
+        assert sizes == []
+        return
+    assert len(sizes) == -(-a.size // 10_000) and sum(sizes) == a.size
+    assert max(sizes) <= 10_000 and max(sizes) - min(sizes) <= 1
+    if a.size <= 10_000:
+        assert got == float(vdot(a, b))
+
+
+def test_dot_bits_do_not_depend_on_blas_threads():
+    # the same dots in processes with one and with two BLAS threads
+    code = ("import numpy as np, decaylab.solver as sv\n"
+            "x = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 25_003))\n"
+            "print([sv._dot(x[0, :n], x[1, :n]).hex() for n in (10_001, 14_000, 25_003)])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    outs = {subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                           capture_output=True,
+                           env={**env, "OPENBLAS_NUM_THREADS": n}).stdout
+            for n in ("1", "2")}
+    assert len(outs) == 1
 
 
 def test_whole_grid_run_takes_one_laplacian_per_step(monkeypatch):
