@@ -12,8 +12,7 @@ from .weights import (Regime, WeightFamily, TheoremConstants, BValue, eval_q,
 from .grids import (ExteriorGrid, DampingProfile, CutoffPsi, build_grid_1d,
                     build_grid_2d_disk, build_damping, build_psi)
 from .solver import (WaveState, SolverParams, RunResult, solve_damping_scalar,
-                     step, run, make_initial_compact, make_initial_weighted,
-                     reference_solve)
+                     step, run, make_initial_compact, make_initial_weighted)
 from .functionals import (FunctionalSample, DataFunctionals, TrackerConfig,
                           SampleTracker, energy, weighted_energy,
                           weighted_energy_log, X_functional, data_functionals,
@@ -35,7 +34,6 @@ __all__ = [
     "build_grid_1d", "build_grid_2d_disk", "build_damping", "build_psi",
     "WaveState", "SolverParams", "RunResult", "solve_damping_scalar",
     "step", "run", "make_initial_compact", "make_initial_weighted",
-    "reference_solve",
     "FunctionalSample", "DataFunctionals", "TrackerConfig", "SampleTracker",
     "energy", "weighted_energy", "weighted_energy_log", "X_functional",
     "data_functionals", "prop1_inequality_check", "observability_ratio",

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CutoffPsi, DampingProfile, ExteriorGrid
-from .solver import WaveState, _support_box, _within, edge_form, laplacian
+from .grids import CutoffPsi, DampingProfile, ExteriorGrid, _within
+from .solver import WaveState, _support_box, edge_form, laplacian
 from .weights import (Regime, TheoremConstants, WeightFamily, WeightKind,
                       WeightOverflowError, eval_weight, exponent_table,
                       table_weight)
@@ -75,23 +75,27 @@ class _SampleContext:
     on first use and shared by every functional evaluated on that state;
     so are a log family's ln(b+s) and ln ln(b+s), keyed by its ln b.
 
-    Grid, state and a are cut to `box`: the box of the state's nonzeros plus
-    the 2-node halo of `grad_sq` and `laplacian` (Ellipsis for the whole grid).
-    Every density vanishes outside it.  A state held on the index box `window`
-    of the grid alone (zero elsewhere) is scanned there; the halo must fit."""
+    `sub` (by default the grid's window), `a` and `lap` are the grid, the
+    damping and Lap_h(u) on the state's box.  All are cut to `box`: the box
+    of the state's nonzeros plus the 2-node halo of `grad_sq` and `laplacian`
+    (None: the whole grid), which must fit in the state's box.  Every
+    density vanishes outside it."""
 
     def __init__(self, grid: ExteriorGrid, state: WaveState, a=None, r=None,
-                 window=None):
+                 lap=None, sub: ExteriorGrid | None = None):
+        window = state.box
         self.box = box = _support_box(state.u, state.v, 2, window,
-                                      grid.shape) or window or ...
+                                      grid.shape) or window
         if window is not None and any(b.start < w.start or b.stop > w.stop
                                       for b, w in zip(box, window)):
             raise ValueError("the 2-node halo of the state's support leaves its window")
-        cut = box if window is None else _within(box, window)
-        self.grid, self.state = grid.window(box), WaveState(
-            state.u[cut], state.v[cut], state.t)
+        cut = ... if box is None else box if window is None else _within(box, window)
+        sub = grid.window(window) if sub is None else sub
+        self.grid, self.state = sub.window(cut), WaveState(
+            state.u[cut], state.v[cut], state.t, box)
         self.u, self.v, self.t = self.state.u, self.state.v, state.t
-        self.a, self.r = None if a is None else a[box], r
+        self.a, self.r = None if a is None else a[cut], r
+        self.lap = None if lap is None else lap[cut]
         self.vol = grid.cell_volume
         self._s, self._logs, self._totals = {}, {}, {}
 
@@ -102,8 +106,11 @@ class _SampleContext:
         return self._s[mu, lam]
 
     def weight(self, family: WeightFamily, entry: tuple, mu: float,
-               lam: float) -> np.ndarray:
-        """`table_weight` of an exponent-table entry at s(mu, lam)."""
+               lam: float):
+        """`table_weight` of an exponent-table entry at s(mu, lam): one number
+        for compact weights at mu = 0, where they depend on t alone."""
+        if mu == 0.0 and _mu(family) == 0.0:
+            return table_weight(family, entry, lam * self.t)
         s, key = self.s(mu, lam), (family.ln_b, mu, lam)
         if family.regime is Regime.LOG and key not in self._logs:
             self._logs[key] = family._logs(s)
@@ -199,8 +206,8 @@ def X_functional(state: WaveState, grid: ExteriorGrid, psi: CutoffPsi,
     f = base^b, f1 = base^(b-1), f2 = base^(b-r+1), phi = base^(b+1) of T2
     and T3.
     """
-    return _x_value(_SampleContext(grid, state, damping.values, constants.r),
-                    psi, constants, family)
+    return _x_value(_SampleContext(grid, state, damping.window(state.box),
+                                   constants.r), psi, constants, family)
 
 
 def _x_value(c: _SampleContext, psi, constants, family) -> float:
@@ -216,7 +223,7 @@ def _x_value(c: _SampleContext, psi, constants, family) -> float:
     def w(kind):
         return c.weight(family, table[kind], mu, 1.0)
 
-    one_m_psi = 1.0 - psi.values[c.box]
+    one_m_psi = 1.0 - psi.window(c.box)
     vv, vvt = one_m_psi * c.u, one_m_psi * c.v
     del one_m_psi
     k, k1, k2 = constants.k, constants.k1, constants.k2
@@ -253,12 +260,13 @@ def data_functionals(initial: WaveState, grid: ExteriorGrid,
     and the trailing +1 makes I >= 1.  Sums run on the box of the data's
     nonzeros plus the 2-node halo of `grad_sq` and `laplacian`, as in
     `_SampleContext`; weighted data fill the grid and keep the whole of it.
+    `initial` may hold a box of the grid (`WaveState.box`).
     """
-    box = _support_box(initial.u, initial.v, 2) or ...
-    grid = grid.window(box)
+    box = _support_box(initial.u, initial.v, 2, initial.box, grid.shape)
+    initial, grid = initial.on(box, grid.shape), grid.window(box)
     vol = grid.cell_volume
     r, p = constants.r, constants.p
-    u0, u1 = initial.u[box], initial.v[box]
+    u0, u1 = initial.u, initial.v
     g0 = grad_sq(grid, u0)
     lap0 = laplacian(grid, u0)
     comp = {
@@ -427,11 +435,14 @@ class SampleTracker:
         return self._names + ["diag.E_solver", "diag.identity_defect"]
 
     def sample(self, state: WaveState, D_cum: float, E_solver: float,
-               box=None) -> FunctionalSample:
-        """Sample of `state`, held on the index box `box` of the grid (None: the
-        whole grid) and zero elsewhere; a non-finite column is an error."""
+               grid: ExteriorGrid | None = None, a=None, lap=None) -> FunctionalSample:
+        """Sample of `state` (zero off `state.box`).  `grid`, `a` and `lap` are
+        the grid, the damping and Lap_h(state.u) on that box, as `run` holds
+        them, else built; the sample box slices them.  A non-finite column is
+        an error."""
         cfg = self.cfg
-        ctx = _SampleContext(cfg.grid, state, cfg.damping.values, cfg.r, box)
+        a = cfg.damping.window(state.box) if a is None else a
+        ctx = _SampleContext(cfg.grid, state, a, cfg.r, lap, grid)
         E_plain = ctx._totals["E"] = energy(ctx.state, ctx.grid)
         # E_phi and X first, while few per-sample arrays are live
         if cfg.family is None:
@@ -469,7 +480,7 @@ class SampleTracker:
         bundle["diag.E_solver"] = E_solver
         bundle["diag.identity_defect"] = defect
 
-        cut = ctx.grid, ctx.state, ctx.a
+        cut = ctx.grid, ctx.state, ctx.a, ctx.lap
         del ctx     # frees the per-sample densities before u_tt
 
         D_weighted = bundle.get(self._disp_key, 0.0) if self._disp_key else 0.0
@@ -485,10 +496,12 @@ class SampleTracker:
                     f"sampled column {name} is {row[name]} at t = {state.t:.6g}")
         return out
 
-    def _high_energy(self, grid: ExteriorGrid, state: WaveState, a) -> float:
-        """||grad v||^2 + ||u_tt||^2 with u_tt rebuilt from the equation."""
-        utt = laplacian(grid, state.u) - a * np.abs(
-            state.v) ** (self.cfg.r - 1.0) * state.v
+    def _high_energy(self, grid: ExteriorGrid, state: WaveState, a, lap) -> float:
+        """||grad v||^2 + ||u_tt||^2 with u_tt rebuilt from the equation.  The
+        run's Lap_h(u) cut to the sample box is Lap_h of the cut u: both are
+        zero on its border, 2 nodes off the support or Dirichlet."""
+        lap = laplacian(grid, state.u) if lap is None else lap
+        utt = lap - a * np.abs(state.v) ** (self.cfg.r - 1.0) * state.v
         grid.clamp_dirichlet(utt)
         return grid.cell_volume * float(
             np.sum(grad_sq(grid, state.v))

@@ -7,13 +7,15 @@ mask (field values pinned at zero), giving a first-order staircase boundary.
 
 Damping generators only emit profiles that satisfy the active-at-infinity
 hypothesis exactly: a(x) >= epsilon0 wherever |x| >= L.  Geometric control is
-guaranteed by construction of these profiles, never computed.
+guaranteed by construction of these profiles, never computed.  Grids build
+|x| and q per window, on first read; the damping and the cutoff are held on
+the index box where they vary (see `_radial`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,13 +39,13 @@ class ExteriorGrid:
 
     ``fluid`` marks the unknowns; every other node is a Dirichlet node whose
     value stays pinned at zero (obstacle boundary, 1D endpoints, outer
-    truncation).  ``radius`` is |x| per node, measured from the origin.
+    truncation).  ``radius`` (|x| per node, measured from the origin) and q
+    are built from ``coords`` on first read, on the grid or on a window.
     """
     dim: int
     h: float
     shape: tuple[int, ...]
     fluid: np.ndarray
-    radius: np.ndarray
     coords: tuple[np.ndarray, ...]
     alpha: float | None = None
     x_max: float | None = None
@@ -70,6 +72,14 @@ class ExteriorGrid:
         return field
 
     @cached_property
+    def radius(self) -> np.ndarray:
+        """|x| per node: abs(x) in 1D, sqrt(x*x + y*y) on the axis views in 2D."""
+        if self.dim == 1:
+            return np.abs(self.coords[0])
+        x, y = self.coords[0][:, :1], self.coords[1][:1]
+        return np.sqrt(x * x + y * y)
+
+    @cached_property
     def _pinned(self) -> np.ndarray:
         pinned = ~self.fluid
         pinned.flags.writeable = False
@@ -86,14 +96,14 @@ class ExteriorGrid:
         return q
 
     def window(self, box) -> "ExteriorGrid":
-        """The grid on an index box (Ellipsis: the grid itself): views of its
-        node arrays, and of q and the mask where the grid has built them;
-        otherwise the window builds its own, node for node the same."""
-        if box is ...:
+        """The grid on an index box (None or Ellipsis: the grid itself): views
+        of its node arrays, and of radius, q and the mask where the grid has
+        built them; otherwise the window builds its own, node for node the same."""
+        if box is None or box is ...:
             return self
         sub = replace(self, shape=self.fluid[box].shape, fluid=self.fluid[box],
-                      radius=self.radius[box], coords=tuple(c[box] for c in self.coords))
-        sub.__dict__.update({k: self.__dict__[k][box] for k in ("_q", "_pinned")
+                      coords=tuple(c[box] for c in self.coords))
+        sub.__dict__.update({k: self.__dict__[k][box] for k in ("radius", "_q", "_pinned")
                              if k in self.__dict__})
         return sub
 
@@ -122,8 +132,8 @@ def build_grid_1d(alpha: float, x_max: float, n_cells: int) -> ExteriorGrid:
     fluid = np.ones(x.shape, dtype=bool)
     fluid[0] = fluid[-1] = False
     return ExteriorGrid(
-        dim=1, h=float(x[1] - x[0]), shape=x.shape, fluid=fluid,
-        radius=np.abs(x), coords=(x,), alpha=float(alpha), x_max=float(x_max))
+        dim=1, h=float(x[1] - x[0]), shape=x.shape, fluid=fluid, coords=(x,),
+        alpha=float(alpha), x_max=float(x_max))
 
 
 def _disk_cells(r_out: float, nodes_per_unit: float) -> int:
@@ -157,18 +167,77 @@ def build_grid_2d_disk(rho: float, r_out: float,
     x, y = np.meshgrid(axis, axis, indexing="ij", copy=False)
     x.flags.writeable = y.flags.writeable = False    # views of `axis`
     sq = axis * axis
-    radius = np.sqrt(sq[:, None] + sq[None, :])     # sqrt(x*x + y*y)
-    fluid = radius > rho
+    # from a full |x|, freed at once: a build without that 2 MB block leaves
+    # glibc's mmap threshold low, and every large run temporary is mmapped
+    fluid = np.sqrt(sq[:, None] + sq[None, :]) > rho
     fluid[0, :] = fluid[-1, :] = fluid[:, 0] = fluid[:, -1] = False
     return ExteriorGrid(
-        dim=2, h=h, shape=x.shape, fluid=fluid, radius=radius,
-        coords=(x, y), rho_obstacle=float(rho), r_out=float(r_out))
+        dim=2, h=h, shape=x.shape, fluid=fluid, coords=(x, y),
+        rho_obstacle=float(rho), r_out=float(r_out))
 
 
-@dataclass(frozen=True)
-class DampingProfile:
+def _within(box, window):
+    """The index box `box` in the indices of its enclosing box `window`."""
+    return tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
+
+
+def _lay_out(x: np.ndarray, old, new, shape, fill: float = 0.0) -> np.ndarray:
+    """x, the values on index box `old` of an array of `shape` that holds
+    `fill` elsewhere, laid out on box `new` (None: the whole array)."""
+    new = new or tuple(slice(0, n) for n in shape)
+    out = np.full(tuple(s.stop - s.start for s in new), fill)
+    both = [slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(old, new)]
+    if all(s.stop > s.start for s in both):
+        out[_within(both, new)] = x[_within(both, old)]
+    return out
+
+
+class _BoxHeld:
+    """Base of the damping and the cutoff: a nodal field held as `_radial`
+    holds it, or given as the full array `values`.  `values` is built on
+    first read and then kept; `window` builds one box of the field."""
+
+    def __init__(self, values: np.ndarray | None = None, *, held=None, **meta):
+        for f in fields(self):      # the dataclass fields, by keyword
+            object.__setattr__(self, f.name, meta.pop(f.name))
+        if meta:
+            raise TypeError(f"unexpected arguments {sorted(meta)}")
+        if (values is None) == (held is None):      # so replace() must give values
+            raise TypeError(f"{type(self).__name__} takes one of values and held")
+        if values is not None:
+            self.__dict__["values"] = values
+            held = (values, tuple(slice(0, n) for n in values.shape), 0.0, None, False)
+        object.__setattr__(self, "_held", held)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.window(None)
+
+    def window(self, box) -> np.ndarray:
+        """The field on an index box of the grid (None: all of it)."""
+        if "values" in self.__dict__:
+            return self.values[box or ...]
+        core, core_box, fill, grid, clamp = self._held
+        out = _lay_out(core, core_box, box, grid.shape, fill)
+        return grid.window(box).clamp_dirichlet(out) if clamp else out
+
+
+def _extreme(held: tuple, grid: ExteriorGrid, reduce, r_min: float) -> float:
+    """`reduce` (np.min or np.max) of a held field over the fluid nodes with
+    |x| >= r_min: on its box, and its constant if a fluid node lies off the
+    box, hence beyond the box's ball, whose radius is at least r_min."""
+    core, box, fill, _, _ = held
+    sub = grid.window(box)
+    out = float(reduce(core, where=sub.fluid & (sub.radius >= r_min),
+                       initial=math.inf if reduce is np.min else -math.inf))
+    if grid.n_fluid > np.count_nonzero(sub.fluid):
+        out = float(reduce([out, fill]))
+    return out
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class DampingProfile(_BoxHeld):
     """Nodal damping coefficient a(x) >= 0 with its construction metadata."""
-    values: np.ndarray
     epsilon0: float
     L: float
     kind: str
@@ -176,18 +245,29 @@ class DampingProfile:
 
     def hyp_a_margin(self, grid: ExteriorGrid) -> float:
         """min over fluid {|x| >= L} of a - epsilon0; >= 0 by construction."""
-        sel = grid.fluid & (grid.radius >= self.L)
-        return float(np.min(self.values, where=sel, initial=math.inf)) - self.epsilon0
+        return _extreme(self._held, grid, np.min, self.L) - self.epsilon0
 
 
-def _radial(grid: ExteriorGrid, fn, flat: float) -> np.ndarray:
-    """fn(|x|) per node, computed for |x| < 1.001 flat only (the margin covers
-    round-off): from flat on every smoothstep in fn is clamped to 0 or 1."""
+def _radial(grid: ExteriorGrid, fn, flat: float, clamp: bool = False) -> tuple:
+    """fn(|x|) per node, held as (values on the index box of the nodes with
+    |x| < 1.001 flat, that box, the constant fn(1.001 flat) on every other
+    node, grid, clamp): the margin covers round-off, and from flat on every
+    smoothstep in fn is clamped to 0 or 1.  The box is found on the axes;
+    with `clamp` Dirichlet nodes read zero."""
     flat *= 1.001
-    near = grid.radius < flat
-    out = np.full(grid.shape, fn(np.array([flat]))[0])
-    out[near] = fn(grid.radius[near])
-    return out
+    if grid.dim == 1:       # ascending nodes: |x| < flat iff -flat < x < flat
+        x = grid.coords[0]
+        box = (slice(int(np.searchsorted(x, -flat, "right")),
+                     int(np.searchsorted(x, flat))),)
+    else:       # the rows (columns) with a node inside: |x| is least at y = 0
+        sq = [ax * ax for ax in (grid.coords[0][:, 0], grid.coords[1][0])]
+        hits = [np.flatnonzero(np.sqrt(sq[k] + sq[1 - k].min()) < flat) for k in (0, 1)]
+        box = tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
+                    for i in hits)
+    sub, fill = grid.window(box), float(fn(np.array([flat]))[0])
+    core, near = np.full(sub.shape, fill), sub.radius < flat
+    core[near] = fn(sub.radius[near])
+    return (sub.clamp_dirichlet(core) if clamp else core), box, fill, grid, clamp
 
 
 _DAMPING_KINDS = ("constant", "exterior_smooth", "annulus_plus_exterior")
@@ -223,26 +303,28 @@ def build_damping(grid: ExteriorGrid, kind: str, epsilon0: float, L: float,
             a = np.maximum(a, collar)
         return a
 
-    if kind == "constant":
-        a = np.full(grid.shape, a_max)
+    if kind == "constant":      # held on the box of B_L, where the margin looks
+        held = _radial(grid, lambda rad: np.full_like(rad, a_max), L, clamp=True)
     else:
-        a = _radial(grid, profile, max(2.0 * L, rho + L))
-    a = grid.clamp_dirichlet(a)
-    a_inf = float(a.max())
-    prof = DampingProfile(values=a, epsilon0=epsilon0, L=L, kind=kind, a_inf=a_inf)
-    assert prof.hyp_a_margin(grid) >= 0.0
+        held = _radial(grid, profile, max(2.0 * L, rho + L), clamp=True)
+    # the max over every node: Dirichlet nodes read 0
+    a_inf = max(_extreme(held, grid, np.max, 0.0), 0.0)
+    prof = DampingProfile(held=held, epsilon0=epsilon0, L=L, kind=kind, a_inf=a_inf)
+    margin = prof.hyp_a_margin(grid)
+    if not margin >= 0.0:
+        raise ValueError(f"damping breaks a >= epsilon0 on |x| >= L: "
+                         f"hypothesis margin {margin:.6g}")
     return prof
 
 
-@dataclass(frozen=True)
-class CutoffPsi:
+@dataclass(frozen=True, init=False, eq=False)
+class CutoffPsi(_BoxHeld):
     """Radial cutoff: 1 inside B_L, 0 outside B_2L, quintic in between."""
-    values: np.ndarray
     L: float
 
 
 def build_psi(grid: ExteriorGrid, L: float) -> CutoffPsi:
     if not 2.0 * L <= grid.truncation_radius:
         raise ValueError(f"2L = {2 * L} exceeds the truncation radius")
-    psi = _radial(grid, lambda rad: 1.0 - smoothstep((rad - L) / L), 2.0 * L)
-    return CutoffPsi(values=psi, L=L)
+    return CutoffPsi(held=_radial(grid, lambda rad: 1.0 - smoothstep((rad - L) / L),
+                                  2.0 * L), L=L)

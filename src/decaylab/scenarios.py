@@ -424,7 +424,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         family, bundle_sets = _families(cfg)
 
     if cfg.data_kind == "compact":
-        initial = solver.make_initial_compact(
+        initial = solver._compact_bump(      # held on the bump's box
             grid, cfg.center, cfg.radius, cfg.amplitude, "bump_u",
             R=cfg.R_support)
         # enforced where the scheme rides the exact cone, measured elsewhere
@@ -463,7 +463,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         "grid": {"dim": grid.dim, "h": grid.h, "n_fluid": grid.n_fluid,
                  "alpha": grid.alpha, "x_max": grid.x_max,
                  "rho": grid.rho_obstacle, "r_out": grid.r_out},
-        "damping": {k: v for k, v in vars(damping).items() if k != "values"},
+        "damping": asdict(damping),
         "solver": {"dt": params.dt, "cfl": cfg.cfl, "n_steps": res.n_steps,
                    "mono_violations": res.mono_violations,
                    "mono_worst": res.mono_worst},

@@ -22,8 +22,10 @@ is within tol * max(1, |w|), the limit round-off sets for large |w|.
 
 A step moves a nonzero value by at most one node, so `run` works on the box of
 the nonzeros, widened by the steps to the next re-window plus a 2-node halo
-and clipped to the grid, and holds the state on that window alone: it never
-copies the caller's arrays, and builds the full final state only on request.
+and clipped to the grid, and holds the state, the damping and Lap_h(u) on
+that window alone: it never copies the caller's arrays, and builds the full
+final state only on request.  A state may itself hold only an index box of
+the grid (`WaveState.box`), as compact initial data do on their bump's box.
 States are bit-identical to whole-grid stepping; E*, the dissipation and the
 sampled sums differ only in summation order.  Weighted data fill the grid, so
 their box is the whole grid and they take the whole-grid path.
@@ -39,9 +41,6 @@ vanish on every Dirichlet node and on the array border, so summation by parts
 turns it into 1/2 h^d (v.v - u.Lap_h u + dt v.Lap_h u), and `run` computes
 Lap_h(u) once per step for the monitor and the next kick.  The continuum
 energy's nodal quadrature lives in `functionals.energy`.
-
-A fully implicit midpoint integrator (`reference_solve`) cross-validates the
-main stepper on small instances.
 """
 
 from __future__ import annotations
@@ -52,13 +51,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DampingProfile, ExteriorGrid
+from .grids import DampingProfile, ExteriorGrid, _lay_out
 from .weights import Regime, WeightFamily
 
 __all__ = [
-    "WaveState", "SolverParams", "ConeSpec", "RunResult", "ReferenceResult",
+    "WaveState", "SolverParams", "ConeSpec", "RunResult",
     "SupportConeError", "solve_damping_scalar", "step", "run",
-    "make_initial_compact", "make_initial_weighted", "reference_solve",
+    "make_initial_compact", "make_initial_weighted",
     "laplacian", "edge_form", "solver_energy", "support_radius",
 ]
 
@@ -69,13 +68,23 @@ class SupportConeError(RuntimeError):
 
 @dataclass
 class WaveState:
-    """Displacement, velocity and clock; Dirichlet nodes pinned at zero."""
+    """Displacement, velocity and clock; Dirichlet nodes pinned at zero.
+    u and v hold the index box `box` of the grid (None: all of it), zero off it."""
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
+    box: tuple | None = None
 
     def copy(self) -> "WaveState":
-        return WaveState(self.u.copy(), self.v.copy(), self.t)
+        return WaveState(self.u.copy(), self.v.copy(), self.t, self.box)
+
+    def on(self, box, shape) -> "WaveState":
+        """The state on index box `box` of a grid of `shape` (None: the whole
+        grid): views when it holds the whole grid, else fresh arrays."""
+        if self.box is None:
+            return WaveState(self.u[box or ...], self.v[box or ...], self.t, box)
+        return WaveState(_lay_out(self.u, self.box, box, shape),
+                         _lay_out(self.v, self.box, box, shape), self.t, box)
 
 
 @dataclass(frozen=True)
@@ -267,12 +276,15 @@ def solver_energy(grid: ExteriorGrid, state: WaveState, dt: float,
 
 
 def _support_box(u: np.ndarray, v: np.ndarray, pad: int, window=None,
-                 shape=None):
+                 shape=None, fluid=None):
     """Box of the nodes where u or v is nonzero, widened by `pad` per side and
     clipped; None for the whole array, which also stands for a zero state.
-    For u, v on the index box `window` of arrays of `shape`: in their indices."""
-    if u.ndim == 1:
-        hits = [np.flatnonzero((u != 0.0) | (v != 0.0))]
+    For u, v on the index box `window` of arrays of `shape`: in their indices.
+    With the mask `fluid`, only its nodes count."""
+    if u.ndim == 1 or fluid is not None:
+        hit = ((u != 0.0) | (v != 0.0)) & (True if fluid is None else fluid)
+        hits = [np.flatnonzero(hit if u.ndim == 1 else hit.any(axis=1 - k))
+                for k in range(u.ndim)]
     else:       # the rows and columns hit, with no node-sized mask
         hits = [np.flatnonzero(u.any(axis=1 - k) | v.any(axis=1 - k)) for k in (0, 1)]
     if not hits[0].size:
@@ -282,21 +294,6 @@ def _support_box(u: np.ndarray, v: np.ndarray, pad: int, window=None,
     box = tuple(slice(max(o + i[0] - pad, 0), min(o + i[-1] + 1 + pad, n))
                 for i, o, n in zip(hits, origin, shape))
     return None if all(s.stop - s.start == n for s, n in zip(box, shape)) else box
-
-
-def _within(box, window):
-    """The index box `box` in the indices of its enclosing box `window`."""
-    return tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
-
-
-def _lay_out(x: np.ndarray, old, new, shape) -> np.ndarray:
-    """x, the values on index box `old` of an array of `shape` that is zero
-    elsewhere, laid out on box `new` (None: the whole array)."""
-    new = new or tuple(slice(0, n) for n in shape)
-    out = np.zeros(tuple(s.stop - s.start for s in new))
-    both = [slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(old, new)]
-    out[_within(both, new)] = x[_within(both, old)]
-    return out
 
 
 def support_radius(grid: ExteriorGrid, state: WaveState, threshold: float) -> float:
@@ -343,7 +340,7 @@ def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
     av **= params.r + 1.0
     av *= damping.values
     diss = dt * grid.cell_volume * float(av.sum())
-    return WaveState(u_new, v_new, state.t + dt), diss
+    return WaveState(u_new, v_new, state.t + dt, state.box), diss
 
 
 # steps between re-windows in run; a fixed count, not the sample stride, so
@@ -362,15 +359,13 @@ class RunResult:
     mono_worst: float = 0.0
     cone_worst_overshoot: float = -math.inf
     cone_ok: bool = True
-    _end: tuple = field(default=(), repr=False)   # (last state, its box, grid shape)
+    _end: tuple = field(default=(), repr=False)   # (last state, grid shape)
 
     @cached_property
     def final_state(self) -> WaveState:
         """The full-grid state at T_max, built on first access: never `initial`."""
-        st, box, shape = self._end
-        u, v = np.zeros(shape), np.zeros(shape)
-        u[box or ...], v[box or ...] = st.u, st.v
-        return WaveState(u, v, st.t)
+        st, shape = self._end
+        return st.copy() if st.box is None else st.on(None, shape)
 
 
 def run(grid: ExteriorGrid, damping: DampingProfile,
@@ -378,29 +373,39 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         cone: ConeSpec | None = None, sample_stride: int = 10) -> RunResult:
     """March to T_max, sampling functionals every `sample_stride` steps.
 
-    `tracker` is any object with sample(state, D_cum, E_solver, box=box)
+    `tracker` is any object with sample(state, D_cum, E_solver, grid, a, lap)
     returning a record to collect (see functionals.SampleTracker), where
-    `state` holds the index box `box` of the grid (None: the whole grid) and
-    is zero elsewhere; with tracker=None the records are (t, E_solver) pairs.
-    When `cone` declares compact data the numerical support is checked at
-    every sample against R + t + 2h + 2dt and a violation is a hard error
-    (truncation contamination would follow).  `initial` is only read.
-    Deterministic for fixed inputs.
+    `state` holds the index box `state.box` of the grid (None: the whole
+    grid) and is zero elsewhere, and `grid`, `a` and `lap` are the grid, the
+    damping values and Lap_h(state.u) on that box; with tracker=None the
+    records are (t, E_solver) pairs.  When `cone` declares compact data the
+    numerical support is checked at every sample against R + t + 2h + 2dt
+    and a violation is a hard error (truncation contamination would follow).
+    `initial` may hold a box of the grid; it is only read.  Deterministic
+    for fixed inputs.
     """
-    u, v = initial.u, initial.v
-    # copied and clamped if any Dirichlet node holds a nonzero, NaN or -0.0
-    if any(p.any() or np.signbit(p).any() for p in (u[grid._pinned], v[grid._pinned])):
-        u, v = grid.clamp_dirichlet(u.copy()), grid.clamp_dirichlet(v.copy())
     n_steps = int(round(params.T_max / params.dt)) if params.T_max > 0 else 0
 
-    def window(box, st):    # Lap_h(u) serves E* and the next kick, c = dt a every solve
-        g, d = grid.window(box or ...), replace(damping, values=damping.values[box or ...])
-        return g, d, laplacian(g, st.u), params.dt * d.values
+    def window(box):        # c = dt a serves every solve on the window
+        g, d = grid.window(box), replace(damping, values=damping.window(box))
+        return g, d, params.dt * d.values
 
+    held = grid.window(initial.box)
+    pu, pv = initial.u[held._pinned], initial.v[held._pinned]
+    stray = bool(pu.any() or pv.any())      # a nonzero or NaN on a Dirichlet node
     # every node that can be nonzero until the next re-window
-    box = _support_box(u, v, _REWINDOW + 2)
-    sub = WaveState(u[box or ...], v[box or ...], initial.t)
-    g, d, lap, c = window(box, sub)
+    box = _support_box(initial.u, initial.v, _REWINDOW + 2, initial.box,
+                       grid.shape, held.fluid if stray else None)
+    sub, (g, d, c) = initial.on(box, grid.shape), window(box)
+    # only this window is clamped, where a Dirichlet node holds a nonzero, NaN
+    # or -0.0: a copy if it views the caller's arrays, as when it is strided
+    # (E* then sums it as every later window)
+    clamp = stray or np.signbit(pu).any() or np.signbit(pv).any()
+    if initial.box is None and (clamp or not sub.u.flags.c_contiguous):
+        sub = sub.copy()
+    if clamp:
+        g.clamp_dirichlet(sub.u), g.clamp_dirichlet(sub.v)
+    lap = laplacian(g, sub.u)       # serves E* and the next kick
     if cone is not None:
         amp0 = max(float(np.max(np.abs(sub.u))), float(np.max(np.abs(sub.v))))
         cone_thresh = 1e-12 * amp0 if amp0 > 0 else math.inf
@@ -415,7 +420,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         if tracker is None:
             result.samples.append((st.t, float(E[n])))
         else:
-            result.samples.append(tracker.sample(st, D_cum, float(E[n]), box=box))
+            result.samples.append(tracker.sample(st, D_cum, float(E[n]), g, d.values, lap))
 
     def check_cone(st):
         rad = support_radius(g, st, cone_thresh)
@@ -447,13 +452,12 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
             take_sample(sub, n)
         if box is not None and n % _REWINDOW == 0:
             # nothing outside the window is nonzero, so its scan finds the box
-            new = _support_box(sub.u, sub.v, _REWINDOW + 2, box, grid.shape)
-            sub = WaveState(_lay_out(sub.u, box, new, grid.shape),
-                            _lay_out(sub.v, box, new, grid.shape), sub.t)
-            box = new
-            g, d, lap, c = window(box, sub)
+            box = _support_box(sub.u, sub.v, _REWINDOW + 2, box, grid.shape)
+            sub = sub.on(box, grid.shape)
+            g, d, c = window(box)
+            lap = laplacian(g, sub.u)
 
-    result._end = (sub, box, grid.shape)
+    result._end = (sub, grid.shape)
     result.D_cum = D_cum
     return result
 
@@ -468,8 +472,19 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
     """C^2 bump amplitude*(1 - (d/radius)^2)^3, exactly supported in the ball.
 
     The closed support ball must stay inside the fluid region, and inside
-    B_R when the scenario declares a support radius R.
+    B_R when the scenario declares a support radius R.  Full arrays: the
+    state `_compact_bump` holds on the bump's box, laid out on the grid.
     """
+    st = _compact_bump(grid, center, radius, amplitude, mode, R)
+    off = amplitude * 0.0       # the bump off its box, signed zero included
+    u = grid.zeros() if mode == "bump_v" else _lay_out(st.u, st.box, None, grid.shape, off)
+    v = grid.zeros() if mode == "bump_u" else _lay_out(st.v, st.box, None, grid.shape, off)
+    return WaveState(u, v, 0.0)
+
+
+def _compact_bump(grid: ExteriorGrid, center, radius: float, amplitude: float,
+                  mode: str = "bump_u", R: float | None = None) -> WaveState:
+    """`make_initial_compact`'s state on the bump's box (`WaveState.box`)."""
     if mode not in ("bump_u", "bump_v", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -478,9 +493,9 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
     # the bump's box: one node more per side than the nodes within `radius`
     # of the centre along each (ascending) axis
     axes = grid.coords if grid.dim == 1 else (grid.coords[0][:, 0], grid.coords[1][0])
-    box = tuple(slice(max(lo - 1, 0), hi + 1) for lo, hi in (
-        np.searchsorted(ax, (ck - radius, ck + radius)).tolist()
-        for ax, ck in zip(axes, center)))
+    ends = [np.searchsorted(ax, (ck - radius, ck + radius)) for ax, ck in zip(axes, center)]
+    box = tuple(slice(max(int(lo) - 1, 0), min(int(hi) + 1, ax.size))
+                for ax, (lo, hi) in zip(axes, ends))
     x = [coord[box] for coord in grid.coords]
     if grid.dim == 1:
         dist = np.abs(x[0] - center[0])
@@ -496,12 +511,11 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
             raise ValueError(f"bump support B({center}, {radius}) leaves the "
                              f"declared ball B_R, R = {R} (reach {reach:.4g})")
     z = np.where(inside, dist / radius, 1.0)
-    # off the box the bump is amplitude * 0.0, signed zero included
-    bump = np.full(grid.shape, amplitude * 0.0)
-    bump[box] = amplitude * np.where(inside, (1.0 - z * z) ** 3, 0.0)
-    u = grid.zeros() if mode == "bump_v" else bump
-    v = grid.zeros() if mode == "bump_u" else bump.copy() if mode == "both" else bump
-    return WaveState(u, v, 0.0)     # "both" copies: u and v must not alias
+    bump = amplitude * np.where(inside, (1.0 - z * z) ** 3, 0.0)
+    u = np.zeros(bump.shape) if mode == "bump_v" else bump
+    v = (np.zeros(bump.shape) if mode == "bump_u"
+         else bump.copy() if mode == "both" else bump)
+    return WaveState(u, v, 0.0, box)    # "both" copies: u and v must not alias
 
 
 def make_initial_weighted(grid: ExteriorGrid, sigma: float,
@@ -532,70 +546,3 @@ def make_initial_weighted(grid: ExteriorGrid, sigma: float,
         phase = oscillation * (grid.radius - grid.rho_obstacle)
     return WaveState(grid.clamp_dirichlet(envelope * np.sin(phase)),
                      grid.clamp_dirichlet(envelope * np.cos(phase)), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# implicit midpoint reference integrator
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ReferenceResult:
-    ts: np.ndarray
-    E: np.ndarray
-    final_state: WaveState
-    max_fixed_point_iters: int
-
-
-# fixed-point iteration of `reference_solve`: tolerance and iteration cap
-_FP_TOL = 1e-12
-_FP_MAX_ITER = 200
-
-
-def reference_solve(grid: ExteriorGrid, damping: DampingProfile,
-                    initial: WaveState, params_fine: SolverParams,
-                    sample_stride: int = 1) -> ReferenceResult:
-    """Implicit midpoint with fixed-point iteration on the damping.
-
-    Oracle-grade but small-instance only (<= 10^4 nodes).  Samples the plain
-    discrete energy every `sample_stride` steps so curves can be compared
-    against the main stepper at shared times.
-    """
-    if grid.fluid.size > 10_000:
-        raise ValueError("reference integrator is restricted to <= 10^4 nodes")
-    u, v = (grid.clamp_dirichlet(x.copy()) for x in (initial.u, initial.v))
-    dt, r, a = params_fine.dt, params_fine.r, damping.values
-    n_steps = int(round(params_fine.T_max / dt))
-
-    def plain_energy(st):
-        return (0.5 * grid.cell_volume * float(np.sum(st.v * st.v))
-                + 0.5 * edge_form(grid, st.u, st.u))
-
-    ts = [0.0]
-    Es = [plain_energy(WaveState(u, v))]
-    worst_iters = 0
-    for n in range(1, n_steps + 1):
-        um, vm = u.copy(), v.copy()
-        for it in range(1, _FP_MAX_ITER + 1):
-            um_next = u + 0.5 * dt * vm
-            vm_next = v + 0.5 * dt * (laplacian(grid, um)
-                                      - a * np.abs(vm) ** (r - 1.0) * vm)
-            grid.clamp_dirichlet(um_next)
-            grid.clamp_dirichlet(vm_next)
-            delta = max(float(np.max(np.abs(um_next - um))),
-                        float(np.max(np.abs(vm_next - vm))))
-            um, vm = um_next, vm_next
-            if delta <= _FP_TOL:
-                break
-        else:
-            raise RuntimeError(
-                f"midpoint fixed-point failed to converge in {_FP_MAX_ITER} "
-                f"iterations at step {n}")
-        worst_iters = max(worst_iters, it)
-        u = grid.clamp_dirichlet(2.0 * um - u)
-        v = grid.clamp_dirichlet(2.0 * vm - v)
-        if n % sample_stride == 0:
-            ts.append(n * dt)
-            Es.append(plain_energy(WaveState(u, v, n * dt)))
-    return ReferenceResult(ts=np.asarray(ts), E=np.asarray(Es),
-                           final_state=WaveState(u, v, n_steps * dt),
-                           max_fixed_point_iters=worst_iters)

@@ -464,7 +464,7 @@ def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
                                   (2, False, "T3"), (2, True, "T3")])
 def test_window_sample_byte_identical_to_full_state(case):
     # `run` hands the tracker its window, the support padded by 10 nodes per
-    # side, and the window's box; two samples (so the cumulative members
+    # side, held on the window's box; two samples (so the cumulative members
     # accumulate) must match those of the full state byte for byte
     dim, sharp, theorem = case
     grid, damping, fam, tracker, st = _window_sample_case(dim, sharp, theorem)
@@ -477,14 +477,45 @@ def test_window_sample_byte_identical_to_full_state(case):
     full, part = SampleTracker(tracker.cfg), SampleTracker(tracker.cfg)
     for t in (st.t, st.t + 0.5):
         want = full.sample(WaveState(st.u, st.v, t), 0.25, 1.0)
-        got = part.sample(WaveState(st.u[box], st.v[box], t), 0.25, 1.0,
-                          box=box)
+        got = part.sample(WaveState(st.u[box], st.v[box], t, box), 0.25, 1.0)
         assert repr(got) == repr(want)
     assert sharp or want.bundle["obs.lhs_cum"] > 0.0
     tight = functionals._support_box(st.u, st.v, 1)
     with pytest.raises(ValueError, match="halo"):
-        part.sample(WaveState(st.u[tight], st.v[tight], st.t + 1.0), 0.25, 1.0,
-                    box=tight)
+        part.sample(WaveState(st.u[tight], st.v[tight], st.t + 1.0, tight),
+                    0.25, 1.0)
+
+
+@pytest.mark.parametrize("sharp", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_high_energy_from_handed_laplacian_byte_identical(dim, sharp):
+    # the tracker slices the run's Lap_h(u) to the sample box instead of
+    # recomputing it: on windows whose 2-node halo touches their edge, and
+    # on wider ones, high_energy has the bytes of the full state's sample
+    grid, damping, fam, tracker, st = _window_sample_case(dim, sharp)
+    want = SampleTracker(tracker.cfg).sample(st, 0.25, 1.0).high_energy
+    for pad in (2, 3, 10):
+        box = functionals._support_box(st.u, st.v, pad)
+        g = grid.window(box)
+        held = WaveState(st.u[box], st.v[box], st.t, box)
+        lap = laplacian(g, held.u)
+        got = SampleTracker(tracker.cfg).sample(held, 0.25, 1.0, g,
+                                                damping.window(box), lap)
+        assert repr(got.high_energy) == repr(want)
+        assert got.high_energy > 0.0
+
+
+def test_compact_weights_are_one_number():
+    # T3 weights depend on t alone: one table_weight per entry and sample,
+    # no weight-argument array
+    grid, damping, fam, tracker, st = _window_sample_case(1, False)
+    ctx = functionals._SampleContext(grid, st, damping.values, 1.5)
+    entry = exponent_table(fam)[WeightKind.PHI]
+    w = ctx.weight(fam, entry, 0.0, 1.0)
+    assert isinstance(w, float) and not ctx._s
+    assert w == table_weight(fam, entry, st.t)
+    array = eval_weight(fam, WeightKind.PHI, 0.0 * grid.q() + st.t)
+    assert w == pytest.approx(float(array[0]), rel=1e-15)
 
 
 def test_tracker_rejects_stride_change():

@@ -144,3 +144,123 @@ def test_grid_q_computed_once_and_read_only():
     with pytest.raises(ValueError):
         q[0, 0] = 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# radius per window and fields held on the box where they vary
+# ---------------------------------------------------------------------------
+
+def _grids():
+    return [build_grid_1d(0.5, 30.0, 590), build_grid_2d_disk(1.0, 8.0, 10.0)]
+
+
+def _boxes(grid):
+    """Windows at the obstacle or inner wall, at the truncation edge, at the
+    corners, off every variation box, partly over it, and the whole grid."""
+    if grid.dim == 1:
+        return [(slice(0, 10),), (slice(20, 60),), (slice(580, 591),),
+                (slice(300, 400),), (slice(5, 591),), None]
+    return [(slice(65, 96), slice(70, 91)), (slice(150, 161), slice(60, 100)),
+            (slice(0, 12), slice(0, 12)), (slice(149, 161), slice(149, 161)),
+            (slice(0, 20), slice(30, 130)), (slice(40, 90), slice(70, 161)), None]
+
+
+def _whole_grid_field(grid, fn, flat, clamp):
+    """fn(|x|) on every node, as the full-array builders once made it."""
+    rad = np.sqrt(grid.coords[0] ** 2 + grid.coords[1] ** 2) if grid.dim == 2 \
+        else np.abs(grid.coords[0])
+    flat *= 1.001
+    out = np.full(grid.shape, fn(np.array([flat]))[0])
+    near = rad < flat
+    out[near] = fn(rad[near])
+    return grid.clamp_dirichlet(out) if clamp else out
+
+
+def _profile(kind, eps0, L, a_max, rho):
+    def fn(rad):
+        if kind == "constant":
+            return np.full_like(rad, a_max)
+        a = np.where(rad >= L, eps0 + (a_max - eps0) * smoothstep((rad - L) / L),
+                     eps0 * smoothstep(rad / L))
+        if kind == "annulus_plus_exterior":
+            a = np.maximum(a, eps0 * (1.0 - smoothstep((rad - rho - L / 2.0) / (L / 2.0))))
+        return a
+    return fn
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_radius_built_on_read_and_per_window(dim):
+    g = _grids()[dim - 1]
+    assert "radius" not in vars(g)
+    for box in _boxes(g):
+        win = g.window(box).radius          # the window's own, from its coords
+        assert win.tobytes() == g.radius[box or ...].tobytes()
+    # the full grid's, once read, is the 2D grid's former sqrt(sq + sq^T)
+    want = np.abs(g.coords[0]) if dim == 1 else np.sqrt(
+        np.add.outer(g.coords[0][:, 0] ** 2, g.coords[1][0] ** 2))
+    assert g.radius.tobytes() == want.tobytes()
+    assert np.shares_memory(g.window(_boxes(g)[1]).radius, g.radius)   # a view now
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "exterior_smooth",
+                                  "annulus_plus_exterior", "psi"])
+def test_held_field_windows_match_whole_grid_values(dim, kind):
+    g = _grids()[dim - 1]
+    rho = g.alpha if dim == 1 else g.rho_obstacle
+    L, eps0, a_max = (1.0, 0.5, 1.5) if kind != "psi" else (1.5, 0, 0)
+    if kind == "constant":      # no node in [L, 1.001 L): the margin is off the box
+        L = 1.02
+    if kind == "psi":
+        want = _whole_grid_field(g, lambda rad: 1.0 - smoothstep((rad - L) / L),
+                                 2.0 * L, False)
+        make = lambda: build_psi(g, L)      # noqa: E731
+    else:
+        flat = L if kind == "constant" else max(2.0 * L, rho + L)
+        want = _whole_grid_field(g, _profile(kind, eps0, L, a_max, rho), flat, True)
+        make = lambda: build_damping(g, kind, eps0, L, a_max)     # noqa: E731
+    for box in _boxes(g):
+        field = make()                      # windows built from the box values
+        assert field.window(box).tobytes() == want[box or ...].tobytes()
+        assert "values" not in vars(field)
+    field = make()
+    assert field.values.tobytes() == want.tobytes()
+    assert field.values is field.values     # built on first read, then kept
+    for box in _boxes(g):
+        assert field.window(box).tobytes() == want[box or ...].tobytes()
+    if kind != "psi":
+        assert field.a_inf == float(want.max())
+        sel = g.fluid & (g.radius >= L)
+        margin = float(np.min(want, where=sel, initial=math.inf)) - eps0
+        assert field.hyp_a_margin(g) == margin
+
+
+def test_held_field_replace_needs_values():
+    # a held profile rebuilt by dataclasses.replace takes its values along
+    import dataclasses
+    g = build_grid_2d_disk(1.0, 8.0, 10.0)
+    a = build_damping(g, "annulus_plus_exterior", 0.5, 1.0, 1.5)
+    box = _boxes(g)[0]
+    win = dataclasses.replace(a, values=a.window(box))
+    assert win.values.tobytes() == a.values[box].tobytes() and win.a_inf == a.a_inf
+    with pytest.raises(TypeError, match="one of values and held"):
+        dataclasses.replace(a, L=2.0)
+
+
+def test_held_box_is_where_the_field_varies():
+    g = build_grid_2d_disk(1.0, 27.0, 10.0)
+    psi = build_psi(g, 2.0)
+    core, box = psi._held[:2]
+    # |x| < 4.004: 81 rows and columns of 541, ~2% of the grid
+    assert core.shape == (81, 81) and box == (slice(230, 311),) * 2
+    assert core.size < g.fluid.size // 40
+
+
+def test_damping_margin_check_raises(monkeypatch):
+    # a profile below epsilon0 on |x| >= L is rejected with its margin, not
+    # by an assert that python -O would strip
+    import decaylab.grids as gr
+    monkeypatch.setattr(gr, "smoothstep", lambda t: -np.ones_like(np.asarray(t, float)))
+    g = build_grid_1d(0.0, 10.0, 100)
+    with pytest.raises(ValueError, match="hypothesis margin -1"):
+        build_damping(g, "exterior_smooth", 0.5, 1.0, 1.5)

@@ -21,8 +21,8 @@ from decaylab.functionals import energy
 from decaylab.grids import build_damping, build_grid_1d, build_grid_2d_disk
 from decaylab.solver import (ConeSpec, SolverParams, WaveState,
                              make_initial_compact, make_initial_weighted,
-                             reference_solve, run, solve_damping_scalar,
-                             step)
+                             run, solve_damping_scalar, step)
+from oracles import reference_solve
 
 
 def bisect_oracle(c, w, r, tol=1e-14):
@@ -904,6 +904,100 @@ def test_windowed_run_allocates_less_than_one_full_array():
         tracemalloc.stop()
     assert res.n_steps == 24 and len(res.samples) == 3
     assert peak < state.u.nbytes
+
+
+def _t3_tracker(grid, damping, R):
+    from decaylab.functionals import Prop1Config, SampleTracker, TrackerConfig
+    from decaylab.grids import build_psi
+    from decaylab.weights import WeightFamily, compute_constants
+
+    consts = compute_constants("T3", 1.5, grid.dim, 0.01, 0.2)
+    fam = WeightFamily.compact(consts.gamma, R, r=1.5)
+    return SampleTracker(TrackerConfig(
+        grid=grid, damping=damping, psi=build_psi(grid, 1.0), r=1.5,
+        family=fam, constants=consts, bundle_sets=[("thm3", fam)],
+        prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.0))
+
+
+@pytest.mark.parametrize("dim, mode, amplitude", [
+    (1, "bump_u", 1.0), (1, "both", -1.0), (2, "bump_u", 1.0), (2, "bump_v", -2.0)])
+def test_box_held_initial_matches_full_arrays(dim, mode, amplitude):
+    # the scenario's initial state lives on the bump's box: samples, steps,
+    # final state and data functionals are those of the full arrays
+    from decaylab.functionals import data_functionals
+    if dim == 1:
+        grid, center, R = build_grid_1d(0.5, 12.0, 230), 2.0, 3.0
+    else:
+        grid, center, R = build_grid_2d_disk(1.0, 6.0, 8.0), (2.5, 0.5), 3.5
+    damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+    held = sv._compact_bump(grid, center, 0.7, amplitude, mode, R=R)
+    full = make_initial_compact(grid, center, 0.7, amplitude, mode, R=R)
+    assert held.box is not None and full.box is None
+    assert 4 * held.u.size < full.u.size
+    params = _n_step_params(grid, 30)
+    res = [run(grid, damping, st, params, tracker=_t3_tracker(grid, damping, R),
+               cone=ConeSpec(R, enforce=False), sample_stride=5)
+           for st in (held, full)]
+    assert len(res[0].samples) == 7
+    assert repr(res[0].samples) == repr(res[1].samples)
+    assert res[0].E_steps.tobytes() == res[1].E_steps.tobytes()
+    assert res[0].D_cum == res[1].D_cum
+    for x in ("u", "v"):
+        assert np.array_equal(getattr(res[0].final_state, x),
+                              getattr(res[1].final_state, x))
+    tracker = _t3_tracker(grid, damping, R)
+    consts, fam = tracker.cfg.constants, tracker.cfg.family
+    assert (data_functionals(held, grid, fam, consts)
+            == data_functionals(full, grid, fam, consts))
+
+
+def test_negative_amplitude_keeps_the_window_memory():
+    # -0.0 on every Dirichlet node: `run` copies and clamps its first window
+    # alone, so its peak is that of amplitude +1; the solution is odd in it
+    grid = build_grid_2d_disk(1.0, 20.0, 10.0)
+    damping = build_damping(grid, "annulus_plus_exterior", 0.5, 2.0, 1.0)
+    params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=0.5)
+    states = [make_initial_compact(grid, (3.5, 0.0), 1.0, amp, "both")
+              for amp in (1.0, -1.0)]
+    assert np.signbit(states[1].u[~grid.fluid]).all()
+    run(grid, damping, states[0], params)       # builds the grid's masks
+    peaks, results = [], []
+    for state in states:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            results.append(run(grid, damping, state, params))
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < state.u.nbytes // 4
+    assert abs(peaks[1] - peaks[0]) <= 0.02 * peaks[0]
+    plus, minus = (r.final_state for r in results)
+    assert np.array_equal(minus.u, -plus.u) and np.array_equal(minus.v, -plus.v)
+    assert results[0].E_steps.tobytes() == results[1].E_steps.tobytes()
+
+
+def test_compact_build_and_run_allocate_less_than_one_full_array():
+    # after the grid: damping, cutoff, the bump on its box and a tracked run
+    # hold their boxes and windows alone, never a full-grid float array
+    grid = build_grid_2d_disk(1.0, 20.0, 10.0)
+    full = grid.fluid.size * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        damping = build_damping(grid, "annulus_plus_exterior", 0.5, 2.0, 1.0)
+        tracker = _t3_tracker(grid, damping, 4.5)
+        state = sv._compact_bump(grid, (3.5, 0.0), 1.0, 1.0, "bump_u", R=4.5)
+        held = tracemalloc.get_traced_memory()[0] - start
+        res = run(grid, damping, state, SolverParams.for_grid(grid, 0.9, 1.5, T_max=1.5),
+                  tracker=tracker, cone=ConeSpec(R=4.5, enforce=False))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.n_steps == 24 and len(res.samples) == 3
+    assert held < full // 4
+    assert peak < full
+    assert "radius" not in vars(grid) and "values" not in vars(damping)
 
 
 def test_reference_fixed_point_divergence_reported():
