@@ -64,14 +64,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p_vw = sub.add_parser("verify-weights",
                           help="constant identities and weight inequalities")
-    p_vw.add_argument("--seed", type=int, default=20240809, help="[scenario] seed")
-    p_vw.add_argument("--pairs", type=int, default=200, help="[weights] pairs")
-    p_vw.add_argument("--families", type=int, default=20, help="[weights] families")
+    p_vw.add_argument("--seed", type=int, default=None, help="set [scenario] seed")
+    p_vw.add_argument("--pairs", type=int, default=None, help="set [weights] pairs")
+    p_vw.add_argument("--families", type=int, default=None,
+                      help="set [weights] families")
 
     p_fit = sub.add_parser("fit", help="fit a decay model to a series CSV")
     p_fit.add_argument("csv")
-    p_fit.add_argument("--model", required=True,
-                       choices=("LogDecay", "PolyDecay", "CompactDecay"))
+    p_fit.add_argument("--model", required=True, choices=decay._MODELS)
     p_fit.add_argument("--b", type=float, default=None,
                        help="offset b (LogDecay)")
     p_fit.add_argument("--R", type=float, default=None,
@@ -83,12 +83,16 @@ def _parser() -> argparse.ArgumentParser:
 def _load_config_arg(arg: str) -> scenarios.ScenarioConfig:
     if arg in presets.CATALOG:
         return presets.load(arg)
+    if "\n" not in arg and not Path(arg).is_file():
+        raise scenarios.ConfigError(f"{arg!r} is neither a preset nor a file; "
+                                    f"presets: {', '.join(presets.names())}")
     return scenarios.load_config(arg)
 
 
-def _with_flags(cfg: scenarios.ScenarioConfig, args) -> scenarios.ScenarioConfig:
-    """`cfg` with `--margin` / `--practical-b` applied, checked like a load."""
-    given = {"margin": args.margin, "practical_b": args.practical_b}
+def _with_flags(cfg: scenarios.ScenarioConfig, args,
+                flags=("margin", "practical_b")) -> scenarios.ScenarioConfig:
+    """`cfg` with those of `flags` that were given applied, checked like a load."""
+    given = {k: getattr(args, k) for k in flags}
     return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
@@ -142,9 +146,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify-weights":
-        cfg = scenarios.ScenarioConfig(
-            name="verify-weights", theorem="weight_suite", seed=args.seed,
-            pairs=args.pairs, families=args.families)
+        cfg = _with_flags(replace(presets.load("weight-suite"), name="verify-weights"),
+                          args, ("seed", "pairs", "families"))
         report = scenarios.run_weight_suite(cfg)
         print(json.dumps(report.payload, indent=2, sort_keys=True))
         return 0 if report.all_pass else 1

@@ -19,8 +19,8 @@ from .weights import TheoremConstants
 __all__ = ["DecayFit", "Verdict", "fit_decay", "theorem_verdict",
            "truncation_contamination", "MODEL_FOR_THEOREM"]
 
-_MODELS = ("LogDecay", "PolyDecay", "CompactDecay")
 MODEL_FOR_THEOREM = {"T1": "LogDecay", "T2": "PolyDecay", "T3": "CompactDecay"}
+_MODELS = tuple(MODEL_FOR_THEOREM.values())
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Shipped scenario presets.
 
 The catalog maps preset names to config documents (the same INI schema that
-`load_config` accepts).  The identity-refinement triplet shares one physical
-setup at h, h/2, h/4 with the time step tied to h, so defect ratios between
-consecutive members measure the convergence order of the energy identity.
+`load_config` accepts).  A preset states only the keys whose values differ
+from their row's default in `ScenarioConfig`, so each default is written in
+one place.  A value that equals only a derived default (`t_window =
+t_max/4`, T1's `gamma = 1`) is stated: it must hold when an edit changes
+what the default derives from.  The identity-refinement triplet shares one
+physical setup at h, h/2, h/4 (each member states its h) with the time step
+tied to h, so defect ratios between consecutive members measure the
+convergence order of the energy identity.
 
 Notes baked into the numbers:
 
@@ -38,31 +43,19 @@ _preset("t3-compact-1d", """
 [scenario]
 name = t3-compact-1d
 theorem = T3
-dim = 1
-r = 1.5
-delta0 = 0.01
-gamma = auto
-epsilon0 = 0.5
 l = 0.5
-a_max = 1.0
-damping_kind = exterior_smooth
 
 [grid]
 alpha = 0.5
-x_max = auto
-h = 0.05
 
 [data]
-kind = compact
 center = 1.25
 radius = 0.7
-amplitude = 1.0
 r_support = 2.0
 
 [time]
 t_max = 500
 cfl = 1.0
-sample_stride = 10
 t_window = 50
 """)
 
@@ -71,30 +64,20 @@ _preset("t3-compact-2d", """
 name = t3-compact-2d
 theorem = T3
 dim = 2
-r = 1.5
-delta0 = 0.01
-gamma = auto
-epsilon0 = 0.5
 l = 2.0
-a_max = 1.0
 damping_kind = annulus_plus_exterior
 
 [grid]
 rho = 1.0
-r_out = auto
 h = 0.1
 
 [data]
-kind = compact
 center_x = 3.5
-center_y = 0.0
 radius = 1.0
-amplitude = 1.0
 r_support = 4.5
 
 [time]
 t_max = 16
-cfl = 0.9
 sample_stride = 5
 t_window = 4
 """)
@@ -103,100 +86,52 @@ _preset("t2-poly-1d", """
 [scenario]
 name = t2-poly-1d
 theorem = T2
-dim = 1
-r = 1.5
-delta0 = 0.01
-gamma = auto
-epsilon0 = 0.5
-l = 1.0
-a_max = 1.0
-damping_kind = exterior_smooth
 
 [grid]
-alpha = 0.0
 x_max = 100
-h = 0.05
 
 [data]
 kind = weighted
-sigma = 10
-amplitude = 1.0
-oscillation = 2.0
 
 [time]
 t_max = 150
 cfl = 0.45
-sample_stride = 10
 t_window = 5
-
-[prop1]
-enabled = true
-gamma = 1.0
-mu = 1.0
-lam = 1.0
 """)
 
 _preset("t1-log-desk", """
 [scenario]
 name = t1-log-desk
 theorem = T1
-dim = 1
-r = 1.5
 delta0 = 0.1
 gamma = 1.0
-epsilon0 = 0.5
-l = 1.0
-a_max = 1.0
-damping_kind = exterior_smooth
 
 [grid]
-alpha = 0.0
 x_max = 100
-h = 0.05
 
 [data]
 kind = weighted
-sigma = 10
-amplitude = 1.0
 
 [time]
 t_max = 150
-cfl = 0.9
-sample_stride = 10
 t_window = 10
-
-[weights]
-use_practical_b = true
-practical_b = 2.718281828459045
 """)
 
 _preset("t1-honest-b-bounds", """
 [scenario]
 name = t1-honest-b-bounds
 theorem = T1
-dim = 1
-r = 1.5
 delta0 = 0.1
 gamma = 1.0
-epsilon0 = 0.5
-l = 1.0
-a_max = 1.0
-damping_kind = exterior_smooth
 
 [grid]
-alpha = 0.0
 x_max = 100
-h = 0.05
 
 [data]
 kind = weighted
-sigma = 10
-amplitude = 1.0
 
 [time]
 t_max = 150
-cfl = 0.9
-sample_stride = 10
 t_window = 10
 
 [weights]
@@ -207,29 +142,19 @@ _IDENTITY_TEMPLATE = """
 [scenario]
 name = {name}
 theorem = identity_only
-dim = 1
-r = 1.5
 epsilon0 = 1.0
-l = 1.0
-a_max = 1.0
 damping_kind = constant
 
 [grid]
-alpha = 0.0
 x_max = 60
 h = {h}
 
 [data]
-kind = compact
-center = 1.0
 radius = 0.75
-amplitude = 1.0
 r_support = 2.0
 
 [time]
-t_max = 20
 cfl = 0.2
-sample_stride = 10
 t_window = 5
 """
 

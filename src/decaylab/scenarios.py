@@ -181,11 +181,13 @@ def _parse(cp, f, key=None, default=None):
 
 
 def load_config(source) -> ScenarioConfig:
-    """Parse and validate a scenario document (path or literal text)."""
-    text = source
-    p = Path(str(source))
-    if "\n" not in str(source) and p.is_file():
-        text = p.read_text()
+    """Parse and validate a scenario document: literal text, or a path when
+    it is one line (a one-line document holds no config)."""
+    text = str(source)
+    if "\n" not in text:
+        if not Path(text).is_file():
+            raise ConfigError(f"no config file {text!r}")
+        text = Path(text).read_text()
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)

@@ -23,6 +23,7 @@ from decaylab.weights import (Regime, WeightFamily, WeightKind, compute_b,
                               eval_weight, k_quadratic,
                               verify_weight_inequalities)
 from oracles import reference_solve
+from test_scenarios import _with
 
 SEED = 20240809
 
@@ -41,12 +42,9 @@ def outdir(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")
 
 
-def _preset_report(name, outdir, **edits):
-    text = presets.get(name)
-    for old, new in edits.items():
-        assert old in text
-        text = text.replace(old, new)
-    rep = run_scenario(load_config(text), outdir)
+def _preset_report(name, outdir, *edits):
+    """Run preset `name` with each (section, key, value) of `edits` set."""
+    rep = run_scenario(load_config(_with(presets.get(name), *edits)), outdir)
     assert not rep.failed, rep.payload.get("error")
     return rep
 
@@ -75,10 +73,8 @@ def t2_report(outdir):
 @pytest.fixture(scope="module")
 def t2_report_fine(outdir):
     # dt,h refinement of the t2 preset for the Prop-1 order study
-    return _preset_report(
-        "t2-poly-1d", outdir,
-        **{"name = t2-poly-1d": "name = t2-poly-1d-fine",
-           "h = 0.05": "h = 0.025"})
+    return _preset_report("t2-poly-1d", outdir, ("scenario", "name", "t2-poly-1d-fine"),
+                          ("grid", "h", "0.025"))
 
 
 @pytest.fixture(scope="module")

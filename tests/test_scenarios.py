@@ -1,6 +1,8 @@
 """Config loading, scenario orchestration, persistence and CLI tests."""
 
 import configparser
+import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -112,9 +114,8 @@ def _fails_in_run(name="t1-log-desk"):
     """A config that loads and then fails in the run: at gamma = 100 the
     honest-b bundle weight of t1-log-desk is e^1903, which overflows at the
     first sample."""
-    text = presets.get("t1-log-desk").replace("gamma = 1.0", "gamma = 100")
-    text = text.replace("t_max = 150", "t_max = 10")
-    return load_config(text.replace("name = t1-log-desk", f"name = {name}"))
+    return load_config(_with(presets.get("t1-log-desk"), ("scenario", "name", name),
+                             ("scenario", "gamma", "100"), ("time", "t_max", "10")))
 
 
 def test_minimal_config_defaults():
@@ -457,7 +458,40 @@ def test_cli_presets_listing(capsys):
 
 def test_cli_presets_write(tmp_path):
     assert cli_main(["presets", "--write", str(tmp_path)]) == 0
-    assert (tmp_path / "t2-poly-1d.ini").exists()
+    assert sorted(p.stem for p in tmp_path.glob("*.ini")) == presets.names()
+    for name in presets.names():
+        assert load_config(tmp_path / f"{name}.ini") == presets.load(name)
+
+
+def test_presets_state_only_what_differs():
+    # a preset line whose removal leaves the loaded config as it is repeats
+    # its row's default (or `auto`); the identity ladder states h on each rung
+    for name in presets.names():
+        text, loaded = presets.get(name), presets.load(name)
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        for section in cp.sections():
+            assert cp.options(section), f"{name}: empty [{section}]"
+            for key in cp.options(section):
+                if name.startswith("identity-refinement") and key == "h":
+                    continue
+                try:
+                    same = load_config(_with(text, (section, key, None))) == loaded
+                except ConfigError:     # a required key
+                    same = False
+                assert not same, f"{name}: [{section}] {key} repeats its default"
+
+
+def test_missing_config_file_is_named(tmp_path, capsys):
+    missing = tmp_path / "nosuch.ini"
+    named = re.escape(repr(str(missing)))
+    with pytest.raises(ConfigError, match=rf"^no config file {named}$"):
+        load_config(missing)
+    for arg in (str(missing), "t3-compact-1x"):
+        assert cli_main(["run", arg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {arg!r} is neither a preset nor a file; presets: ")
+        assert "t3-compact-1d" in err
 
 
 def test_cli_run_config_file(tmp_path, capsys):
@@ -520,14 +554,13 @@ def test_cli_suite(tmp_path, capsys):
 
 def test_2d_scenario_smoke(tmp_path):
     # shrunk variant of the shipped 2D preset: same machinery, small grid
-    text = presets.get("t3-compact-2d")
-    text = text.replace("t_max = 16", "t_max = 4")
-    text = text.replace("r_out = auto", "r_out = 14")
-    text = text.replace("sample_stride = 5", "sample_stride = 2")
-    cfg = load_config(text.replace("t3-compact-2d", "t3-2d-smoke"))
+    cfg = load_config(_with(presets.get("t3-compact-2d"),
+                            ("scenario", "name", "t3-2d-smoke"), ("time", "t_max", "4"),
+                            ("grid", "r_out", "14"), ("time", "sample_stride", "2")))
     rep = run_scenario(cfg, tmp_path)
     assert not rep.failed, rep.payload.get("error")
     assert rep.payload["grid"]["dim"] == 2
+    assert rep.payload["config"]["r_out"] == 14.0
     assert rep.payload["verdicts"]["CompactDecay"]["passed"]
     assert rep.payload["truncation_contamination"] < 1e-15
     assert rep.payload["solver"]["mono_violations"] == 0
@@ -578,11 +611,22 @@ def test_readme_schema_lists_every_field_with_its_range():
              for f in scenarios._ROWS.values()}
     for section, key in rows:
         f = table.get((section, key), scenarios._ROWS["center"])
-        assert f.metadata["rule"][0] in " ".join(rows[section, key].split()), key
+        text = " ".join(rows[section, key].split())
+        assert f.metadata["rule"][0] in text, key
+        # presets leave defaults implicit: this block is where they are written
+        default = scenarios._CENTER_2D.get(key, f.default)
+        if key == "center":
+            default = default[0]
+        stated = None       # no default, or one derived from other rows (t_max/4, 2l)
+        m = re.search(r"\bdefault ([^\s,;]+)", text)
+        if m:
+            with contextlib.suppress(ValueError, KeyError):
+                stated = math.e if m[1] == "e" else f.metadata["cast"](m[1])
+        assert stated == (None if default is dataclasses.MISSING else default), key
 
 
 def test_overrides_leave_caller_config_unchanged(tmp_path, capsys):
-    text = presets.get("t1-log-desk").replace("t_max = 150", "t_max = 20")
+    text = _with(presets.get("t1-log-desk"), ("time", "t_max", "20"))
     cfg = load_config(text)
     before = vars(cfg).copy()
     rep = run_scenario(replace(cfg, margin=5.0, practical_b=3.5), tmp_path)
@@ -778,9 +822,9 @@ def test_t1_sum_overflow_fails_at_first_sample(tmp_path):
     # at gamma = 41.5 every weight of t1-log-desk is finite, but the sum of
     # the honest-b energy_weighted_inst member overflows: the sample fails,
     # naming the column, instead of writing inf into the series
-    text = presets.get("t1-log-desk").replace("gamma = 1.0", "gamma = 41.5")
-    rep = run_scenario(load_config(text.replace("t_max = 150", "t_max = 10")),
-                       tmp_path)
+    text = _with(presets.get("t1-log-desk"), ("scenario", "gamma", "41.5"),
+                 ("time", "t_max", "10"))
+    rep = run_scenario(load_config(text), tmp_path)
     assert rep.failed
     assert rep.payload["error"] == ("FloatingPointError: sampled column "
                                     "thm1.energy_weighted_inst is inf at t = 0")
