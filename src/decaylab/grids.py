@@ -183,8 +183,8 @@ def _within(box, window):
 
 def _lay_out(x: np.ndarray, old, new, shape, fill: float = 0.0) -> np.ndarray:
     """x, the values on index box `old` of an array of `shape` that holds
-    `fill` elsewhere, laid out on box `new` (None: the whole array)."""
-    new = new or tuple(slice(0, n) for n in shape)
+    `fill` elsewhere, in a fresh array on box `new` (None: the whole array)."""
+    old, new = (b or tuple(slice(0, n) for n in shape) for b in (old, new))
     out = np.full(tuple(s.stop - s.start for s in new), fill)
     both = [slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(old, new)]
     if all(s.stop > s.start for s in both):

@@ -426,7 +426,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         family, bundle_sets = _families(cfg)
 
     if cfg.data_kind == "compact":
-        initial = solver._compact_bump(      # held on the bump's box
+        initial = solver.make_initial_compact(      # held on the bump's box
             grid, cfg.center, cfg.radius, cfg.amplitude, "bump_u",
             R=cfg.R_support)
         # enforced where the scheme rides the exact cone, measured elsewhere
@@ -558,10 +558,9 @@ def run_weight_suite(cfg: ScenarioConfig) -> ScenarioReport:
         d = int(rng.integers(1, 3))
         r = 1.0 + rng.uniform(1e-3, 1.0) * (2.0 / d)
         d0 = rng.uniform(1e-4, 0.05)
-        target = d0 * r / (r + 1.0)
         for half in (True, False):
             k, k2, _ = weights.k_quadratic(r, d0, half)
-            lhs = k - r / (r + 1.0) - k2 * (8.0 / 3.0) ** r
+            lhs, target = weights.identity_sides(r, d0, k, k2)
             if half:
                 worst_t2 = max(worst_t2, abs(lhs - target) / target)
             else:

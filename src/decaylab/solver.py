@@ -23,9 +23,11 @@ is within tol * max(1, |w|), the limit round-off sets for large |w|.
 A step moves a nonzero value by at most one node, so `run` works on the box of
 the nonzeros, widened by the steps to the next re-window plus a 2-node halo
 and clipped to the grid, and holds the state, the damping and Lap_h(u) on
-that window alone: it never copies the caller's arrays, and builds the full
-final state only on request.  A state may itself hold only an index box of
-the grid (`WaveState.box`), as compact initial data do on their bump's box.
+that window alone, and builds the full final state only on request.  A state
+may hold only an index box of the grid (`WaveState.box`), as the bumps of
+`make_initial_compact` do.  Dirty data (a nonzero or NaN on a Dirichlet node)
+are copied and clamped before the support scan; the first window is always a
+fresh, clamped copy, so `initial` is only read and dirty data run as clean.
 States are bit-identical to whole-grid stepping; E*, the dissipation and the
 sampled sums differ only in summation order.  Weighted data fill the grid, so
 their box is the whole grid and they take the whole-grid path.
@@ -79,10 +81,7 @@ class WaveState:
         return WaveState(self.u.copy(), self.v.copy(), self.t, self.box)
 
     def on(self, box, shape) -> "WaveState":
-        """The state on index box `box` of a grid of `shape` (None: the whole
-        grid): views when it holds the whole grid, else fresh arrays."""
-        if self.box is None:
-            return WaveState(self.u[box or ...], self.v[box or ...], self.t, box)
+        """The state on index box `box` (None: all) of a `shape` grid, in new arrays."""
         return WaveState(_lay_out(self.u, self.box, box, shape),
                          _lay_out(self.v, self.box, box, shape), self.t, box)
 
@@ -254,12 +253,10 @@ def edge_form(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b) on one thread; a strided 2D window is read in place, not
-    copied.  numpy's OpenBLAS runs a dot of over 10 000 elements on every core:
-    it waits for them, leaves their threads spinning and rounds by their count,
-    so a longer dot is summed in order over the fewest near-equal parts."""
-    if not (a.flags.c_contiguous and b.flags.c_contiguous):
-        return float(np.einsum("ij,ij->", a, b))
+    """sum(a * b) on one thread.  numpy's OpenBLAS runs a dot of over 10 000
+    elements on every core: it waits for them, leaves their threads spinning
+    and rounds by their count, so a longer dot is summed in order over the
+    fewest near-equal parts."""
     k = -(-a.size // 10_000)
     if k <= 1:
         return float(np.vdot(a, b))
@@ -276,17 +273,13 @@ def solver_energy(grid: ExteriorGrid, state: WaveState, dt: float,
 
 
 def _support_box(u: np.ndarray, v: np.ndarray, pad: int, window=None,
-                 shape=None, fluid=None):
+                 shape=None):
     """Box of the nodes where u or v is nonzero, widened by `pad` per side and
     clipped; None for the whole array, which also stands for a zero state.
-    For u, v on the index box `window` of arrays of `shape`: in their indices.
-    With the mask `fluid`, only its nodes count."""
-    if u.ndim == 1 or fluid is not None:
-        hit = ((u != 0.0) | (v != 0.0)) & (True if fluid is None else fluid)
-        hits = [np.flatnonzero(hit if u.ndim == 1 else hit.any(axis=1 - k))
-                for k in range(u.ndim)]
-    else:       # the rows and columns hit, with no node-sized mask
-        hits = [np.flatnonzero(u.any(axis=1 - k) | v.any(axis=1 - k)) for k in (0, 1)]
+    For u, v on the index box `window` of arrays of `shape`: in their indices."""
+    # the nodes hit in 1D; the rows and columns hit in 2D, with no node-sized mask
+    hits = [np.flatnonzero(u.any(axis=ax) | v.any(axis=ax))
+            for ax in ([()] if u.ndim == 1 else [1, 0])]
     if not hits[0].size:
         return None
     shape = u.shape if shape is None else shape
@@ -363,9 +356,9 @@ class RunResult:
 
     @cached_property
     def final_state(self) -> WaveState:
-        """The full-grid state at T_max, built on first access: never `initial`."""
+        """The full-grid state at T_max, in fresh arrays built on first access."""
         st, shape = self._end
-        return st.copy() if st.box is None else st.on(None, shape)
+        return st.on(None, shape)
 
 
 def run(grid: ExteriorGrid, damping: DampingProfile,
@@ -391,20 +384,15 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         return g, d, params.dt * d.values
 
     held = grid.window(initial.box)
-    pu, pv = initial.u[held._pinned], initial.v[held._pinned]
-    stray = bool(pu.any() or pv.any())      # a nonzero or NaN on a Dirichlet node
+    if initial.u[held._pinned].any() or initial.v[held._pinned].any():
+        # a nonzero or NaN on a Dirichlet node would reach the scan: clamp a copy
+        initial = initial.on(initial.box, grid.shape)
+        held.clamp_dirichlet(initial.u), held.clamp_dirichlet(initial.v)
     # every node that can be nonzero until the next re-window
-    box = _support_box(initial.u, initial.v, _REWINDOW + 2, initial.box,
-                       grid.shape, held.fluid if stray else None)
+    box = _support_box(initial.u, initial.v, _REWINDOW + 2, initial.box, grid.shape)
+    # fresh arrays, clamped for any -0.0 on a Dirichlet node
     sub, (g, d, c) = initial.on(box, grid.shape), window(box)
-    # only this window is clamped, where a Dirichlet node holds a nonzero, NaN
-    # or -0.0: a copy if it views the caller's arrays, as when it is strided
-    # (E* then sums it as every later window)
-    clamp = stray or np.signbit(pu).any() or np.signbit(pv).any()
-    if initial.box is None and (clamp or not sub.u.flags.c_contiguous):
-        sub = sub.copy()
-    if clamp:
-        g.clamp_dirichlet(sub.u), g.clamp_dirichlet(sub.v)
+    g.clamp_dirichlet(sub.u), g.clamp_dirichlet(sub.v)
     lap = laplacian(g, sub.u)       # serves E* and the next kick
     if cone is not None:
         amp0 = max(float(np.max(np.abs(sub.u))), float(np.max(np.abs(sub.v))))
@@ -469,22 +457,11 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
 def make_initial_compact(grid: ExteriorGrid, center, radius: float,
                          amplitude: float, mode: str = "bump_u",
                          R: float | None = None) -> WaveState:
-    """C^2 bump amplitude*(1 - (d/radius)^2)^3, exactly supported in the ball.
-
-    The closed support ball must stay inside the fluid region, and inside
-    B_R when the scenario declares a support radius R.  Full arrays: the
-    state `_compact_bump` holds on the bump's box, laid out on the grid.
+    """C^2 bump amplitude*(1 - (d/radius)^2)^3, exactly supported in the ball,
+    held on the bump's box (`WaveState.box`): `.on(None, grid.shape)` lays it
+    out on the whole grid.  The closed support ball must stay inside the fluid
+    region, and inside B_R when the scenario declares a support radius R.
     """
-    st = _compact_bump(grid, center, radius, amplitude, mode, R)
-    off = amplitude * 0.0       # the bump off its box, signed zero included
-    u = grid.zeros() if mode == "bump_v" else _lay_out(st.u, st.box, None, grid.shape, off)
-    v = grid.zeros() if mode == "bump_u" else _lay_out(st.v, st.box, None, grid.shape, off)
-    return WaveState(u, v, 0.0)
-
-
-def _compact_bump(grid: ExteriorGrid, center, radius: float, amplitude: float,
-                  mode: str = "bump_u", R: float | None = None) -> WaveState:
-    """`make_initial_compact`'s state on the bump's box (`WaveState.box`)."""
     if mode not in ("bump_u", "bump_v", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     center = np.atleast_1d(np.asarray(center, dtype=float))

@@ -334,7 +334,7 @@ def k_quadratic(r: float, delta0: float, half: bool) -> tuple[float, float, floa
     k is the positive root; k2 = 8 k (1+delta0) / ((r+1)(5kr - 8c)) follows
     the proof-side quadratic.  The residual is normalized by its largest term.
     """
-    c = (0.5 - delta0) if half else (1.0 - delta0)
+    c = _slack(delta0, half)
     B = (5.0 * (1.0 + delta0) * r * r
          + 8.0 * c * (r + 1.0)
          + 8.0 * (8.0 / 3.0) ** r * (1.0 + delta0))
@@ -350,6 +350,15 @@ def k_quadratic(r: float, delta0: float, half: bool) -> tuple[float, float, floa
     k2 = 8.0 * k * (1.0 + delta0) / ((r + 1.0) * denom)
     terms = (5.0 * k * k * r * (r + 1.0), -k * B, 8.0 * (1.0 + delta0) * c * r)
     return k, k2, sum(terms) / max(abs(t) for t in terms)
+
+
+def _slack(delta0: float, half: bool) -> float:     # c: T2 (half) or T3
+    return (0.5 - delta0) if half else (1.0 - delta0)
+
+
+def identity_sides(r: float, delta0: float, k: float, k2: float) -> tuple[float, float]:
+    """k - r/(r+1) - k2 (8/3)^r and delta0 r/(r+1): = for T2, >= for T3."""
+    return k - r / (r + 1.0) - k2 * (8.0 / 3.0) ** r, delta0 * r / (r + 1.0)
 
 
 @dataclass(frozen=True)
@@ -429,10 +438,9 @@ def compute_constants(theorem: str, r: float, d: int, delta0: float,
             raise AdmissibilityError(
                 f"{theorem} requires 0 < delta0 < {d0_sup}, got {delta0}")
         k, k2, _ = k_quadratic(r, delta0, half)
-        c = (0.5 - delta0) if half else (1.0 - delta0)
         p = sobolev_p(r, d)
         bounds = {
-            f"({'1/2' if half else '1'}-delta0)/k": c / k,
+            f"({'1/2' if half else '1'}-delta0)/k": _slack(delta0, half) / k,
             "(d+2-dr)/(r-1)": (d + 2.0 - d * r) / (r - 1.0),
             "(p-2r)/(r-1)": (p - 2.0 * r) / (r - 1.0),
         }
@@ -461,19 +469,15 @@ def _check_gamma(gamma: float, bounds: dict):
 def _check_identities(c: TheoremConstants):
     if not (c.k > 0.0 and c.k1 > 0.0 and c.k2 > 0.0):
         raise AdmissibilityError("k, k1, k2 must all be positive")
-    r, d0 = c.r, c.delta0
-    target = d0 * r / (r + 1.0)
-    lhs = c.k - r / (r + 1.0) - c.k2 * (8.0 / 3.0) ** r
-    if c.theorem == "T2":
-        if abs(lhs - target) > 1e-10 * max(1.0, abs(target)):
-            raise AdmissibilityError(
-                f"T2 identity k - r/(r+1) - k2 (8/3)^r = delta0 r/(r+1) "
-                f"violated: {lhs} vs {target}")
-    elif c.theorem == "T3":
-        if lhs < target - 1e-12:
-            raise AdmissibilityError(
-                f"T3 inequality k - r/(r+1) - k2 (8/3)^r >= delta0 r/(r+1) "
-                f"violated: {lhs} < {target}")
+    lhs, target = identity_sides(c.r, c.delta0, c.k, c.k2)
+    if c.theorem == "T2" and abs(lhs - target) > 1e-10 * max(1.0, abs(target)):
+        raise AdmissibilityError(
+            f"T2 identity k - r/(r+1) - k2 (8/3)^r = delta0 r/(r+1) "
+            f"violated: {lhs} vs {target}")
+    if c.theorem == "T3" and lhs < target - 1e-12:
+        raise AdmissibilityError(
+            f"T3 inequality k - r/(r+1) - k2 (8/3)^r >= delta0 r/(r+1) "
+            f"violated: {lhs} < {target}")
 
 
 # ---------------------------------------------------------------------------

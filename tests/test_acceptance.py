@@ -206,7 +206,7 @@ def test_criterion_06_cross_integrator():
     t0 = time.monotonic()
     grid = build_grid_1d(0.0, 10.0, 100)
     damping = build_damping(grid, "constant", 1.0, 1.0, 1.0)
-    state = make_initial_compact(grid, 5.0, 2.0, 1.0, "bump_u")
+    state = make_initial_compact(grid, 5.0, 2.0, 1.0, "bump_u").on(None, grid.shape)
     dt = 0.2 * grid.h
     n = int(round(5.0 / dt))
     params = SolverParams(dt=dt, r=2.0, T_max=5.0)

@@ -57,7 +57,7 @@ def test_energy_sine_mode_analytic():
 
 def test_energy_quadratic_scaling():
     grid, _, _ = _setup_1d()
-    st1 = make_initial_compact(grid, 3.0, 1.0, 1.0, "both")
+    st1 = make_initial_compact(grid, 3.0, 1.0, 1.0, "both").on(None, grid.shape)
     st2 = WaveState(2.0 * st1.u, 2.0 * st1.v)
     assert energy(st2, grid) == pytest.approx(4.0 * energy(st1, grid), rel=1e-14)
 
@@ -69,7 +69,7 @@ def test_energy_quadratic_scaling():
 def test_weighted_energy_collapses_to_energy():
     # Poly beta=0 has phi(s) = 1+s; mu = lam = 0 freezes it at phi(0) = 1
     grid, _, _ = _setup_1d()
-    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both")
+    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both").on(None, grid.shape)
     fam = WeightFamily.poly(gamma=1.0)
     assert weighted_energy(st, grid, fam, 0.0, 0.0) == pytest.approx(
         energy(st, grid), rel=1e-14)
@@ -89,14 +89,14 @@ def test_weighted_energy_against_fine_quadrature():
     vals = {}
     for n in (400, 3200):
         grid = build_grid_1d(0.0, 20.0, n)
-        st = make_initial_compact(grid, 5.0, 2.0, 1.0, "bump_u")
+        st = make_initial_compact(grid, 5.0, 2.0, 1.0, "bump_u").on(None, grid.shape)
         vals[n] = weighted_energy(st, grid, fam, 1.0, 1.0)
     assert vals[400] == pytest.approx(vals[3200], rel=0.01)
 
 
 def test_weighted_energy_log_consistency():
     grid, _, _ = _setup_1d()
-    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both")
+    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both").on(None, grid.shape)
     fam = WeightFamily.poly(gamma=1.0)
     direct = weighted_energy(st, grid, fam, 1.0, 0.5)
     assert math.exp(weighted_energy_log(st, grid, fam, 1.0, 0.5)) == \
@@ -120,7 +120,7 @@ def test_x_psi_one_kills_cross_term():
     psi_one = CutoffPsi(values=np.ones(grid.shape), L=1.0)
     consts = compute_constants("T2", 1.5, 1, 0.01, 0.1)
     fam = WeightFamily.poly(consts.gamma, r=1.5)
-    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both")
+    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both").on(None, grid.shape)
     x_val = X_functional(st, grid, psi_one, damping, consts, fam)
     # with v = (1-psi) u = 0 only the three u/e terms remain; recompute them
     s = grid.q() + st.t
@@ -141,7 +141,8 @@ def test_x_compact_t0_term_by_term():
     consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
     R = 2.0
     fam = WeightFamily.compact(consts.gamma, R, r=1.5)
-    st = make_initial_compact(grid, 1.25, 0.7, 1.0, "bump_u", R=R)  # u1 = 0
+    st = make_initial_compact(grid, 1.25, 0.7, 1.0, "bump_u", R=R)   # u1 = 0
+    st = st.on(None, grid.shape)
     x_val = X_functional(st, grid, psi, damping, consts, fam)
     vol = grid.cell_volume
     a = damping.values
@@ -189,7 +190,7 @@ def test_data_functionals_reordered_kahan_oracle():
     # independent oracle: same grid, reversed summation order with Kahan
     grid, _, _ = _setup_1d(n=500)
     consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
-    st = make_initial_compact(grid, 3.0, 1.0, 1.3, "bump_u", R=5.0)
+    st = make_initial_compact(grid, 3.0, 1.0, 1.3, "bump_u", R=5.0).on(None, grid.shape)
     d = data_functionals(st, grid, None, consts)
 
     def kahan(values):
@@ -228,7 +229,7 @@ def test_data_functionals_window_matches_whole_grid(case):
     else:
         grid, _, _ = _setup_1d(n=500)
         consts = compute_constants("T2", 1.5, 1, 0.01, 0.1)
-        st = (make_initial_compact(grid, 3.0, 1.0, 1.3, "both")
+        st = (make_initial_compact(grid, 3.0, 1.0, 1.3, "both").on(None, grid.shape)
               if case == "compact-1d" else
               make_initial_weighted(grid, 2.0, None, consts.gamma))
     fam = WeightFamily.poly(consts.gamma, r=1.5)
@@ -388,7 +389,7 @@ def test_log_bundle_overflow_raises():
     tracker = SampleTracker(TrackerConfig(
         grid=grid, damping=damping, psi=psi, r=1.5, constants=consts,
         bundle_sets=[("thm1", honest)]))
-    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both")
+    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both").on(None, grid.shape)
     with pytest.raises(WeightOverflowError) as exc:
         tracker.sample(st, 0.0, energy(st, grid))
     assert exc.value.log_value == pytest.approx(1903.0, abs=1.0)
@@ -412,6 +413,7 @@ def _window_sample_case(dim, sharp, theorem="T3"):
             constants=consts, bundle_sets=[("thm3", fam)],
             prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.5))
         st0 = make_initial_compact(grid, (2.0, 0.5), 0.8, 1.0, "both", R=3.0)
+    st0 = st0.on(None, grid.shape)
     if sharp:
         rng = np.random.default_rng(dim)
         block = np.zeros(grid.shape, dtype=bool)
@@ -645,7 +647,7 @@ def test_quadrature_order_under_refinement():
         grid = build_grid_1d(0.0, 20.0, n)
         damping = build_damping(grid, "exterior_smooth", 0.5, 1.0, 1.0)
         psi = build_psi(grid, 1.0)
-        st = make_initial_compact(grid, 5.0, 2.0, 1.0, "both")
+        st = make_initial_compact(grid, 5.0, 2.0, 1.0, "both").on(None, grid.shape)
         vals[n] = np.array([
             energy(st, grid),
             weighted_energy(st, grid, fam, 1.0, 1.0),
@@ -661,7 +663,7 @@ def test_quadrature_order_under_refinement():
 def test_weighted_energy_overflow_flag():
     from decaylab.weights import WeightFamily, WeightOverflowError, Regime
     grid, _, _ = _setup_1d()
-    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both")
+    st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both").on(None, grid.shape)
     # beta large enough that phi = ln^(beta+1)(b+s) overflows doubles
     fam = WeightFamily(Regime.LOG, beta=400.0, ln_b=100.0)
     with pytest.raises(WeightOverflowError) as exc:

@@ -841,10 +841,11 @@ _FUZZ_ROWS += [("data", key, scenarios._ROWS["center"])
                for key in scenarios._CENTER_2D]
 
 
-def _fuzz_values(cp, section, key, f):
+def _fuzz_values(cp, section, key, f, in_range=False):
     """Text values for one row, in and out of its range: a fixed set, the
     row's choices, and the base's value halved and doubled.  Nothing above 3
-    or twice the base's value keeps every grid small and every run short."""
+    or twice the base's value keeps every grid small and every run short.
+    With `in_range`, only those the row accepts on its own."""
     values = ["-1", "0", "0.5", "1", "2", "3", "nan", "inf", "auto", "foo"]
     need = f.metadata["rule"][0]
     if need.startswith("one of "):
@@ -856,7 +857,24 @@ def _fuzz_values(cp, section, key, f):
         values += [repr(base / 2), repr(2 * base)]
     except (configparser.Error, ValueError):
         pass
-    return values
+    return [v for v in values if _accepts(f, v)] if in_range else values
+
+
+def _accepts(f, text):
+    """Whether row `f` takes `text` on its own: it parses and fits the rule."""
+    value = _typed(f, text)
+    if value is None:       # `auto`
+        return True
+    try:
+        scenarios._check(f, value)
+    except ConfigError:
+        return False
+    return True
+
+
+# Three in four drawn values fit their row, so that most documents load and
+# reach the run; the rest probe the rejections.
+_IN_RANGE = st.sampled_from([True, True, True, False])
 
 
 @st.composite
@@ -868,7 +886,7 @@ def _documents(draw):
     for _ in range(draw(st.integers(1, 3))):
         section, key, f = draw(st.sampled_from(_FUZZ_ROWS))
         edits.append((section, key, draw(st.sampled_from(
-            _fuzz_values(cp, section, key, f)))))
+            _fuzz_values(cp, section, key, f, draw(_IN_RANGE))))))
     return _with(base, *edits)
 
 
@@ -883,7 +901,7 @@ def _typed(f, text):
         return text
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(doc=_documents(), data=st.data())
 def test_config_documents_fail_at_load_or_run(doc, data):
     try:
@@ -895,7 +913,7 @@ def test_config_documents_fail_at_load_or_run(doc, data):
     cp.read_string(doc)
     section, key, f = data.draw(st.sampled_from(_FUZZ_ROWS))
     value = _typed(f, data.draw(st.sampled_from(
-        _fuzz_values(cp, section, key, f))))
+        _fuzz_values(cp, section, key, f, data.draw(_IN_RANGE)))))
     if f.name == "center":      # the axis `key` names
         i = int(key == "center_y")
         value = cfg.center[:i] + (value,) + cfg.center[i + 1:]

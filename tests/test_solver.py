@@ -416,7 +416,7 @@ def test_compact_bump_zero_amplitude():
 def test_compact_bump_profile_and_support():
     grid = build_grid_1d(0.0, 10.0, 1000)
     amp = 2.5
-    state = make_initial_compact(grid, 5.0, 1.0, amp, "bump_u")
+    state = make_initial_compact(grid, 5.0, 1.0, amp, "bump_u").on(None, grid.shape)
     x = grid.coords[0]
     assert state.u[np.argmin(np.abs(x - 5.0))] == pytest.approx(amp)
     assert np.all(state.u[np.abs(x - 5.0) >= 1.0] == 0.0)
@@ -427,7 +427,7 @@ def test_compact_bump_energy_matches_quadrature():
     # analytic: int |u0'|^2 over the unit-radius bump = 1024/385 (exact),
     # so E(0) = 512/385 for bump_u with v = 0
     grid = build_grid_1d(0.0, 10.0, 1000)   # h = 0.01
-    state = make_initial_compact(grid, 5.0, 1.0, 1.0, "bump_u")
+    state = make_initial_compact(grid, 5.0, 1.0, 1.0, "bump_u").on(None, grid.shape)
     E0 = energy(state, grid)
     assert E0 == pytest.approx(512.0 / 385.0, rel=0.02)
 
@@ -471,11 +471,14 @@ def test_compact_bump_on_box_byte_identical_to_whole_grid(
         grid = build_grid_1d(0.5, 10.0, 950)
     else:
         grid = build_grid_2d_disk(1.0, 10.0, 10.0)
+    # byte for byte on the bump's box, -0.0 included; zero off it
     state = make_initial_compact(grid, center, radius, amplitude, mode)
     u, v = _whole_grid_bump(grid, center, radius, amplitude, mode)
     assert np.count_nonzero(state.u) + np.count_nonzero(state.v) > 0
-    assert state.u.tobytes() == u.tobytes()
-    assert state.v.tobytes() == v.tobytes()
+    assert state.u.tobytes() == u[state.box].tobytes()
+    assert state.v.tobytes() == v[state.box].tobytes()
+    full = state.on(None, grid.shape)
+    assert np.array_equal(full.u, u) and np.array_equal(full.v, v)
     assert state.u is not state.v
 
 
@@ -535,7 +538,7 @@ def test_reference_linear_gap_halves_at_order_two():
     # must shrink >= 3.5x when dt halves.
     grid = build_grid_1d(0.0, 10.0, 100)
     damping = _zero_damping(grid)
-    state = make_initial_compact(grid, 5.0, 2.0, 1.0, "bump_u")
+    state = make_initial_compact(grid, 5.0, 2.0, 1.0, "bump_u").on(None, grid.shape)
     gaps = {}
     for frac in (1.0, 0.5):
         dt = 0.2 * grid.h * frac
@@ -578,10 +581,10 @@ def _stepping_cases():
     """(grid, damping, params, state): sparse 1D and 2D compact, dense weighted."""
     g1 = build_grid_1d(0.5, 40.0, 790)
     d1 = build_damping(g1, "exterior_smooth", 0.5, 0.5, 1.0)
-    s1 = make_initial_compact(g1, 1.25, 0.7, 1.0, "both", R=2.0)
+    s1 = make_initial_compact(g1, 1.25, 0.7, 1.0, "both", R=2.0).on(None, g1.shape)
     g2 = build_grid_2d_disk(1.0, 10.0, 10.0)
     d2 = build_damping(g2, "annulus_plus_exterior", 0.5, 2.0, 1.0)
-    s2 = make_initial_compact(g2, (3.5, 0.0), 1.0, 1.0, "bump_v", R=4.5)
+    s2 = make_initial_compact(g2, (3.5, 0.0), 1.0, 1.0, "bump_v", R=4.5).on(None, g2.shape)
     g3 = build_grid_1d(0.0, 30.0, 300)
     d3 = build_damping(g3, "constant", 1.0, 1.0, 1.0)
     s3 = make_initial_weighted(g3, 10.0, None, 0.0)
@@ -623,7 +626,8 @@ def test_solver_energy_matches_edge_form(dim, windowed, seed):
     dt = SolverParams.for_grid(grid, 0.9, 1.5, T_max=0.0).dt
     u, v = (rng.uniform(-1.0, 1.0, grid.shape) for _ in range(2))
     if windowed:
-        mask = make_initial_compact(grid, center, 1.0, 1.0, "bump_u").u != 0.0
+        bump = make_initial_compact(grid, center, 1.0, 1.0, "bump_u")
+        mask = bump.on(None, grid.shape).u != 0.0
         u, v = u * mask, v * mask
     state = WaveState(grid.clamp_dirichlet(u), grid.clamp_dirichlet(v))
     want = _edge_energy(grid, state, dt)
@@ -640,7 +644,7 @@ def test_solver_energy_matches_edge_form(dim, windowed, seed):
                                    (120, 117), (211, 200), (211, 201)])
 def test_dot_hands_blas_near_equal_parts_of_at_most_10000(monkeypatch, shape):
     # OpenBLAS runs a longer dot on every core, rounding by their count; a
-    # strided 2D window (the last shape, cut) takes einsum and no BLAS call
+    # strided 2D window (the last shape, cut) is summed as its copy
     rng = np.random.default_rng(shape[0])
     a, b = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
     if shape == (211, 201):
@@ -649,9 +653,6 @@ def test_dot_hands_blas_near_equal_parts_of_at_most_10000(monkeypatch, shape):
     monkeypatch.setattr(np, "vdot", lambda x, y: sizes.append(x.size) or vdot(x, y))
     got = sv._dot(a, b)
     assert got == pytest.approx(math.fsum((a * b).ravel()), rel=1e-13, abs=0.0)
-    if not a.flags.c_contiguous:
-        assert sizes == []
-        return
     assert len(sizes) == -(-a.size // 10_000) and sum(sizes) == a.size
     assert max(sizes) <= 10_000 and max(sizes) - min(sizes) <= 1
     if a.size <= 10_000:
@@ -730,7 +731,7 @@ def test_step_hands_window_to_the_field_solve(monkeypatch, case):
 def _whole_grid_loop(grid, damping, state, params):
     """`step` on the full arrays n_steps times: final state, E* per step and
     the summed dissipation."""
-    st = state.copy()
+    st = state.on(None, grid.shape)
     grid.clamp_dirichlet(st.u)
     grid.clamp_dirichlet(st.v)
     n_steps = int(round(params.T_max / params.dt))
@@ -748,11 +749,11 @@ def _window_cases():
     wall, a 2D bump, and a 2D bump whose box is clipped at the grid edge."""
     g1 = build_grid_1d(0.5, 40.0, 790)
     d1 = build_damping(g1, "annulus_plus_exterior", 0.5, 1.0, 1.0)
-    s1 = make_initial_compact(g1, 1.25, 0.7, 1.0, "both")
+    s1 = make_initial_compact(g1, 1.25, 0.7, 1.0, "both").on(None, g1.shape)
     g2 = build_grid_2d_disk(1.0, 10.0, 10.0)
     d2 = build_damping(g2, "annulus_plus_exterior", 0.5, 2.0, 1.0)
-    s2 = make_initial_compact(g2, (3.5, 0.0), 1.0, 1.0, "bump_v")
-    s3 = make_initial_compact(g2, (8.85, 8.85), 1.0, 1.0, "both")
+    s2 = make_initial_compact(g2, (3.5, 0.0), 1.0, 1.0, "bump_v").on(None, g2.shape)
+    s3 = make_initial_compact(g2, (8.85, 8.85), 1.0, 1.0, "both").on(None, g2.shape)
     return [(g1, d1, SolverParams.for_grid(g1, 1.0, 1.5, T_max=4.0), s1),
             (g2, d2, SolverParams.for_grid(g2, 0.9, 1.5, T_max=3.0), s2),
             (g2, d2, SolverParams.for_grid(g2, 0.9, 1.5, T_max=3.0), s3)]
@@ -818,8 +819,9 @@ def _run_cases():
     d1 = build_damping(g1, "annulus_plus_exterior", 0.5, 1.0, 1.0)
     g2 = build_grid_2d_disk(1.0, 4.0, 8.0)
     d2 = build_damping(g2, "annulus_plus_exterior", 0.5, 1.0, 1.0)
-    return [(g1, d1, make_initial_compact(g1, 3.0, 0.7, 1.0, "both")),
-            (g2, d2, make_initial_compact(g2, (2.5, 0.5), 0.7, 1.0, "bump_v")),
+    return [(g1, d1, make_initial_compact(g1, 3.0, 0.7, 1.0, "both").on(None, g1.shape)),
+            (g2, d2, make_initial_compact(g2, (2.5, 0.5), 0.7, 1.0, "bump_v")
+             .on(None, g2.shape)),
             (g1, d1, make_initial_weighted(g1, 10.0, None, 0.0)),
             (g2, d2, make_initial_weighted(g2, 10.0, None, 0.0))]
 
@@ -855,15 +857,24 @@ def test_run_reads_initial_and_final_state_owns_memory(case, n_steps):
                                    _n_step_params(grid, n_steps))
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_run_unclamped_initial_matches_clamped(case):
     # values on Dirichlet nodes, -0.0 included, are clamped away first; the
-    # caller's arrays keep them
-    grid, damping, state = _run_cases()[case]
-    pinned = ~grid.fluid
-    rng = np.random.default_rng(case)
-    raw = WaveState(np.where(pinned, rng.uniform(-1.0, 1.0, grid.shape), state.u),
-                    np.where(pinned, -0.0, state.v))
+    # caller's arrays keep them.  Case 4 holds a 2D bump on its box, which
+    # takes in an obstacle node: a nonzero in u and a NaN in v there
+    if case < 4:
+        grid, damping, state = _run_cases()[case]
+        pinned = ~grid.fluid
+        rng = np.random.default_rng(case)
+        raw = WaveState(np.where(pinned, rng.uniform(-1.0, 1.0, grid.shape), state.u),
+                        np.where(pinned, -0.0, state.v))
+    else:
+        grid, damping, _ = _run_cases()[1]
+        state = make_initial_compact(grid, (1.8, 0.0), 0.7, 1.0, "both")
+        pinned = ~grid.window(state.box).fluid
+        assert pinned.any()
+        raw = WaveState(np.where(pinned, 0.5, state.u),
+                        np.where(pinned, np.nan, state.v), box=state.box)
     kept = raw.copy()
     params = _n_step_params(grid, 20)
     want = run(grid, damping, state, params, sample_stride=5)
@@ -874,6 +885,42 @@ def test_run_unclamped_initial_matches_clamped(case):
     assert got.E_steps.tobytes() == want.E_steps.tobytes()
     assert got.final_state.u.tobytes() == want.final_state.u.tobytes()
     assert got.final_state.v.tobytes() == want.final_state.v.tobytes()
+    # -0.0 alone is not copied before the scan, but the first window, which
+    # is the final state at T_max = 0, is clamped as well
+    signed = WaveState(np.where(pinned, -0.0, state.u), np.where(pinned, -0.0, state.v),
+                       box=state.box)
+    at0 = [run(grid, damping, st, _n_step_params(grid, 0)).final_state
+           for st in (state, signed)]
+    assert at0[1].u.tobytes() == at0[0].u.tobytes()
+    assert at0[1].v.tobytes() == at0[0].v.tobytes()
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_run_hands_solver_energy_contiguous_arrays(monkeypatch, case):
+    # every window `run` sums is a fresh array: the four run cases, 2D
+    # weighted data as a column-sliced view (case 4), and with a nonzero on
+    # every Dirichlet node (case 5), which run as their clean copies
+    grid, damping, state = _run_cases()[min(case, 3)]
+    want = run(grid, damping, state, _n_step_params(grid, 12), sample_stride=4)
+    if case == 4:
+        wide = np.zeros((grid.shape[0], grid.shape[1] + 1, 2))
+        wide[:, :-1, 0], wide[:, :-1, 1] = state.u, state.v
+        state = WaveState(wide[:, :-1, 0], wide[:, :-1, 1])
+        assert not state.u.flags.c_contiguous
+    if case == 5:
+        state = WaveState(np.where(grid.fluid, state.u, 1.0),
+                          np.where(grid.fluid, state.v, -1.0))
+    seen = []
+    real = sv.solver_energy
+
+    def checking(g, st, dt, lap):
+        seen.append(all(x.flags.c_contiguous for x in (st.u, st.v, lap)))
+        return real(g, st, dt, lap)
+
+    monkeypatch.setattr(sv, "solver_energy", checking)
+    res = run(grid, damping, state, _n_step_params(grid, 12), sample_stride=4)
+    assert len(seen) == 13 and all(seen)
+    assert res.E_steps.tobytes() == want.E_steps.tobytes()
 
 
 def test_windowed_run_allocates_less_than_one_full_array():
@@ -893,6 +940,7 @@ def test_windowed_run_allocates_less_than_one_full_array():
         family=fam, constants=consts, bundle_sets=[("thm3", fam)],
         prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=3.0))
     state = make_initial_compact(grid, (3.5, 0.0), 1.0, 1.0, "bump_u", R=4.5)
+    state = state.on(None, grid.shape)
     params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=1.5)
     tracemalloc.start()
     try:
@@ -930,8 +978,8 @@ def test_box_held_initial_matches_full_arrays(dim, mode, amplitude):
     else:
         grid, center, R = build_grid_2d_disk(1.0, 6.0, 8.0), (2.5, 0.5), 3.5
     damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
-    held = sv._compact_bump(grid, center, 0.7, amplitude, mode, R=R)
-    full = make_initial_compact(grid, center, 0.7, amplitude, mode, R=R)
+    held = make_initial_compact(grid, center, 0.7, amplitude, mode, R=R)
+    full = held.on(None, grid.shape)
     assert held.box is not None and full.box is None
     assert 4 * held.u.size < full.u.size
     params = _n_step_params(grid, 30)
@@ -952,13 +1000,14 @@ def test_box_held_initial_matches_full_arrays(dim, mode, amplitude):
 
 
 def test_negative_amplitude_keeps_the_window_memory():
-    # -0.0 on every Dirichlet node: `run` copies and clamps its first window
-    # alone, so its peak is that of amplitude +1; the solution is odd in it
+    # -0.0 on every Dirichlet node: `run` clamps its first window, a fresh
+    # copy, alone, so its peak is that of amplitude +1; the solution is odd in it
     grid = build_grid_2d_disk(1.0, 20.0, 10.0)
     damping = build_damping(grid, "annulus_plus_exterior", 0.5, 2.0, 1.0)
     params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=0.5)
-    states = [make_initial_compact(grid, (3.5, 0.0), 1.0, amp, "both")
+    states = [make_initial_compact(grid, (3.5, 0.0), 1.0, amp, "both").on(None, grid.shape)
               for amp in (1.0, -1.0)]
+    states[1].u[~grid.fluid] = states[1].v[~grid.fluid] = -0.0
     assert np.signbit(states[1].u[~grid.fluid]).all()
     run(grid, damping, states[0], params)       # builds the grid's masks
     peaks, results = [], []
@@ -987,7 +1036,7 @@ def test_compact_build_and_run_allocate_less_than_one_full_array():
         start = tracemalloc.get_traced_memory()[0]
         damping = build_damping(grid, "annulus_plus_exterior", 0.5, 2.0, 1.0)
         tracker = _t3_tracker(grid, damping, 4.5)
-        state = sv._compact_bump(grid, (3.5, 0.0), 1.0, 1.0, "bump_u", R=4.5)
+        state = make_initial_compact(grid, (3.5, 0.0), 1.0, 1.0, "bump_u", R=4.5)
         held = tracemalloc.get_traced_memory()[0] - start
         res = run(grid, damping, state, SolverParams.for_grid(grid, 0.9, 1.5, T_max=1.5),
                   tracker=tracker, cone=ConeSpec(R=4.5, enforce=False))
