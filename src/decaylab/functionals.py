@@ -102,7 +102,7 @@ class _SampleContext:
     def s(self, mu: float, lam: float) -> np.ndarray:
         """The weight argument mu q(x) + lam t."""
         if (mu, lam) not in self._s:
-            self._s[mu, lam] = mu * self.grid.q() + lam * self.t
+            self._s[mu, lam] = mu * self.grid.q + lam * self.t
         return self._s[mu, lam]
 
     def weight(self, family: WeightFamily, entry: tuple, mu: float,
@@ -279,7 +279,7 @@ def data_functionals(initial: WaveState, grid: ExteriorGrid,
         if family is None:
             raise ValueError(f"{constants.theorem} data functionals need the "
                              "weight family")
-        s = grid.q()
+        s = grid.q
         w = eval_weight(family, WeightKind.PHI, s)
         comp["weighted_grad_u0"] = vol * float(np.sum(w * g0))
         comp["weighted_u1"] = vol * float(np.sum(np.where(grid.fluid, w * u1**2, 0.0)))

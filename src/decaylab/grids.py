@@ -8,14 +8,14 @@ mask (field values pinned at zero), giving a first-order staircase boundary.
 Damping generators only emit profiles that satisfy the active-at-infinity
 hypothesis exactly: a(x) >= epsilon0 wherever |x| >= L.  Geometric control is
 guaranteed by construction of these profiles, never computed.  Grids build
-|x| and q per window, on first read; the damping and the cutoff are held on
-the index box where they vary (see `_radial`).
+|x| and q per window, on first read; the damping and the cutoff hold only
+their values on the index box where they vary, plus one constant (`_radial`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -85,12 +85,9 @@ class ExteriorGrid:
         pinned.flags.writeable = False
         return pinned
 
-    def q(self) -> np.ndarray:
-        """sqrt(1 + |x|^2) per node, computed once per grid (read-only)."""
-        return self._q
-
     @cached_property
-    def _q(self) -> np.ndarray:
+    def q(self) -> np.ndarray:
+        """sqrt(1 + |x|^2) per node (read-only)."""
         q = np.hypot(1.0, self.radius)
         q.flags.writeable = False
         return q
@@ -103,7 +100,7 @@ class ExteriorGrid:
             return self
         sub = replace(self, shape=self.fluid[box].shape, fluid=self.fluid[box],
                       coords=tuple(c[box] for c in self.coords))
-        sub.__dict__.update({k: self.__dict__[k][box] for k in ("radius", "_q", "_pinned")
+        sub.__dict__.update({k: self.__dict__[k][box] for k in ("radius", "q", "_pinned")
                              if k in self.__dict__})
         return sub
 
@@ -192,22 +189,12 @@ def _lay_out(x: np.ndarray, old, new, shape, fill: float = 0.0) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class _BoxHeld:
     """Base of the damping and the cutoff: a nodal field held as `_radial`
-    holds it, or given as the full array `values`.  `values` is built on
-    first read and then kept; `window` builds one box of the field."""
-
-    def __init__(self, values: np.ndarray | None = None, *, held=None, **meta):
-        for f in fields(self):      # the dataclass fields, by keyword
-            object.__setattr__(self, f.name, meta.pop(f.name))
-        if meta:
-            raise TypeError(f"unexpected arguments {sorted(meta)}")
-        if (values is None) == (held is None):      # so replace() must give values
-            raise TypeError(f"{type(self).__name__} takes one of values and held")
-        if values is not None:
-            self.__dict__["values"] = values
-            held = (values, tuple(slice(0, n) for n in values.shape), 0.0, None, False)
-        object.__setattr__(self, "_held", held)
+    holds it, on its box.  `values`, the whole-grid array, is built on first
+    read and then kept; `window` builds one box of the field."""
+    held: tuple = field(repr=False)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -215,9 +202,7 @@ class _BoxHeld:
 
     def window(self, box) -> np.ndarray:
         """The field on an index box of the grid (None: all of it)."""
-        if "values" in self.__dict__:
-            return self.values[box or ...]
-        core, core_box, fill, grid, clamp = self._held
+        core, core_box, fill, grid, clamp = self.held
         out = _lay_out(core, core_box, box, grid.shape, fill)
         return grid.window(box).clamp_dirichlet(out) if clamp else out
 
@@ -235,7 +220,7 @@ def _extreme(held: tuple, grid: ExteriorGrid, reduce, r_min: float) -> float:
     return out
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class DampingProfile(_BoxHeld):
     """Nodal damping coefficient a(x) >= 0 with its construction metadata."""
     epsilon0: float
@@ -245,7 +230,7 @@ class DampingProfile(_BoxHeld):
 
     def hyp_a_margin(self, grid: ExteriorGrid) -> float:
         """min over fluid {|x| >= L} of a - epsilon0; >= 0 by construction."""
-        return _extreme(self._held, grid, np.min, self.L) - self.epsilon0
+        return _extreme(self.held, grid, np.min, self.L) - self.epsilon0
 
 
 def _radial(grid: ExteriorGrid, fn, flat: float, clamp: bool = False) -> tuple:
@@ -317,7 +302,7 @@ def build_damping(grid: ExteriorGrid, kind: str, epsilon0: float, L: float,
     return prof
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class CutoffPsi(_BoxHeld):
     """Radial cutoff: 1 inside B_L, 0 outside B_2L, quintic in between."""
     L: float

@@ -145,6 +145,9 @@ _ROWS = {f.name: f for f in fields(ScenarioConfig)}
 _CENTER_2D = {"center_x": 3.0, "center_y": 0.0}
 _KEYS = {(f.metadata["section"], f.metadata["key"]) for f in _ROWS.values()} | {
     ("data", key) for key in _CENTER_2D}
+# The keys a document of each dim does not read, so must not set.
+_UNREAD = {1: (("grid", "rho"), ("grid", "r_out"), *(("data", k) for k in _CENTER_2D)),
+           2: (("grid", "alpha"), ("grid", "x_max"), ("data", "center"))}
 # The most float64 elements numpy can hold in one array: the bound on grid
 # nodes and on time steps (`run` keeps one energy per step).
 _MAX_LEN = np.iinfo(np.intp).max // 8
@@ -202,6 +205,9 @@ def load_config(source) -> ScenarioConfig:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
     values = {name: _parse(cp, f) for name, f in _ROWS.items() if name != "center"}
+    for section, key in _UNREAD.get(values["dim"], ()):
+        if cp.has_option(section, key):
+            raise ConfigError(f"[{section}] {key} is not read when dim = {values['dim']}")
     keys = {"center": 1.0} if values["dim"] == 1 else _CENTER_2D
     values["center"] = tuple(_parse(cp, _ROWS["center"], k, d) for k, d in keys.items())
     return ScenarioConfig(**values)
@@ -465,7 +471,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         "grid": {"dim": grid.dim, "h": grid.h, "n_fluid": grid.n_fluid,
                  "alpha": grid.alpha, "x_max": grid.x_max,
                  "rho": grid.rho_obstacle, "r_out": grid.r_out},
-        "damping": asdict(damping),
+        "damping": {f.name: getattr(damping, f.name) for f in fields(damping) if f.repr},
         "solver": {"dt": params.dt, "cfl": cfg.cfl, "n_steps": res.n_steps,
                    "mono_violations": res.mono_violations,
                    "mono_worst": res.mono_worst},

@@ -48,7 +48,7 @@ energy's nodal quadrature lives in `functionals.energy`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -304,21 +304,21 @@ def support_radius(grid: ExteriorGrid, state: WaveState, threshold: float) -> fl
 # `step` stops a run once |u| or |v| exceeds this: the scheme has blown up
 BLOWUP = 1e100
 
-def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
+def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
          params: SolverParams, lap: np.ndarray | None = None,
          c: np.ndarray | None = None) -> tuple[WaveState, float]:
     """One semi-implicit leapfrog step; returns (new state, dissipation increment).
 
     The increment is dt * sum h^d a |v'|^(r+1), the discrete counterpart of
-    the energy-identity dissipation over the step.  A caller that holds
-    `lap` = Lap_h(state.u) and `c` = dt * damping.values passes them in.
+    the energy-identity dissipation, with `a` the damping array on `grid`.  A
+    caller that holds `lap` = Lap_h(state.u) and `c` = dt * a passes them in.
     """
     dt = params.dt
     lap = laplacian(grid, state.u) if lap is None else lap
     w = dt * lap
     w += state.v
     grid.clamp_dirichlet(w)
-    c = dt * damping.values if c is None else c
+    c = dt * a if c is None else c
     # the solve maps the clamped w's +0.0 to +0.0, so v_new is clamped too
     v_new = _solve_damping_field(c, w, params.r, _DAMPING_TOL)
     u_new = dt * v_new
@@ -331,7 +331,7 @@ def step(state: WaveState, grid: ExteriorGrid, damping: DampingProfile,
             f"field magnitude {peak:.3g} at t = {state.t + dt:.6g}; "
             "check the CFL bound and damping parameters")
     av **= params.r + 1.0
-    av *= damping.values
+    av *= a
     diss = dt * grid.cell_volume * float(av.sum())
     return WaveState(u_new, v_new, state.t + dt, state.box), diss
 
@@ -370,18 +370,19 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     returning a record to collect (see functionals.SampleTracker), where
     `state` holds the index box `state.box` of the grid (None: the whole
     grid) and is zero elsewhere, and `grid`, `a` and `lap` are the grid, the
-    damping values and Lap_h(state.u) on that box; with tracker=None the
-    records are (t, E_solver) pairs.  When `cone` declares compact data the
-    numerical support is checked at every sample against R + t + 2h + 2dt
-    and a violation is a hard error (truncation contamination would follow).
+    damping array (damping.window(box), built once per re-window, which `step`
+    takes too) and Lap_h(state.u) on that box; with tracker=None the records
+    are (t, E_solver) pairs.  When `cone` declares compact data the numerical
+    support is checked at every sample against R + t + 2h + 2dt and a
+    violation is a hard error (truncation contamination would follow).
     `initial` may hold a box of the grid; it is only read.  Deterministic
     for fixed inputs.
     """
     n_steps = int(round(params.T_max / params.dt)) if params.T_max > 0 else 0
 
     def window(box):        # c = dt a serves every solve on the window
-        g, d = grid.window(box), replace(damping, values=damping.window(box))
-        return g, d, params.dt * d.values
+        a = damping.window(box)
+        return grid.window(box), a, params.dt * a
 
     held = grid.window(initial.box)
     if initial.u[held._pinned].any() or initial.v[held._pinned].any():
@@ -391,7 +392,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     # every node that can be nonzero until the next re-window
     box = _support_box(initial.u, initial.v, _REWINDOW + 2, initial.box, grid.shape)
     # fresh arrays, clamped for any -0.0 on a Dirichlet node
-    sub, (g, d, c) = initial.on(box, grid.shape), window(box)
+    sub, (g, a, c) = initial.on(box, grid.shape), window(box)
     g.clamp_dirichlet(sub.u), g.clamp_dirichlet(sub.v)
     lap = laplacian(g, sub.u)       # serves E* and the next kick
     if cone is not None:
@@ -408,7 +409,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         if tracker is None:
             result.samples.append((st.t, float(E[n])))
         else:
-            result.samples.append(tracker.sample(st, D_cum, float(E[n]), g, d.values, lap))
+            result.samples.append(tracker.sample(st, D_cum, float(E[n]), g, a, lap))
 
     def check_cone(st):
         rad = support_radius(g, st, cone_thresh)
@@ -427,7 +428,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     take_sample(sub, 0)
 
     for n in range(1, n_steps + 1):
-        sub, diss = step(sub, g, d, params, lap, c)
+        sub, diss = step(sub, g, a, params, lap, c)
         lap = laplacian(g, sub.u)
         D_cum += diss
         E[n] = solver_energy(g, sub, params.dt, lap)
@@ -442,7 +443,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
             # nothing outside the window is nonzero, so its scan finds the box
             box = _support_box(sub.u, sub.v, _REWINDOW + 2, box, grid.shape)
             sub = sub.on(box, grid.shape)
-            g, d, c = window(box)
+            g, a, c = window(box)
             lap = laplacian(g, sub.u)
 
     result._end = (sub, grid.shape)

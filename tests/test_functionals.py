@@ -22,7 +22,7 @@ from decaylab.grids import (CutoffPsi, build_damping, build_grid_1d,
                             build_grid_2d_disk, build_psi)
 from decaylab.solver import (ConeSpec, SolverParams, WaveState, laplacian,
                              make_initial_compact, make_initial_weighted, run)
-from decaylab import functionals
+from decaylab import functionals, grids
 from decaylab.weights import (WeightFamily, WeightKind, WeightOverflowError,
                               compute_constants, eval_weight, exponent_table,
                               table_weight)
@@ -117,13 +117,13 @@ def test_x_zero_state():
 
 def test_x_psi_one_kills_cross_term():
     grid, damping, _ = _setup_1d()
-    psi_one = CutoffPsi(values=np.ones(grid.shape), L=1.0)
+    psi_one = CutoffPsi(held=grids._radial(grid, np.ones_like, 1.0), L=1.0)
     consts = compute_constants("T2", 1.5, 1, 0.01, 0.1)
     fam = WeightFamily.poly(consts.gamma, r=1.5)
     st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both").on(None, grid.shape)
     x_val = X_functional(st, grid, psi_one, damping, consts, fam)
     # with v = (1-psi) u = 0 only the three u/e terms remain; recompute them
-    s = grid.q() + st.t
+    s = grid.q + st.t
     vol = grid.cell_volume
     a = damping.values
     e = grad_sq(grid, st.u) + np.where(grid.fluid, st.v**2, 0.0)
@@ -237,7 +237,7 @@ def test_data_functionals_window_matches_whole_grid(case):
 
     vol = grid.cell_volume
     g0 = grad_sq(grid, st.u)
-    w = eval_weight(fam, WeightKind.PHI, grid.q())
+    w = eval_weight(fam, WeightKind.PHI, grid.q)
     expect = {
         "u0_H2_sq": vol * float(np.sum(st.u**2 + g0 + laplacian(grid, st.u)**2)),
         "u1_H1_sq": vol * float(np.sum(st.v**2 + grad_sq(grid, st.v))),
@@ -516,7 +516,7 @@ def test_compact_weights_are_one_number():
     w = ctx.weight(fam, entry, 0.0, 1.0)
     assert isinstance(w, float) and not ctx._s
     assert w == table_weight(fam, entry, st.t)
-    array = eval_weight(fam, WeightKind.PHI, 0.0 * grid.q() + st.t)
+    array = eval_weight(fam, WeightKind.PHI, 0.0 * grid.q + st.t)
     assert w == pytest.approx(float(array[0]), rel=1e-15)
 
 
@@ -675,8 +675,8 @@ def test_high_energy_linear_regime_holds_with_margin():
     # a == 0 run: bound still valid with the a_inf = 0 prefactor
     grid = build_grid_1d(0.0, 20.0, 400)
     from decaylab.grids import DampingProfile
-    damping = DampingProfile(values=np.zeros(grid.shape), epsilon0=1e-9,
-                             L=1.0, kind="constant", a_inf=0.0)
+    damping = DampingProfile(held=grids._radial(grid, np.zeros_like, 1.0),
+                             epsilon0=1e-9, L=1.0, kind="constant", a_inf=0.0)
     psi = build_psi(grid, 1.0)
     consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
     tracker = SampleTracker(TrackerConfig(

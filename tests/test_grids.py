@@ -138,11 +138,12 @@ def test_smoothstep_is_c2_ish():
 
 def test_grid_q_computed_once_and_read_only():
     g = build_grid_2d_disk(1.0, 4.0, 5.0)
-    q = g.q()
-    assert g.q() is q
+    q = g.q
+    assert g.q is q
     assert q.tobytes() == np.hypot(1.0, g.radius).tobytes()
     with pytest.raises(ValueError):
         q[0, 0] = 0.0
+    assert np.shares_memory(g.window((slice(2, 9), slice(3, 7))).q, q)  # a view, as radius
 
 
 
@@ -235,22 +236,25 @@ def test_held_field_windows_match_whole_grid_values(dim, kind):
         assert field.hyp_a_margin(g) == margin
 
 
-def test_held_field_replace_needs_values():
-    # a held profile rebuilt by dataclasses.replace takes its values along
+@pytest.mark.parametrize("dim", [1, 2])
+def test_held_field_replace_keeps_the_held_box(dim):
+    # dataclasses.replace carries the held field along: the copy windows
+    # byte for byte as the original does
     import dataclasses
-    g = build_grid_2d_disk(1.0, 8.0, 10.0)
-    a = build_damping(g, "annulus_plus_exterior", 0.5, 1.0, 1.5)
-    box = _boxes(g)[0]
-    win = dataclasses.replace(a, values=a.window(box))
-    assert win.values.tobytes() == a.values[box].tobytes() and win.a_inf == a.a_inf
-    with pytest.raises(TypeError, match="one of values and held"):
-        dataclasses.replace(a, L=2.0)
+    g = _grids()[dim - 1]
+    for field in (build_damping(g, "annulus_plus_exterior", 0.5, 1.0, 1.5),
+                  build_psi(g, 1.5)):
+        new = dataclasses.replace(field, L=2.0)
+        assert new.L == 2.0 and new.held is field.held
+        for box in _boxes(g):
+            assert new.window(box).tobytes() == field.window(box).tobytes()
+        assert new.values.tobytes() == field.values.tobytes()
 
 
 def test_held_box_is_where_the_field_varies():
     g = build_grid_2d_disk(1.0, 27.0, 10.0)
     psi = build_psi(g, 2.0)
-    core, box = psi._held[:2]
+    core, box = psi.held[:2]
     # |x| < 4.004: 81 rows and columns of 541, ~2% of the grid
     assert core.shape == (81, 81) and box == (slice(230, 311),) * 2
     assert core.size < g.fluid.size // 40

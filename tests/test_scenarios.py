@@ -240,6 +240,20 @@ def test_config_rejects_unknown_key():
         load_config(MINIMAL_T3 + "\nwhatever = 3\n")
 
 
+@pytest.mark.parametrize("base, section, key, value", [
+    ("t3", "grid", "rho", "1"), ("t3", "grid", "r_out", "7"),
+    ("t3", "data", "center_x", "3"), ("t3", "data", "center_y", "0"),
+    ("2d", "grid", "alpha", "0"), ("2d", "grid", "x_max", "7"),
+    ("2d", "data", "center", "2"),
+    # once loaded and ignored: run at centre (3, 0), echoed but never read
+    ("t3-compact-2d", "data", "center", "3.5"), ("t2-poly-1d", "grid", "r_out", "7"),
+])
+def test_config_rejects_keys_its_dim_does_not_read(base, section, key, value):
+    text = _with(_BASES.get(base) or presets.get(base), (section, key, value))
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} is not read when dim = "):
+        load_config(text)
+
+
 def test_config_rejects_unsafe_truncation():
     text = MINIMAL_T3.replace("h = 0.05", "h = 0.05\nx_max = 4")
     with pytest.raises(ConfigError, match="cone-safe"):
@@ -275,8 +289,9 @@ def test_weight_suite_scenario(tmp_path):
 
 def test_scenario_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
+    cfg = _mini(t_max=3.0)
     for out in (out1, out2):
-        run_scenario(_mini(t_max=3.0), out)
+        run_scenario(cfg, out)
     csv1 = (out1 / "mini-t3.series.csv").read_bytes()
     csv2 = (out2 / "mini-t3.series.csv").read_bytes()
     assert csv1 == csv2
@@ -284,6 +299,12 @@ def test_scenario_determinism(tmp_path):
     r2 = json.loads((out2 / "mini-t3.report.json").read_text())
     r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
     assert r1 == r2
+    # the damping echo is the profile's metadata alone, not its held box
+    damping = r1["damping"]
+    assert set(damping) == {"epsilon0", "L", "kind", "a_inf"}
+    assert (damping["epsilon0"], damping["L"], damping["kind"]) == (
+        cfg.epsilon0, cfg.L, cfg.damping_kind)
+    assert 0.0 < damping["a_inf"] <= cfg.a_max
 
 
 def test_failed_scenario_writes_failed_report(tmp_path):
@@ -882,11 +903,15 @@ def _documents(draw):
     base = draw(st.sampled_from(_FUZZ_BASES))
     cp = configparser.ConfigParser()
     cp.read_string(base)
+    # in-range edits set only keys the base's dim reads: the others fail at load
+    unread = scenarios._UNREAD[cp.getint("scenario", "dim", fallback=1)]
     edits = []
     for _ in range(draw(st.integers(1, 3))):
-        section, key, f = draw(st.sampled_from(_FUZZ_ROWS))
+        in_range = draw(_IN_RANGE)
+        section, key, f = draw(st.sampled_from(
+            [r for r in _FUZZ_ROWS if not in_range or r[:2] not in unread]))
         edits.append((section, key, draw(st.sampled_from(
-            _fuzz_values(cp, section, key, f, draw(_IN_RANGE))))))
+            _fuzz_values(cp, section, key, f, in_range)))))
     return _with(base, *edits)
 
 

@@ -255,8 +255,8 @@ def _box_setup(n=256, a_val=0.0, r=1.5, cfl=0.9):
 
 
 def _zero_damping(grid):
-    from decaylab.grids import DampingProfile
-    return DampingProfile(values=np.zeros(grid.shape), epsilon0=1e-12,
+    from decaylab.grids import DampingProfile, _radial
+    return DampingProfile(held=_radial(grid, np.zeros_like, 1.0), epsilon0=1e-12,
                           L=grid.truncation_radius / 4.0, kind="constant",
                           a_inf=0.0)
 
@@ -264,7 +264,7 @@ def _zero_damping(grid):
 def test_step_zero_state_fixed_point():
     grid, damping, params = _box_setup()
     st0 = WaveState(grid.zeros(), grid.zeros(), 0.0)
-    st1, diss = step(st0, grid, damping, params)
+    st1, diss = step(st0, grid, damping.values, params)
     assert diss == 0.0
     assert not st1.u.any() and not st1.v.any()
 
@@ -290,7 +290,7 @@ def test_uniform_velocity_reduces_to_nodal_solve():
     damping = build_damping(grid, "constant", 2.0, 0.25, 2.0)
     v0 = 0.7
     state = WaveState(grid.zeros(), np.full(grid.shape, v0), 0.0)
-    new, _ = step(state, grid, damping, params)
+    new, _ = step(state, grid, damping.values, params)
     expect = solve_damping_scalar(params.dt * 2.0, v0, 2.0)
     assert np.allclose(new.v[grid.fluid], expect, atol=1e-12)
 
@@ -313,7 +313,7 @@ def test_step_clamps_unclamped_state(dim, dense):
             for _ in range(2))
     w = grid.clamp_dirichlet(params.dt * sv.laplacian(grid, u) + v)
     assert (2 * np.count_nonzero(w) >= w.size) == dense
-    new, _ = step(WaveState(u, v), grid, damping, params)
+    new, _ = step(WaveState(u, v), grid, damping.values, params)
     for x in (new.u, new.v):
         assert not x[pinned].any() and not np.signbit(x[pinned]).any()
         assert x[grid.fluid].any()
@@ -512,7 +512,7 @@ def test_weighted_data_quadrature_converges_under_domain_doubling():
     for x_max in (100.0, 200.0):
         grid = build_grid_1d(0.0, x_max, int(x_max / 0.05))
         st0 = make_initial_weighted(grid, 3.0, WeightFamily.poly(1.0), 1.0)
-        w = eval_weight(WeightFamily.poly(1.0), WeightKind.PHI, grid.q())
+        w = eval_weight(WeightFamily.poly(1.0), WeightKind.PHI, grid.q)
         vals[x_max] = grid.h * float(np.sum(w * st0.v**2))
     assert vals[200.0] == pytest.approx(vals[100.0], rel=1e-6)
 
@@ -596,7 +596,7 @@ def _stepping_cases():
 def test_step_dissipation_bit_equal_to_full_sum(case):
     grid, damping, params, state = _stepping_cases()[case]
     for _ in range(8):
-        new, diss = step(state, grid, damping, params)
+        new, diss = step(state, grid, damping.values, params)
         full = params.dt * grid.cell_volume * float(np.sum(
             damping.values * np.abs(new.v) ** (params.r + 1.0)))
         assert diss > 0.0
@@ -698,23 +698,30 @@ def _padded_box(state, pad):
 
 @pytest.mark.parametrize("case", range(3))
 def test_step_hands_window_to_the_field_solve(monkeypatch, case):
-    # profiling hooks wrap the module global and see every nodal solve;
-    # compact data hand over the window, weighted data the full grid
+    # profiling hooks wrap the module globals and see every nodal solve and
+    # step; compact data hand over the window, weighted data the full grid
     grid, damping, params, state = _stepping_cases()[case]
     params = SolverParams(dt=params.dt, r=params.r,
                           T_max=6 * params.dt)
-    calls = []
-    real = sv._solve_damping_field
+    calls, dampings = [], []
+    real, real_step = sv._solve_damping_field, sv.step
 
     def counting(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
+    def recording(state, grid, a, *rest):
+        dampings.append(a)
+        return real_step(state, grid, a, *rest)
+
     monkeypatch.setattr(sv, "_solve_damping_field", counting)
+    monkeypatch.setattr(sv, "step", recording)
     res = run(grid, damping, state, params)
-    assert res.n_steps == 6 and len(calls) == 6
+    assert res.n_steps == 6 and len(calls) == 6 and len(dampings) == 6
     assert 6 <= sv._REWINDOW      # every step uses the box of the initial state
     box = _padded_box(state, sv._REWINDOW + 2) if case < 2 else ...
+    for a in dampings:      # step's damping: the window's array, byte for byte
+        assert a.tobytes() == damping.values[box].tobytes()
     for args, kwargs in calls:
         c, w, r, tol = args
         assert not kwargs
@@ -738,7 +745,7 @@ def _whole_grid_loop(grid, damping, state, params):
     E = [sv.solver_energy(grid, st, params.dt, sv.laplacian(grid, st.u))]
     D = 0.0
     for _ in range(n_steps):
-        st, diss = step(st, grid, damping, params)
+        st, diss = step(st, grid, damping.values, params)
         D += diss
         E.append(sv.solver_energy(grid, st, params.dt, sv.laplacian(grid, st.u)))
     return st, np.array(E), D
