@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -44,16 +45,12 @@ def grad_sq(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
     Dirichlet form used by `energy` and the solver.
     """
     out = np.zeros_like(u)
-    h2 = grid.h * grid.h
-    if grid.dim == 1:
-        d = np.diff(u)
-        out[1:-1] = 0.5 * (d[:-1] ** 2 + d[1:] ** 2) / h2
-    else:
-        dx = np.diff(u, axis=0)
-        dy = np.diff(u, axis=1)
-        out[1:-1, 1:-1] = 0.5 * (
-            dx[:-1, 1:-1] ** 2 + dx[1:, 1:-1] ** 2
-            + dy[1:-1, :-1] ** 2 + dy[1:-1, 1:]**2) / h2
+    inner = (slice(1, -1),) * u.ndim
+    d = [np.diff(u, axis=k) for k in range(u.ndim)]
+    # per axis, the squared differences below and above a node, summed in place
+    squares = (d[k][inner[:k] + (side,) + inner[k + 1:]] ** 2
+               for k in range(u.ndim) for side in (slice(None, -1), slice(1, None)))
+    out[inner] = 0.5 * reduce(np.ndarray.__iadd__, squares) / (grid.h * grid.h)
     return grid.clamp_dirichlet(out)
 
 

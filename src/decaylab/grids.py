@@ -10,13 +10,15 @@ hypothesis exactly: a(x) >= epsilon0 wherever |x| >= L.  Geometric control is
 guaranteed by construction of these profiles, never computed.  Grids build
 |x| and q per window, on first read; the damping and the cutoff hold only
 their values on the index box where they vary, plus one constant (`_radial`).
+One body serves 1D and 2D: the operators loop over `ExteriorGrid.axes`, save
+`solver.laplacian`, whose 3- and 5-point sums no such loop can reproduce.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -40,7 +42,8 @@ class ExteriorGrid:
     ``fluid`` marks the unknowns; every other node is a Dirichlet node whose
     value stays pinned at zero (obstacle boundary, 1D endpoints, outer
     truncation).  ``radius`` (|x| per node, measured from the origin) and q
-    are built from ``coords`` on first read, on the grid or on a window.
+    are built on first read, on the grid or on a window.  Operators read
+    ``axes`` in one body, save the Laplacian, whose 1D and 2D sum orders differ.
     """
     dim: int
     h: float
@@ -64,6 +67,16 @@ class ExteriorGrid:
     def truncation_radius(self) -> float:
         return self.x_max if self.dim == 1 else self.r_out
 
+    @property
+    def obstacle_radius(self) -> float:
+        return self.alpha if self.dim == 1 else self.rho_obstacle
+
+    @property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """Per axis, its coordinates as a view that broadcasts on the grid."""
+        return tuple(c[tuple(slice(None if j == k else 1) for j in range(self.dim))]
+                     for k, c in enumerate(self.coords))
+
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
 
@@ -73,11 +86,8 @@ class ExteriorGrid:
 
     @cached_property
     def radius(self) -> np.ndarray:
-        """|x| per node: abs(x) in 1D, sqrt(x*x + y*y) on the axis views in 2D."""
-        if self.dim == 1:
-            return np.abs(self.coords[0])
-        x, y = self.coords[0][:, :1], self.coords[1][:1]
-        return np.sqrt(x * x + y * y)
+        """|x| per node, sqrt(x*x + ...) on the axes (in 1D abs(x), to the bit)."""
+        return np.sqrt(reduce(np.add, (x * x for x in self.axes)))
 
     @cached_property
     def _pinned(self) -> np.ndarray:
@@ -106,12 +116,8 @@ class ExteriorGrid:
 
     def boundary_band(self, width: float) -> np.ndarray:
         """Fluid nodes within ``width`` of the outer truncation boundary."""
-        if self.dim == 1:
-            return self.fluid & (self.coords[0] >= self.x_max - width)
-        # max(|x|, |y|) >= edge, tested per axis: x varies along axis 0 only
-        x, y = self.coords
-        edge = self.r_out - width
-        return self.fluid & ((np.abs(x[:, :1]) >= edge) | (np.abs(y[:1]) >= edge))
+        edge = self.truncation_radius - width       # max |x_k| >= edge, per axis
+        return self.fluid & reduce(np.logical_or, (np.abs(x) >= edge for x in self.axes))
 
 
 def build_grid_1d(alpha: float, x_max: float, n_cells: int) -> ExteriorGrid:
@@ -121,6 +127,8 @@ def build_grid_1d(alpha: float, x_max: float, n_cells: int) -> ExteriorGrid:
     (compact data) or by active damping near it (weighted data); scenarios
     validate whichever applies.
     """
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
     if not x_max > alpha:
         raise ValueError(f"x_max must exceed alpha, got {alpha} >= {x_max}")
     if n_cells < 16:
@@ -240,15 +248,12 @@ def _radial(grid: ExteriorGrid, fn, flat: float, clamp: bool = False) -> tuple:
     smoothstep in fn is clamped to 0 or 1.  The box is found on the axes;
     with `clamp` Dirichlet nodes read zero."""
     flat *= 1.001
-    if grid.dim == 1:       # ascending nodes: |x| < flat iff -flat < x < flat
-        x = grid.coords[0]
-        box = (slice(int(np.searchsorted(x, -flat, "right")),
-                     int(np.searchsorted(x, flat))),)
-    else:       # the rows (columns) with a node inside: |x| is least at y = 0
-        sq = [ax * ax for ax in (grid.coords[0][:, 0], grid.coords[1][0])]
-        hits = [np.flatnonzero(np.sqrt(sq[k] + sq[1 - k].min()) < flat) for k in (0, 1)]
-        box = tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
-                    for i in hits)
+    # per axis, the slices with a node inside: each other coordinate at its least
+    sq = [x * x for x in grid.axes]
+    least = [s.min() for s in sq]
+    hits = [np.flatnonzero(np.sqrt(sum(least[:k] + least[k + 1:], s)) < flat)
+            for k, s in enumerate(sq)]
+    box = tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0) for i in hits)
     sub, fill = grid.window(box), float(fn(np.array([flat]))[0])
     core, near = np.full(sub.shape, fill), sub.radius < flat
     core[near] = fn(sub.radius[near])
@@ -277,7 +282,7 @@ def build_damping(grid: ExteriorGrid, kind: str, epsilon0: float, L: float,
     if not 0.0 < L < grid.truncation_radius:
         raise ValueError(f"L = {L} must lie inside the truncation radius")
 
-    rho = grid.alpha if grid.dim == 1 else grid.rho_obstacle
+    rho = grid.obstacle_radius
 
     def profile(rad):
         inner = epsilon0 * smoothstep(rad / L)

@@ -137,6 +137,9 @@ class ScenarioConfig:
                     _check(f, v, key)
             elif not (value is None and f.default is None):     # None: unset
                 _check(f, value)
+        for section, key in _UNREAD[self.dim]:      # [grid] keys name their rows
+            if section == "grid" and getattr(self, key) != _ROWS[key].default:
+                raise ConfigError(f"[{section}] {key} is not read when dim = {self.dim}")
         _derived(self)      # the checks that read two or more fields
 
 

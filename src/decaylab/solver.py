@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -230,7 +230,8 @@ def solve_damping_scalar(c: float, w: float, r: float,
 
 def laplacian(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
     """Discrete Laplacian on fluid nodes (3-point / 5-point), zero elsewhere;
-    Dirichlet data enter through the pinned zeros of u itself."""
+    Dirichlet data enter through the pinned zeros of u itself.  A body per
+    dim: no loop over the axes sums in both stencils' orders to the bit."""
     out = np.zeros_like(u)
     h2 = grid.h * grid.h
     if grid.dim == 1:
@@ -244,12 +245,8 @@ def laplacian(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
 
 def edge_form(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
     """<K u1, u2>_h: the edge-based Dirichlet form matching `laplacian`."""
-    scale = grid.h ** (grid.dim - 2)
-    if grid.dim == 1:
-        return scale * float(np.sum(np.diff(u1) * np.diff(u2)))
-    return scale * (
-        float(np.sum(np.diff(u1, axis=0) * np.diff(u2, axis=0)))
-        + float(np.sum(np.diff(u1, axis=1) * np.diff(u2, axis=1))))
+    return grid.h ** (grid.dim - 2) * sum(
+        float(np.sum(np.diff(u1, axis=k) * np.diff(u2, axis=k))) for k in range(u1.ndim))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -277,9 +274,9 @@ def _support_box(u: np.ndarray, v: np.ndarray, pad: int, window=None,
     """Box of the nodes where u or v is nonzero, widened by `pad` per side and
     clipped; None for the whole array, which also stands for a zero state.
     For u, v on the index box `window` of arrays of `shape`: in their indices."""
-    # the nodes hit in 1D; the rows and columns hit in 2D, with no node-sized mask
-    hits = [np.flatnonzero(u.any(axis=ax) | v.any(axis=ax))
-            for ax in ([()] if u.ndim == 1 else [1, 0])]
+    # per axis, the indices hit: `any` over the other axes, no node-sized mask
+    others = [tuple(j for j in range(u.ndim) if j != k) for k in range(u.ndim)]
+    hits = [np.flatnonzero(u.any(axis=ax) | v.any(axis=ax)) for ax in others]
     if not hits[0].size:
         return None
     shape = u.shape if shape is None else shape
@@ -465,22 +462,21 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
     """
     if mode not in ("bump_u", "bump_v", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != grid.dim:
         raise ValueError(f"center must have {grid.dim} coordinates")
     # the bump's box: one node more per side than the nodes within `radius`
     # of the centre along each (ascending) axis
-    axes = grid.coords if grid.dim == 1 else (grid.coords[0][:, 0], grid.coords[1][0])
-    ends = [np.searchsorted(ax, (ck - radius, ck + radius)) for ax, ck in zip(axes, center)]
-    box = tuple(slice(max(int(lo) - 1, 0), min(int(hi) + 1, ax.size))
-                for ax, (lo, hi) in zip(axes, ends))
-    x = [coord[box] for coord in grid.coords]
-    if grid.dim == 1:
-        dist = np.abs(x[0] - center[0])
-    else:
-        dist = np.sqrt((x[0] - center[0]) ** 2 + (x[1] - center[1]) ** 2)
+    ends = [np.searchsorted(x.ravel(), (ck - radius, ck + radius))
+            for x, ck in zip(grid.axes, center)]
+    box = tuple(slice(max(int(lo) - 1, 0), min(int(hi) + 1, x.size))
+                for x, (lo, hi) in zip(grid.axes, ends))
+    sub = grid.window(box)
+    dist = np.sqrt(reduce(np.add, ((x - ck) ** 2 for x, ck in zip(sub.axes, center))))
     inside = dist < radius
-    if np.any(inside & ~grid.fluid[box]):
+    if np.any(inside & ~sub.fluid):
         raise ValueError("bump support touches a Dirichlet node "
                          "(obstacle or truncation boundary)")
     if R is not None:
@@ -518,9 +514,6 @@ def make_initial_weighted(grid: ExteriorGrid, sigma: float,
             f"sigma = {sigma} too small: the {norm} diverges on the exterior "
             f"domain unless sigma > (d + gamma*growth)/2 = {need}")
     envelope = amplitude * (1.0 + grid.radius ** 2) ** (-sigma / 2.0)
-    if grid.dim == 1:
-        phase = oscillation * (grid.coords[0] - grid.alpha)
-    else:
-        phase = oscillation * (grid.radius - grid.rho_obstacle)
+    phase = oscillation * (grid.radius - grid.obstacle_radius)
     return WaveState(grid.clamp_dirichlet(envelope * np.sin(phase)),
                      grid.clamp_dirichlet(envelope * np.cos(phase)), 0.0)

@@ -2,13 +2,15 @@
 
     python tests/compare_presets.py <checkout-a> <checkout-b>
 
-Runs every shipped preset at full horizon, one at a time, through
-`decaylab run` with each checkout's own `src` on PYTHONPATH, then compares
-the files the runs write (`<name>.series.csv`, `<name>.fit-*.dat`,
-`<name>.report.json`) byte for byte, with the `wall_clock_s` line of each
-report left out.  Exits 0 when every file is identical, else 1, naming
-each file that differs or that only one checkout wrote.  Not a test module:
-pytest does not collect it.
+Runs every shipped preset at full horizon with each checkout's own `src` on
+PYTHONPATH: one at a time through `decaylab run`, then all together through
+`decaylab suite --parallel 2`, which sends the grids of at least
+`_POOL_MIN_NODES` nodes (`t3-compact-2d`) to its thread pool.  Compares the
+files the runs write (`<name>.series.csv`, `<name>.fit-*.dat`,
+`<name>.report.json`, under `run/` and `suite/`) byte for byte, with the
+`wall_clock_s` line of each report left out.  Exits 0 when every file is
+identical, else 1, naming each file that differs or that only one checkout
+wrote.  Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -29,19 +31,28 @@ def _python(checkout: Path, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True)
 
 
+def _decaylab(checkout: Path, *args: str):
+    proc = _python(checkout, RUN, *args)
+    if proc.returncode not in (0, 1):       # 1: a verdict failed, still written
+        sys.exit(f"{checkout}: decaylab {' '.join(args)} exited {proc.returncode}\n"
+                 f"{proc.stderr}")
+
+
 def _outputs(checkout: Path, names: list[str], out: Path) -> dict[str, bytes]:
-    """Run each preset serially into `out`; the files written, by name."""
+    """Run each preset serially into `out/run`, then the presets as one suite
+    on two threads into `out/suite`; the files written, by path under `out`."""
     for name in names:
-        proc = _python(checkout, RUN, "run", name, "--out", str(out))
-        if proc.returncode not in (0, 1):       # 1: a verdict failed, still written
-            sys.exit(f"{checkout}: preset {name} exited {proc.returncode}\n{proc.stderr}")
+        _decaylab(checkout, "run", name, "--out", str(out / "run"))
+    _decaylab(checkout, "presets", "--write", str(out / "ini"))
+    _decaylab(checkout, "suite", str(out / "ini"), "--parallel", "2",
+              "--out", str(out / "suite"))
     files = {}
-    for path in sorted(out.iterdir()):
+    for path in sorted((out / "run").iterdir()) + sorted((out / "suite").iterdir()):
         data = path.read_bytes()
         if path.name.endswith(".report.json"):
             data = b"".join(line for line in data.splitlines(keepends=True)
                             if b'"wall_clock_s":' not in line)
-        files[path.name] = data
+        files[f"{path.parent.name}/{path.name}"] = data
     return files
 
 

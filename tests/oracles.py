@@ -1,7 +1,10 @@
-"""Oracles for the solver tests: a fully implicit midpoint integrator.
+"""Oracles for the solver and grid tests.
 
-`reference_solve` cross-validates the main stepper (`decaylab.solver.run`)
-on small instances: its energy curve and its trajectories.
+`reference_solve`, a fully implicit midpoint integrator, cross-validates the
+main stepper (`decaylab.solver.run`) on small instances: its energy curve and
+its trajectories.  The `*_by_dim` functions are the grid operators written
+with one body for 1D and one for 2D; the one-body forms, which loop over
+`ExteriorGrid.axes`, must match them byte for byte.
 """
 
 from dataclasses import dataclass
@@ -73,3 +76,75 @@ def reference_solve(grid: ExteriorGrid, damping: DampingProfile,
     return ReferenceResult(ts=np.asarray(ts), E=np.asarray(Es),
                            final_state=WaveState(u, v, n_steps * dt),
                            max_fixed_point_iters=worst_iters)
+
+
+# ---------------------------------------------------------------------------
+# the grid operators with a body per dimension
+# ---------------------------------------------------------------------------
+
+def radius_by_dim(grid: ExteriorGrid) -> np.ndarray:
+    """|x| per node: abs(x) in 1D, sqrt(x*x + y*y) on the axis views in 2D."""
+    if grid.dim == 1:
+        return np.abs(grid.coords[0])
+    x, y = grid.coords[0][:, :1], grid.coords[1][:1]
+    return np.sqrt(x * x + y * y)
+
+
+def boundary_band_by_dim(grid: ExteriorGrid, width: float) -> np.ndarray:
+    """Fluid nodes within `width` of the outer truncation boundary."""
+    if grid.dim == 1:
+        return grid.fluid & (grid.coords[0] >= grid.x_max - width)
+    x, y = grid.coords
+    edge = grid.r_out - width
+    return grid.fluid & ((np.abs(x[:, :1]) >= edge) | (np.abs(y[:1]) >= edge))
+
+
+def radial_box_by_dim(grid: ExteriorGrid, flat: float) -> tuple:
+    """The index box `grids._radial` holds a field on, for its widened `flat`."""
+    if grid.dim == 1:       # ascending nodes: |x| < flat iff -flat < x < flat
+        x = grid.coords[0]
+        return (slice(int(np.searchsorted(x, -flat, "right")),
+                      int(np.searchsorted(x, flat))),)
+    sq = [ax * ax for ax in (grid.coords[0][:, 0], grid.coords[1][0])]
+    hits = [np.flatnonzero(np.sqrt(sq[k] + sq[1 - k].min()) < flat) for k in (0, 1)]
+    return tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
+                 for i in hits)
+
+
+def bump_box_and_distance_by_dim(grid: ExteriorGrid, center, radius: float):
+    """The box `make_initial_compact` holds its bump on, and |x - center| there."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    axes = grid.coords if grid.dim == 1 else (grid.coords[0][:, 0], grid.coords[1][0])
+    ends = [np.searchsorted(ax, (ck - radius, ck + radius)) for ax, ck in zip(axes, center)]
+    box = tuple(slice(max(int(lo) - 1, 0), min(int(hi) + 1, ax.size))
+                for ax, (lo, hi) in zip(axes, ends))
+    x = [coord[box] for coord in grid.coords]
+    if grid.dim == 1:
+        return box, np.abs(x[0] - center[0])
+    return box, np.sqrt((x[0] - center[0]) ** 2 + (x[1] - center[1]) ** 2)
+
+
+def edge_form_by_dim(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
+    """<K u1, u2>_h, the edge-based Dirichlet form."""
+    scale = grid.h ** (grid.dim - 2)
+    if grid.dim == 1:
+        return scale * float(np.sum(np.diff(u1) * np.diff(u2)))
+    return scale * (
+        float(np.sum(np.diff(u1, axis=0) * np.diff(u2, axis=0)))
+        + float(np.sum(np.diff(u1, axis=1) * np.diff(u2, axis=1))))
+
+
+def grad_sq_by_dim(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
+    """|grad_h u|^2 per node: the two one-sided edge differences averaged."""
+    out = np.zeros_like(u)
+    h2 = grid.h * grid.h
+    if grid.dim == 1:
+        d = np.diff(u)
+        out[1:-1] = 0.5 * (d[:-1] ** 2 + d[1:] ** 2) / h2
+    else:
+        dx = np.diff(u, axis=0)
+        dy = np.diff(u, axis=1)
+        out[1:-1, 1:-1] = 0.5 * (
+            dx[:-1, 1:-1] ** 2 + dx[1:, 1:-1] ** 2
+            + dy[1:-1, :-1] ** 2 + dy[1:-1, 1:]**2) / h2
+    return grid.clamp_dirichlet(out)

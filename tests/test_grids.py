@@ -27,6 +27,10 @@ def test_grid_1d_rejects_degenerate():
         build_grid_1d(1.0, 1.0, 32)
     with pytest.raises(ValueError):
         build_grid_1d(0.0, 10.0, 8)
+    # |x| and |x| - alpha are x and x - alpha only on the half-line x >= 0
+    for alpha in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            build_grid_1d(alpha, 10.0, 32)
 
 
 def test_grid_2d_masked_node_count():
@@ -268,3 +272,81 @@ def test_damping_margin_check_raises(monkeypatch):
     g = build_grid_1d(0.0, 10.0, 100)
     with pytest.raises(ValueError, match="hypothesis margin -1"):
         build_damping(g, "exterior_smooth", 0.5, 1.0, 1.5)
+
+
+# --- one body for 1D and 2D: the operators against their per-dimension forms
+
+def _same(a, b) -> bool:
+    """Equal byte for byte: shape, dtype and every bit (signed zeros, NaNs)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fresh_grid(name):
+    """A new grid each call, so a window builds its radius from its own axes."""
+    return {"1d": lambda: build_grid_1d(0.0, 12.0, 240),
+            "1d-alpha": lambda: build_grid_1d(0.7, 9.3, 172),
+            "2d": lambda: build_grid_2d_disk(1.0, 4.0, 10.0)}[name]()
+
+
+# whole grids, windows on the array border, inside it, and beside the obstacle
+_OPERATOR_CASES = {
+    "1d-whole": ("1d", None),
+    "1d-left-border": ("1d", (slice(0, 40),)),
+    "1d-right-border": ("1d", (slice(200, 241),)),
+    "1d-alpha-inner": ("1d-alpha", (slice(50, 91),)),
+    "2d-whole": ("2d", None),
+    "2d-corner": ("2d", (slice(0, 20), slice(61, 81))),
+    "2d-beside-obstacle": ("2d", (slice(27, 56), slice(44, 70))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OPERATOR_CASES))
+def test_one_body_operators_match_per_dimension_forms(case):
+    from oracles import (boundary_band_by_dim, edge_form_by_dim, grad_sq_by_dim,
+                         radius_by_dim)
+    from decaylab.functionals import grad_sq
+    from decaylab.solver import edge_form
+    name, box = _OPERATOR_CASES[case]
+    sub = _fresh_grid(name).window(box)
+    assert len(sub.axes) == sub.dim
+    assert all(x.shape == tuple(n if j == k else 1 for j, n in enumerate(sub.shape))
+               for k, x in enumerate(sub.axes))
+    assert _same(sub.radius, radius_by_dim(sub))
+    for width in (0.0, 2.0 * sub.h, 1.0, 1e3):
+        assert _same(sub.boundary_band(width), boundary_band_by_dim(sub, width))
+    rng = np.random.default_rng(len(case))
+    u1, u2 = rng.normal(size=(2,) + sub.shape)
+    u1[rng.random(sub.shape) < 0.2] = -0.0
+    for u in (u1, u2, np.zeros(sub.shape)):
+        assert _same(grad_sq(sub, u), grad_sq_by_dim(sub, u))
+    for a, b in ((u1, u2), (u2, u2), (np.zeros(sub.shape), u1)):
+        assert _same(edge_form(sub, a, b), edge_form_by_dim(sub, a, b))
+
+
+@pytest.mark.parametrize("name", ["1d", "1d-alpha", "2d"])
+def test_radial_box_matches_per_dimension_form(name):
+    from oracles import radial_box_by_dim
+    import decaylab.grids as gr
+    grid = _fresh_grid(name)
+    for flat in (0.05, 0.5, 0.7, 1.0, 1.7, 3.0, 100.0):
+        held = gr._radial(grid, np.zeros_like, flat)
+        assert held[1] == radial_box_by_dim(grid, flat * 1.001)
+
+
+@pytest.mark.parametrize("name, centers", [
+    ("1d", [(0.513,), (6.0,), (11.48,)]),
+    ("1d-alpha", [(1.213,), (8.78,)]),
+    ("2d", [(1.55, 0.0), (0.0, -1.6), (2.1, -1.3), (3.45, 3.45), (-3.4, 0.25)]),
+])
+def test_bump_box_and_values_match_per_dimension_form(name, centers):
+    from oracles import bump_box_and_distance_by_dim
+    from decaylab.solver import make_initial_compact
+    grid = _fresh_grid(name)
+    for center in centers:
+        state = make_initial_compact(grid, center, 0.5, -1.3)
+        box, dist = bump_box_and_distance_by_dim(grid, center, 0.5)
+        inside = dist < 0.5
+        z = np.where(inside, dist / 0.5, 1.0)
+        assert state.box == box
+        assert _same(state.u, -1.3 * np.where(inside, (1.0 - z * z) ** 3, 0.0))

@@ -254,6 +254,21 @@ def test_config_rejects_keys_its_dim_does_not_read(base, section, key, value):
         load_config(text)
 
 
+@pytest.mark.parametrize("base, field, value", [
+    ("t2-poly-1d", "rho", 1.0), ("t2-poly-1d", "r_out", 7.0),
+    ("t3-compact-2d", "alpha", 0.5), ("t3-compact-2d", "x_max", 40.0),
+])
+def test_config_made_directly_rejects_fields_its_dim_does_not_read(base, field, value):
+    # the field would be echoed in the report although the run never reads it
+    cfg = presets.load(base)
+    with pytest.raises(ConfigError, match=rf"^\[grid\] {field} is not read when dim = {cfg.dim}$"):
+        replace(cfg, **{field: value})
+    with pytest.raises(ConfigError, match=rf"^\[grid\] {field} is not read"):
+        scenarios.ScenarioConfig(**{**vars(cfg), field: value})
+    # a row default is what the document leaves unset, and the resolved edge is read
+    assert scenarios._resolved(replace(cfg, **{field: getattr(cfg, field)}))
+
+
 def test_config_rejects_unsafe_truncation():
     text = MINIMAL_T3.replace("h = 0.05", "h = 0.05\nx_max = 4")
     with pytest.raises(ConfigError, match="cone-safe"):

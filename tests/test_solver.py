@@ -438,6 +438,10 @@ def test_compact_bump_validation():
         make_initial_compact(grid, 0.5, 1.0, 1.0, "bump_u")      # hits alpha
     with pytest.raises(ValueError):
         make_initial_compact(grid, 5.0, 1.0, 1.0, "bump_u", R=4.0)
+    # unchecked, 0 and NaN give all-zero data and -1 an unrelated error
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            make_initial_compact(grid, 5.0, radius, 1.0)
 
 
 def _whole_grid_bump(grid, center, radius, amplitude, mode):
