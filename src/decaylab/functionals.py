@@ -114,13 +114,9 @@ class _SampleContext:
         return table_weight(family, entry, s, self._logs.get(key))
 
     def total(self, name: str) -> float:
-        """h^d times the sum of a density; "E" is the plain energy.  A
-        density not built yet is summed without being kept."""
+        """h^d times the sum of a density; "E" is the plain energy."""
         if name not in self._totals:
-            dens = self.__dict__.get(name)
-            if dens is None:
-                dens = self._DENSITIES[name](self)
-            self._totals[name] = self.vol * float(np.sum(dens))
+            self._totals[name] = self.vol * float(np.sum(getattr(self, name)))
         return self._totals[name]
 
     # nodal densities, each built on first use by __getattr__

@@ -12,13 +12,12 @@ exists), then drifts the displacement:
 The nodal solve is plain Newton on |v'|: the map v + c v^r - |w| is
 increasing and convex on [0, |w|], and the starting guess lies at or below
 its root, so the first update lands in [root, |w|] and every later one falls
-monotonically to the root; no bracket is needed.  The solve runs only on the
-active nodes, where dt a != 0 and w != 0: elsewhere v' = w exactly, so the
-result is bit-identical to solving every node (damping is localized, and
-compact data leave most of the grid at rest).  Newton stops once every
-residual is within the absolute tolerance; a solve that has not reached it
-after `max_iter` iterations raises FloatingPointError unless each residual
-is within tol * max(1, |w|), the limit round-off sets for large |w|.
+monotonically to the root; no bracket is needed.  The solve runs on every
+node of the window it is given; an inactive node (dt a = 0 or w = 0) has a
+residual of exactly 0 at the first iterate, which is w itself.  Newton stops
+once every residual is within the absolute tolerance; a solve that has not
+reached it after `max_iter` iterations raises FloatingPointError unless each
+residual is within tol * max(1, |w|), the limit round-off sets for large |w|.
 
 A step moves a nonzero value by at most one node, so `run` works on the box of
 the nonzeros, widened by the steps to the next re-window plus a 2-node halo
@@ -123,20 +122,8 @@ class ConeSpec:
 # nodal damping solve
 # ---------------------------------------------------------------------------
 
-# Gathered solves are zero-padded to whole blocks.  numpy keeps freed
-# buffers under 1 KiB for reuse, per byte size; temporaries whose length
-# changed every step would fill that cache with megabytes.
-_BLOCK = 1024
-
 # absolute residual tolerance of the nodal damping solve
 _DAMPING_TOL = 1e-12
-
-
-def _gather(x: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
-    """x at the flat indices idx (all in range), zero-padded to `size`."""
-    out = np.zeros(size)
-    np.take(x, idx, out=out[:idx.size], mode="clip")
-    return out
 
 
 def _newton_abs(c, aw, r, tol, max_iter):
@@ -180,29 +167,14 @@ def _newton_abs(c, aw, r, tol, max_iter):
 
 
 def _solve_damping_field(c, w, r, tol, max_iter=90):
-    """Vector root of v + c|v|^(r-1) v = w: Newton on |v|.
+    """Vector root of v + c|v|^(r-1) v = w: Newton on |v| at every node.
 
-    Only nodes with c != 0 and w != 0 are solved; every other node returns
-    w itself (-0.0 as +0.0).  Newton is elementwise and those nodes have a
-    residual of exactly 0, so the result is bit-identical to a solve over
-    the whole grid; so are the zero padding nodes (c = w = 0 solves to 0).
-    With half the nodes or more active the whole grid is solved directly,
-    which skips the gather and scatter.
+    A node with c = 0 or w = 0 has a residual of exactly 0 at the first
+    iterate, so it returns w itself (-0.0 as +0.0) with no special case.
     """
-    active = (c != 0.0) & (w != 0.0)
-    if 2 * np.count_nonzero(active) >= active.size:
-        v = _newton_abs(c, np.abs(w), r, tol, max_iter)
-        v *= np.sign(w)
-        return v
-    idx = np.flatnonzero(active)
-    out = w + 0.0
-    if idx.size:
-        size = -(-idx.size // _BLOCK) * _BLOCK
-        ws = _gather(w, idx, size)
-        v = _newton_abs(_gather(c, idx, size), np.abs(ws), r, tol, max_iter)
-        v *= np.sign(ws)
-        np.put(out, idx, v[:idx.size])
-    return out
+    v = _newton_abs(c, np.abs(w), r, tol, max_iter)
+    v *= np.sign(w)
+    return v
 
 
 def solve_damping_scalar(c: float, w: float, r: float,
@@ -467,6 +439,8 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != grid.dim:
         raise ValueError(f"center must have {grid.dim} coordinates")
+    if not np.isfinite(center).all():
+        raise ValueError(f"center must be finite, got {center}")
     # the bump's box: one node more per side than the nodes within `radius`
     # of the centre along each (ascending) axis
     ends = [np.searchsorted(x.ravel(), (ck - radius, ck + radius))
@@ -481,7 +455,7 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
                          "(obstacle or truncation boundary)")
     if R is not None:
         reach = float(np.linalg.norm(center)) + radius
-        if reach > R + 1e-12:
+        if not reach <= R + 1e-12:     # a NaN R fails too
             raise ValueError(f"bump support B({center}, {radius}) leaves the "
                              f"declared ball B_R, R = {R} (reach {reach:.4g})")
     z = np.where(inside, dist / radius, 1.0)

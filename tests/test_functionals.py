@@ -369,6 +369,25 @@ def test_t1_sample_takes_ln_b_plus_s_once_per_family(monkeypatch):
     assert sample.X != 0.0 and math.isfinite(sample.E_phi)
 
 
+def test_t3_sample_builds_dissipation_density_once(monkeypatch):
+    # the T3 bundle sums a |v|^(r+1) and prop1 weights it per node: one build
+    # per sample serves both
+    grid, damping, psi, consts, fam, tracker = _regime_tracker("T3")
+    build = functionals._SampleContext._DENSITIES["a_vel_r1"]
+    builds = []
+
+    def counting(c):
+        builds.append(c.t)
+        return build(c)
+
+    monkeypatch.setitem(functionals._SampleContext._DENSITIES, "a_vel_r1", counting)
+    params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
+    st = make_initial_compact(grid, 1.25, 0.7, 1.0, "both", R=2.0)
+    res = run(grid, damping, st, params, tracker=tracker, sample_stride=10)
+    assert len(res.samples) > 1
+    assert builds == [smp.t for smp in res.samples]
+
+
 def test_sample_weights_match_uncached_table_weight():
     grid, damping, psi, consts, fam, tracker = _regime_tracker("T1")
     state = make_initial_weighted(grid, 10.0, fam, consts.gamma)

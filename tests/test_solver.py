@@ -81,8 +81,8 @@ def test_damping_solve_properties(c, w, r):
 
 
 def dense_newton_oracle(c, w, r, tol, max_iter=90):
-    """Whole-grid Newton, as the field solve ran before it restricted itself
-    to active nodes."""
+    """Whole-array Newton on every node, written out plainly: no in-place
+    forms, and the same order of operations as the field solve."""
     sign = np.sign(w)
     aw = np.abs(w)
     v = aw / (1.0 + c * aw ** (r - 1.0))
@@ -191,7 +191,8 @@ def test_field_solve_raises_when_unconverged():
     with pytest.raises(FloatingPointError, match="in 3 iterations"):
         sv._solve_damping_field(np.array([1.0e6]), np.array([1.0]), 1.5,
                                 1e-12, max_iter=3)
-    # the residual is measured on solved nodes only, in the sparse regime too
+    # an inactive node has a zero residual: only the stiff node is counted,
+    # also when most of the nodes are inactive
     c = np.zeros(10)
     w = np.zeros(10)
     c[3], w[3] = 1.0e6, -1.0
@@ -222,16 +223,31 @@ def test_field_solve_accepts_round_off_limited_residual():
 
 
 def test_large_amplitude_compact_run_matches_dense_solve(monkeypatch):
-    g = build_grid_1d(0.5, 40.0, 790)
-    d = build_damping(g, "exterior_smooth", 0.5, 0.5, 1.0)
-    s = make_initial_compact(g, 1.25, 0.7, 1.0e4, "both", R=2.0)
-    p = SolverParams.for_grid(g, 0.9, 1.5, T_max=10.0)
-    res = run(g, d, s, p)
-    monkeypatch.setattr(sv, "_solve_damping_field", dense_newton_oracle)
-    want = run(g, d, s, p)
-    assert res.n_steps == want.n_steps > 200
-    assert res.final_state.u.tobytes() == want.final_state.u.tobytes()
-    assert res.final_state.v.tobytes() == want.final_state.v.tobytes()
+    g1 = build_grid_1d(0.5, 40.0, 790)
+    # the 2D bump's early windows have fewer than half of their nodes active
+    # (c != 0 and w != 0)
+    g2 = build_grid_2d_disk(1.0, 6.0, 10.0)
+    cases = [(g1, build_damping(g1, "exterior_smooth", 0.5, 0.5, 1.0),
+              make_initial_compact(g1, 1.25, 0.7, 1.0e4, "both", R=2.0), 10.0, 200),
+             (g2, build_damping(g2, "annulus_plus_exterior", 0.5, 2.0, 1.0),
+              make_initial_compact(g2, (2.5, 0.0), 1.0, 1.0e4, "both", R=3.5), 6.0, 90)]
+    field_solve = sv._solve_damping_field
+    for g, d, s, T, min_steps in cases:
+        p = SolverParams.for_grid(g, 0.9, 1.5, T_max=T)
+        shares = []
+
+        def solve(c, w, r, tol, max_iter=90):
+            shares.append(np.count_nonzero((c != 0.0) & (w != 0.0)) / w.size)
+            return field_solve(c, w, r, tol, max_iter)
+
+        monkeypatch.setattr(sv, "_solve_damping_field", solve)
+        res = run(g, d, s, p)
+        monkeypatch.setattr(sv, "_solve_damping_field", dense_newton_oracle)
+        want = run(g, d, s, p)
+        assert res.n_steps == want.n_steps > min_steps
+        assert any(x < 0.5 for x in shares) == (g.dim == 2)
+        assert res.final_state.u.tobytes() == want.final_state.u.tobytes()
+        assert res.final_state.v.tobytes() == want.final_state.v.tobytes()
 
 
 def test_field_solve_leaves_inactive_nodes_alone():
@@ -299,8 +315,7 @@ def test_uniform_velocity_reduces_to_nodal_solve():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_step_clamps_unclamped_state(dim, dense):
     # `step` clamps w and u' but not v': the solve maps the clamped w's +0.0
-    # to +0.0, by its sparse (fewer than half the nodes active) and its dense
-    # path alike
+    # to +0.0, whether fewer or more than half of the nodes are active
     if dim == 1:
         grid = build_grid_1d(0.0, 1.0, 64)
     else:
@@ -444,6 +459,22 @@ def test_compact_bump_validation():
             make_initial_compact(grid, 5.0, radius, 1.0)
 
 
+@pytest.mark.parametrize("dim, center, R, match", [
+    (1, math.nan, None, "center must be finite"),
+    (2, (2.0, math.inf), None, "center must be finite"),
+    (1, 5.0, math.nan, "R = nan"),
+], ids=["1d-nan-center", "2d-inf-center", "nan-R"])
+def test_compact_bump_rejects_non_finite_center_and_R(dim, center, R, match):
+    # no later check would catch them: a non-finite centre leaves no node
+    # inside the bump, and the B_R comparison is False for NaN
+    if dim == 1:
+        grid = build_grid_1d(0.0, 10.0, 200)
+    else:
+        grid = build_grid_2d_disk(1.0, 4.0, 10.0)
+    with pytest.raises(ValueError, match=match):
+        make_initial_compact(grid, center, 1.0, 1.0, R=R)
+
+
 def _whole_grid_bump(grid, center, radius, amplitude, mode):
     """The bump evaluated on every node, as `make_initial_compact` once did."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -582,7 +613,8 @@ def test_2d_step_and_energy_decay():
 
 
 def _stepping_cases():
-    """(grid, damping, params, state): sparse 1D and 2D compact, dense weighted."""
+    """(grid, damping, params, state): 1D and 2D compact data, which leave
+    most nodes at rest, and weighted data, which fill the grid."""
     g1 = build_grid_1d(0.5, 40.0, 790)
     d1 = build_damping(g1, "exterior_smooth", 0.5, 0.5, 1.0)
     s1 = make_initial_compact(g1, 1.25, 0.7, 1.0, "both", R=2.0).on(None, g1.shape)
