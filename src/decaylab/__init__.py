@@ -13,9 +13,9 @@ from .grids import (ExteriorGrid, DampingProfile, CutoffPsi, build_grid_1d,
                     build_grid_2d_disk, build_damping, build_psi)
 from .solver import (WaveState, SolverParams, RunResult, solve_damping_scalar,
                      step, run, make_initial_compact, make_initial_weighted)
-from .functionals import (FunctionalSample, DataFunctionals, TrackerConfig,
-                          SampleTracker, energy, weighted_energy,
-                          weighted_energy_log, X_functional, data_functionals,
+from .functionals import (DataFunctionals, TrackerConfig, SampleTracker,
+                          energy, weighted_energy, weighted_energy_log,
+                          X_functional, data_functionals,
                           prop1_inequality_check, observability_ratio,
                           high_energy_check)
 from .decay import (DecayFit, Verdict, fit_decay, theorem_verdict,
@@ -34,7 +34,7 @@ __all__ = [
     "build_grid_1d", "build_grid_2d_disk", "build_damping", "build_psi",
     "WaveState", "SolverParams", "RunResult", "solve_damping_scalar",
     "step", "run", "make_initial_compact", "make_initial_weighted",
-    "FunctionalSample", "DataFunctionals", "TrackerConfig", "SampleTracker",
+    "DataFunctionals", "TrackerConfig", "SampleTracker",
     "energy", "weighted_energy", "weighted_energy_log", "X_functional",
     "data_functionals", "prop1_inequality_check", "observability_ratio",
     "high_energy_check",

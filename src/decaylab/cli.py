@@ -155,16 +155,17 @@ def _dispatch(args) -> int:
     if args.command == "fit":
         lo, _, hi = args.window.partition(":")
         window = (float(lo), float(hi))
-        header, data = functionals.read_series_csv(args.csv)
-        ts = data[:, header.index("t")]
-        Es = data[:, header.index("E")]
+        series = functionals.read_series_csv(args.csv)
+        for column in ("t", "E"):
+            if column not in series:
+                raise ValueError(f"{args.csv} has no {column!r} column")
         b_or_R = {"LogDecay": args.b, "PolyDecay": 1.0,
                   "CompactDecay": args.R}[args.model]
         if b_or_R is None:
             flag = "--b" if args.model == "LogDecay" else "--R"
             print(f"error: {args.model} requires {flag}", file=sys.stderr)
             return 2
-        fit = decay.fit_decay(ts, Es, args.model, b_or_R, window)
+        fit = decay.fit_decay(series["t"], series["E"], args.model, b_or_R, window)
         print(json.dumps(asdict(fit), indent=2, sort_keys=True))
         return 0
 

@@ -111,18 +111,17 @@ def theorem_verdict(fit: DecayFit, constants: TheoremConstants,
                    margin=margin, binding_bound=binding)
 
 
-def truncation_contamination(series: list) -> float:
+def truncation_contamination(series: dict) -> float:
     """Time-integrated energy in the 4h truncation band over total dissipation.
 
     Zero for cone-safe compact data; for weighted data it measures how much
     of the dynamics ever reaches the artificial boundary.  With zero total
     dissipation the (zero or not) band integral itself is returned.
     """
-    ts = np.array([s.t for s in series])
-    band = np.array([s.bundle["diag.trunc_band_energy"] for s in series])
+    ts, band = series["t"], series["diag.trunc_band_energy"]
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     integral = float(trapezoid(band, ts)) if len(ts) > 1 else float(band.sum())
-    D_total = series[-1].D_cum
+    D_total = float(series["D_cum"][-1])
     if D_total <= 0.0:
         return integral
     return integral / D_total

@@ -10,7 +10,9 @@ Space integrals are midpoint quadrature (node value times h^d over fluid
 nodes); time integrals accumulate by the trapezoid rule over the uniform
 sampling stride.  Bundle members are kept in a named registry; cumulative
 members store their running integral, instantaneous members are evaluated
-fresh at each sample.  Registry names double as CSV column names.
+fresh at each sample.  A sample is one row, a dict keyed by the CSV columns
+in CSV order; `series_table` turns a run's rows into the series table
+{column: array}, which the checks read and `write_series_csv` writes.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .weights import (Regime, TheoremConstants, WeightFamily, WeightKind,
                       table_weight)
 
 __all__ = [
-    "FunctionalSample", "DataFunctionals", "Prop1Config", "TrackerConfig",
-    "SampleTracker", "Prop1Report", "ObsReport", "HighEnergyReport", "energy",
-    "grad_sq", "weighted_energy", "weighted_energy_log", "X_functional",
-    "data_functionals", "prop1_inequality_check", "observability_ratio",
-    "high_energy_check", "write_series_csv", "read_series_csv",
+    "DataFunctionals", "Prop1Config", "TrackerConfig", "SampleTracker",
+    "Prop1Report", "ObsReport", "HighEnergyReport", "energy", "grad_sq",
+    "weighted_energy", "weighted_energy_log", "X_functional",
+    "data_functionals", "series_table", "prop1_inequality_check",
+    "observability_ratio", "high_energy_check", "write_series_csv",
+    "read_series_csv",
 ]
 
 
@@ -287,20 +290,8 @@ def data_functionals(initial: WaveState, grid: ExteriorGrid,
 
 
 # ---------------------------------------------------------------------------
-# per-sample record and the tracker
+# the tracker and its rows
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FunctionalSample:
-    t: float
-    E: float
-    E_phi: float
-    X: float
-    D_cum: float
-    D_weighted_cum: float
-    bundle: dict
-    high_energy: float
-
 
 @dataclass(frozen=True)
 class Prop1Config:
@@ -394,7 +385,9 @@ def _obs_members(cfg: TrackerConfig) -> tuple:
 
 
 class SampleTracker:
-    """Builds the FunctionalSample series along a run.
+    """Builds the rows of the series along a run: one dict per sample, keyed
+    by the CSV columns in CSV order (t, E, E_phi, X, D_cum, D_weighted_cum,
+    the registry members, diag.E_solver, diag.identity_defect, high_energy).
 
     Cumulative bundle members accumulate by the trapezoid rule over the
     uniform sampling stride; the stride is fixed by the first two samples and
@@ -416,20 +409,16 @@ class SampleTracker:
             self.groups.append(_obs_members(cfg))
         self.groups.append((["diag.trunc_band_energy"], lambda c: [
             0.5 * c.vol * float(np.sum(c.e[c.grid.boundary_band(4.0 * c.grid.h)]))]))
-        self._names = [n for names, _ in self.groups for n in names]
         self._prev_t = None
         self._stride = None
         self._prev_integrand = {}
-        self._cum = {n: 0.0 for n in self._names if n.endswith("_cum")}
+        self._cum = {n: 0.0 for names, _ in self.groups for n in names
+                     if n.endswith("_cum")}
         self._E_solver_0 = None
 
-    @property
-    def bundle_names(self) -> list[str]:
-        return self._names + ["diag.E_solver", "diag.identity_defect"]
-
     def sample(self, state: WaveState, D_cum: float, E_solver: float,
-               grid: ExteriorGrid | None = None, a=None, lap=None) -> FunctionalSample:
-        """Sample of `state` (zero off `state.box`).  `grid`, `a` and `lap` are
+               grid: ExteriorGrid | None = None, a=None, lap=None) -> dict[str, float]:
+        """The row of `state` (zero off `state.box`).  `grid`, `a` and `lap` are
         the grid, the damping and Lap_h(state.u) on that box, as `run` holds
         them, else built; the sample box slices them.  A non-finite column is
         an error."""
@@ -453,7 +442,9 @@ class SampleTracker:
                     f"sample stride changed from {self._stride} to {dt_s}; "
                     "cumulative members need a uniform stride")
 
-        bundle = {}
+        # D_weighted_cum holds its column's place until its member is summed
+        row = {"t": state.t, "E": E_plain, "E_phi": E_phi, "X": X,
+               "D_cum": D_cum, "D_weighted_cum": 0.0}
         for names, fn in self.groups:
             for name, val in zip(names, fn(ctx)):
                 if name in self._cum:
@@ -462,32 +453,26 @@ class SampleTracker:
                             self._prev_integrand[name] + val)
                     self._prev_integrand[name] = val
                     val = self._cum[name]
-                bundle[name] = val
+                row[name] = val
         self._prev_t = state.t
+        row["D_weighted_cum"] = row.get(self._disp_key, 0.0)
 
         if self._E_solver_0 is None:
             self._E_solver_0 = E_solver
         defect = abs(E_solver + D_cum - self._E_solver_0)
         if self._E_solver_0 > 0.0:
             defect /= self._E_solver_0
-        bundle["diag.E_solver"] = E_solver
-        bundle["diag.identity_defect"] = defect
+        row["diag.E_solver"] = E_solver
+        row["diag.identity_defect"] = defect
 
         cut = ctx.grid, ctx.state, ctx.a, ctx.lap
         del ctx     # frees the per-sample densities before u_tt
-
-        D_weighted = bundle.get(self._disp_key, 0.0) if self._disp_key else 0.0
-
-        out = FunctionalSample(
-            t=state.t, E=E_plain, E_phi=E_phi, X=X, D_cum=D_cum,
-            D_weighted_cum=D_weighted, bundle=bundle,
-            high_energy=self._high_energy(*cut))
-        row = {**vars(out), **bundle}
-        for name in _FIXED_COLUMNS + self.bundle_names + ["high_energy"]:
-            if not math.isfinite(row[name]):
+        row["high_energy"] = self._high_energy(*cut)
+        for name, val in row.items():
+            if not math.isfinite(val):
                 raise FloatingPointError(
-                    f"sampled column {name} is {row[name]} at t = {state.t:.6g}")
-        return out
+                    f"sampled column {name} is {val} at t = {state.t:.6g}")
+        return row
 
     def _high_energy(self, grid: ExteriorGrid, state: WaveState, a, lap) -> float:
         """||grad v||^2 + ||u_tt||^2 with u_tt rebuilt from the equation.  The
@@ -502,8 +487,14 @@ class SampleTracker:
 
 
 # ---------------------------------------------------------------------------
-# series-level checks
+# the series table and its checks
 # ---------------------------------------------------------------------------
+
+def series_table(rows: list[dict]) -> dict[str, np.ndarray]:
+    """`run`'s rows as one table: {column: array over the samples}, in the
+    rows' column order."""
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
 
 def _window_len(ts: np.ndarray, window_T: float) -> int:
     """Samples per window of length window_T on the uniform series ts."""
@@ -522,11 +513,11 @@ class Prop1Report:
     degenerate: bool = False
 
 
-def prop1_inequality_check(series: list, window_T: float,
+def prop1_inequality_check(series: dict, window_T: float,
                            mu: float = 1.0, lam: float = 1.0) -> Prop1Report:
     """Max normalized defect of the weighted-energy window inequality.
 
-    For every window [t, t+T] in the series:
+    For every window [t, t+T] in the series table:
 
         defect = [E_phi(t+T) + int int a phi |u_t|^{r+1}]
                  - [E_phi(t) + (lam+mu)/2 int int |phi'| (|grad u|^2+|u_t|^2)]
@@ -535,25 +526,20 @@ def prop1_inequality_check(series: list, window_T: float,
     discretely; positive values are discretization error and must shrink
     under refinement.
     """
-    if not series or "prop1.disp_cum" not in series[0].bundle:
+    if "prop1.disp_cum" not in series:
         raise ValueError("series carries no prop1 accumulators")
-    ts = np.array([s.t for s in series])
-    E_phi = np.array([s.bundle["prop1.E_phi"] for s in series])
-    disp = np.array([s.bundle["prop1.disp_cum"] for s in series])
-    phip = np.array([s.bundle["prop1.absphip_cum"] for s in series])
-    wlen = _window_len(ts, window_T)
+    E_phi, disp = series["prop1.E_phi"], series["prop1.disp_cum"]
+    phip = series["prop1.absphip_cum"]
+    wlen = _window_len(series["t"], window_T)
     scale = E_phi[0]
     if scale <= 0.0:
         return Prop1Report(0.0, 0, window_T, degenerate=True)
-    worst = -math.inf
-    n = 0
-    for i in range(len(ts) - wlen):
-        j = i + wlen
-        lhs = E_phi[j] + (disp[j] - disp[i])
-        rhs = E_phi[i] + 0.5 * (lam + mu) * (phip[j] - phip[i])
-        worst = max(worst, (lhs - rhs) / scale)
-        n += 1
-    return Prop1Report(max_defect=worst, n_windows=n, window_T=window_T)
+    # window i runs from sample i to sample j = i + wlen
+    lhs = E_phi[wlen:] + (disp[wlen:] - disp[:-wlen])
+    rhs = E_phi[:-wlen] + 0.5 * (lam + mu) * (phip[wlen:] - phip[:-wlen])
+    defect = (lhs - rhs) / scale
+    return Prop1Report(max_defect=float(defect.max()), n_windows=defect.size,
+                       window_T=window_T)
 
 
 @dataclass(frozen=True)
@@ -567,19 +553,17 @@ class ObsReport:
 _OBS_STARTS = 10
 
 
-def observability_ratio(series: list, window_T: float) -> ObsReport:
+def observability_ratio(series: dict, window_T: float) -> ObsReport:
     """Windowed LHS/RHS ratios of the localized-energy observability display.
 
     Diagnostic only: the controlling constant is nonconstructive, so the
     assertable content is finiteness and cross-window stability of the ratio.
     Zero-dissipation windows are flagged degenerate (ratio inf).
     """
-    if not series or "obs.lhs_cum" not in series[0].bundle:
+    if "obs.lhs_cum" not in series:
         raise ValueError("series carries no observability accumulators")
-    ts = np.array([s.t for s in series])
-    lhs = np.array([s.bundle["obs.lhs_cum"] for s in series])
-    rhs = np.array([s.bundle["obs.rhs_disp_cum"] for s in series]) + \
-        np.array([s.bundle["obs.rhs_u2_cum"] for s in series])
+    ts, lhs = series["t"], series["obs.lhs_cum"]
+    rhs = series["obs.rhs_disp_cum"] + series["obs.rhs_u2_cum"]
     wlen = _window_len(ts, window_T)
     starts = np.unique(np.linspace(0, len(ts) - wlen - 1, _OBS_STARTS, dtype=int))
     ratios = []
@@ -607,40 +591,36 @@ class HighEnergyReport:
         return self.worst_value <= slack * self.bound
 
 
-def high_energy_check(series: list, data: DataFunctionals,
+def high_energy_check(series: dict, data: DataFunctionals,
                       a_inf: float) -> HighEnergyReport:
-    """Compare sup_t of the high-energy surrogate with its a-priori bound.
+    """Compare sup_t of the high-energy surrogate with its a-priori bound,
+    taken at its first maximum (-inf at t = 0 on an empty series).
 
     bound = 2 (1 + ||a||_inf) (||u0||_H2^2 + ||u1||_H1^2 + ||u1||_H1^2r).
     """
     bound = 2.0 * (1.0 + a_inf) * data.core
-    worst_value, worst_t = -math.inf, 0.0
-    for s in series:
-        if s.high_energy > worst_value:
-            worst_value, worst_t = s.high_energy, s.t
-    return HighEnergyReport(bound=bound, worst_value=worst_value,
-                            worst_t=worst_t)
+    values = series["high_energy"]
+    if values.size == 0:
+        return HighEnergyReport(bound=bound, worst_value=-math.inf, worst_t=0.0)
+    i = np.argmax(values)
+    return HighEnergyReport(bound=bound, worst_value=float(values[i]),
+                            worst_t=float(series["t"][i]))
 
 
 # ---------------------------------------------------------------------------
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-_FIXED_COLUMNS = ["t", "E", "E_phi", "X", "D_cum", "D_weighted_cum"]
-
-
-def write_series_csv(dest, series: list, bundle_names: list[str]):
-    """Columns: t, E, E_phi, X, D_cum, D_weighted_cum, bundle..., high_energy.
+def write_series_csv(dest, series: dict):
+    """The series table as CSV: a header of its columns, then one line per
+    sample.
 
     `dest` may be a path or an open text stream; floats carry 17 significant
     digits so reruns reproduce fits bit-identically.
     """
-    lines = [",".join(_FIXED_COLUMNS + bundle_names + ["high_energy"])]
-    for s in series:
-        row = [s.t, s.E, s.E_phi, s.X, s.D_cum, s.D_weighted_cum]
-        row += [s.bundle.get(n, 0.0) for n in bundle_names]
-        row.append(s.high_energy)
-        lines.append(",".join(f"{x:.17g}" for x in row))
+    lines = [",".join(series)]
+    lines += (",".join(f"{x:.17g}" for x in row.tolist())
+              for row in np.column_stack(list(series.values())))
     text = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
@@ -649,8 +629,9 @@ def write_series_csv(dest, series: list, bundle_names: list[str]):
             f.write(text)
 
 
-def read_series_csv(path) -> tuple[list[str], np.ndarray]:
+def read_series_csv(path) -> dict[str, np.ndarray]:
+    """The series table a `write_series_csv` file holds."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         data = np.loadtxt(f, delimiter=",", ndmin=2)
-    return header, data
+    return {name: data[:, k] for k, name in enumerate(header)}

@@ -41,8 +41,10 @@ class ExteriorGrid:
 
     ``fluid`` marks the unknowns; every other node is a Dirichlet node whose
     value stays pinned at zero (obstacle boundary, 1D endpoints, outer
-    truncation).  ``radius`` (|x| per node, measured from the origin) and q
-    are built on first read, on the grid or on a window.  Operators read
+    truncation).  ``obstacle_radius`` is alpha (1D) or rho (2D) and
+    ``truncation_radius`` is x_max (1D) or r_out (2D).  ``radius`` (|x| per
+    node, measured from the origin) and q are built on first read, on the
+    grid or on a window.  Operators read
     ``axes`` in one body, save the Laplacian, whose 1D and 2D sum orders differ.
     """
     dim: int
@@ -50,10 +52,8 @@ class ExteriorGrid:
     shape: tuple[int, ...]
     fluid: np.ndarray
     coords: tuple[np.ndarray, ...]
-    alpha: float | None = None
-    x_max: float | None = None
-    rho_obstacle: float | None = None
-    r_out: float | None = None
+    obstacle_radius: float
+    truncation_radius: float
 
     @property
     def cell_volume(self) -> float:
@@ -62,14 +62,6 @@ class ExteriorGrid:
     @property
     def n_fluid(self) -> int:
         return int(np.count_nonzero(self.fluid))
-
-    @property
-    def truncation_radius(self) -> float:
-        return self.x_max if self.dim == 1 else self.r_out
-
-    @property
-    def obstacle_radius(self) -> float:
-        return self.alpha if self.dim == 1 else self.rho_obstacle
 
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
@@ -138,7 +130,7 @@ def build_grid_1d(alpha: float, x_max: float, n_cells: int) -> ExteriorGrid:
     fluid[0] = fluid[-1] = False
     return ExteriorGrid(
         dim=1, h=float(x[1] - x[0]), shape=x.shape, fluid=fluid, coords=(x,),
-        alpha=float(alpha), x_max=float(x_max))
+        obstacle_radius=float(alpha), truncation_radius=float(x_max))
 
 
 def _disk_cells(r_out: float, nodes_per_unit: float) -> int:
@@ -178,7 +170,7 @@ def build_grid_2d_disk(rho: float, r_out: float,
     fluid[0, :] = fluid[-1, :] = fluid[:, 0] = fluid[:, -1] = False
     return ExteriorGrid(
         dim=2, h=h, shape=x.shape, fluid=fluid, coords=(x, y),
-        rho_obstacle=float(rho), r_out=float(r_out))
+        obstacle_radius=float(rho), truncation_radius=float(r_out))
 
 
 def _within(box, window):

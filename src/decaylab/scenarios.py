@@ -406,7 +406,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioReport:
     The run and its report's config echo use `_resolved(cfg)`, the config
     with its auto fields filled in.
     """
-    t_wall = time.time()
+    t_wall = time.perf_counter()
     out = Path(out_dir or os.environ.get("DECAYLAB_OUT", "."))
     cfg = _resolved(cfg)
     try:
@@ -418,7 +418,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> ScenarioReport:
             "error": f"{type(exc).__name__}: {exc}",
         }, all_pass=False, failed=True)
         path = out / f"{cfg.name}.report.failed.json"
-    report.payload["wall_clock_s"] = time.time() - t_wall
+    report.payload["wall_clock_s"] = time.perf_counter() - t_wall
     _atomic_write(path, json.dumps(report.payload, indent=2, sort_keys=True))
     return report
 
@@ -459,11 +459,11 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
 
     res = solver.run(grid, damping, initial, params, tracker=tracker,
                      cone=cone, sample_stride=cfg.sample_stride)
-    series = res.samples
+    series = functionals.series_table(res.samples)
 
     series_name = f"{cfg.name}.series.csv"
     buf = io.StringIO()
-    functionals.write_series_csv(buf, series, tracker.bundle_names)
+    functionals.write_series_csv(buf, series)
     _atomic_write(out / series_name, buf.getvalue())
 
     payload = {
@@ -472,24 +472,24 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         "config": _echo(cfg),
         "series_csv": series_name,
         "grid": {"dim": grid.dim, "h": grid.h, "n_fluid": grid.n_fluid,
-                 "alpha": grid.alpha, "x_max": grid.x_max,
-                 "rho": grid.rho_obstacle, "r_out": grid.r_out},
+                 **dict.fromkeys(("alpha", "x_max", "rho", "r_out")),
+                 **dict(zip(("alpha", "x_max") if grid.dim == 1 else ("rho", "r_out"),
+                            (grid.obstacle_radius, grid.truncation_radius)))},
         "damping": {f.name: getattr(damping, f.name) for f in fields(damping) if f.repr},
         "solver": {"dt": params.dt, "cfl": cfg.cfl, "n_steps": res.n_steps,
                    "mono_violations": res.mono_violations,
                    "mono_worst": res.mono_worst},
     }
 
-    ts = np.array([s.t for s in series])
-    Es = np.array([s.E for s in series])
+    ts, Es = series["t"], series["E"]
     # the prop1 and observability window, clipped to half the run
     window = min(cfg.T_window, (ts[-1] - ts[0]) / 2.0)
     E0_solver = float(res.E_steps[0])
     identity_final = abs(float(res.E_steps[-1]) + res.D_cum - E0_solver)
     if E0_solver > 0:
         identity_final /= E0_solver
-    defects = {"identity_final": identity_final, "identity_max": max(
-        s.bundle["diag.identity_defect"] for s in series)}
+    defects = {"identity_final": identity_final,
+               "identity_max": float(series["diag.identity_defect"].max())}
 
     if cfg.prop1_enabled and len(ts) > 2:
         rep = functionals.prop1_inequality_check(series, window,
@@ -519,7 +519,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
             _write_fit_dat(out, cfg.name, model, ts, Es, fit, fit_b_or_R)
 
         payload["constants"] = consts.to_dict()
-        payload["bundle_boundedness"] = _bundle_boundedness(series, ts, bundle_sets)
+        payload["bundle_boundedness"] = _bundle_boundedness(series, bundle_sets)
 
         if cfg.obs_enabled and len(ts) > 2:
             payload["observability"] = asdict(
@@ -533,17 +533,18 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     return ScenarioReport(cfg.name, payload, all_pass=all_pass)
 
 
-def _bundle_boundedness(series, ts, bundle_sets) -> dict:
+def _bundle_boundedness(series, bundle_sets) -> dict:
     """Final-decade increment of every cumulative theorem member vs its total.
 
     The desk-scale surrogate for finiteness of the infinite-time integrals:
     the increment over [T/10, T] must be a small fraction of the total.
     """
-    early = series[int(np.searchsorted(ts, ts[-1] / 10.0))].bundle
+    ts = series["t"]
+    early = int(np.searchsorted(ts, ts[-1] / 10.0))
     prefixes = tuple(p for p, _ in bundle_sets)
-    return {name: {"total": total, "final_decade_fraction":
-                   0.0 if total == 0.0 else (total - early[name]) / total}
-            for name, total in series[-1].bundle.items()
+    return {name: {"total": float(col[-1]), "final_decade_fraction":
+                   0.0 if col[-1] == 0.0 else float((col[-1] - col[early]) / col[-1])}
+            for name, col in series.items()
             if name.endswith("_cum") and name.startswith(prefixes)}
 
 

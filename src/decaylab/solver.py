@@ -336,7 +336,8 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     """March to T_max, sampling functionals every `sample_stride` steps.
 
     `tracker` is any object with sample(state, D_cum, E_solver, grid, a, lap)
-    returning a record to collect (see functionals.SampleTracker), where
+    returning a row to collect (functionals.SampleTracker returns a dict keyed
+    by the series columns, for `functionals.series_table`), where
     `state` holds the index box `state.box` of the grid (None: the whole
     grid) and is zero elsewhere, and `grid`, `a` and `lap` are the grid, the
     damping array (damping.window(box), built once per re-window, which `step`

@@ -93,9 +93,9 @@ def radius_by_dim(grid: ExteriorGrid) -> np.ndarray:
 def boundary_band_by_dim(grid: ExteriorGrid, width: float) -> np.ndarray:
     """Fluid nodes within `width` of the outer truncation boundary."""
     if grid.dim == 1:
-        return grid.fluid & (grid.coords[0] >= grid.x_max - width)
+        return grid.fluid & (grid.coords[0] >= grid.truncation_radius - width)
     x, y = grid.coords
-    edge = grid.r_out - width
+    edge = grid.truncation_radius - width
     return grid.fluid & ((np.abs(x[:, :1]) >= edge) | (np.abs(y[:1]) >= edge))
 
 

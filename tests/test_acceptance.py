@@ -308,8 +308,7 @@ def test_x_functional_boundedness(t3_report, outdir):
     # |X| stabilizes along a decaying run: the max over the second half of
     # the run stays within 1.05x the max over the first half
     rep, _ = t3_report
-    header, data = read_series_csv(outdir / rep.payload["series_csv"])
-    X = np.abs(data[:, header.index("X")])
+    X = np.abs(read_series_csv(outdir / rep.payload["series_csv"])["X"])
     half = len(X) // 2
     assert np.max(X) < math.inf
     assert np.max(X[half:]) <= 1.05 * np.max(X[:half])

@@ -10,14 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decaylab.functionals import (Prop1Config, SampleTracker,
                                   TrackerConfig, data_functionals, energy,
                                   grad_sq, high_energy_check,
                                   observability_ratio,
                                   prop1_inequality_check, read_series_csv,
-                                  weighted_energy, weighted_energy_log,
-                                  write_series_csv, X_functional)
+                                  series_table, weighted_energy,
+                                  weighted_energy_log, write_series_csv,
+                                  X_functional)
 from decaylab.grids import (CutoffPsi, build_damping, build_grid_1d,
                             build_grid_2d_disk, build_psi)
 from decaylab.solver import (ConeSpec, SolverParams, WaveState, laplacian,
@@ -285,7 +287,7 @@ def test_bundle_zero_trajectory():
     res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
               params, tracker=tracker)
     last = res.samples[-1]
-    assert all(v == 0.0 for k, v in last.bundle.items()
+    assert all(v == 0.0 for k, v in last.items()
                if k.startswith("thm3"))
 
 
@@ -297,15 +299,15 @@ def test_bundle_trapezoid_constant_integrand():
     s1 = tracker.sample(st, 0.0, res.E_steps[0])
     g = 0.2
     dt_s = 0.5
-    expect = 0.5 * dt_s * ((2.0 + 0.0) ** (g - 1.0) * s0.E
-                           + (2.0 + 0.5) ** (g - 1.0) * s1.E)
-    assert s1.bundle["thm3.energy_tail_cum"] == pytest.approx(expect, rel=1e-12)
+    expect = 0.5 * dt_s * ((2.0 + 0.0) ** (g - 1.0) * s0["E"]
+                           + (2.0 + 0.5) ** (g - 1.0) * s1["E"])
+    assert s1["thm3.energy_tail_cum"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_bundle_members_finite_and_nonnegative():
     _, _, _, res = _tracked_run(T_max=5.0)
     for s in res.samples:
-        for name, v in s.bundle.items():
+        for name, v in s.items():
             assert math.isfinite(v), name
             if name.endswith("_cum"):
                 assert v >= 0.0, name
@@ -343,11 +345,11 @@ def test_tracker_E_phi_and_X_match_public_functionals(theorem):
     st = make_initial_compact(grid, 1.25, 0.7, 1.0, "both", R=2.0)
     res = run(grid, damping, st, params, tracker=tracker, sample_stride=10)
     last, state = res.samples[-1], res.final_state
-    assert last.t == state.t > 0.0
+    assert last["t"] == state.t > 0.0
     mu = 0.0 if theorem == "T3" else 1.0    # compact weights see t alone
-    assert last.E_phi == weighted_energy(state, grid, fam, mu, 1.0)
-    assert last.X == X_functional(state, grid, psi, damping, consts, fam)
-    assert last.X != 0.0
+    assert last["E_phi"] == weighted_energy(state, grid, fam, mu, 1.0)
+    assert last["X"] == X_functional(state, grid, psi, damping, consts, fam)
+    assert last["X"] != 0.0
 
 
 def test_t1_sample_takes_ln_b_plus_s_once_per_family(monkeypatch):
@@ -366,7 +368,7 @@ def test_t1_sample_takes_ln_b_plus_s_once_per_family(monkeypatch):
     ln_bs = {f.ln_b for _, f in tracker.cfg.bundle_sets}
     assert len(ln_bs) == 2 and fam.ln_b in ln_bs
     assert sorted(calls) == sorted(ln_bs)
-    assert sample.X != 0.0 and math.isfinite(sample.E_phi)
+    assert sample["X"] != 0.0 and math.isfinite(sample["E_phi"])
 
 
 def test_t3_sample_builds_dissipation_density_once(monkeypatch):
@@ -385,7 +387,7 @@ def test_t3_sample_builds_dissipation_density_once(monkeypatch):
     st = make_initial_compact(grid, 1.25, 0.7, 1.0, "both", R=2.0)
     res = run(grid, damping, st, params, tracker=tracker, sample_stride=10)
     assert len(res.samples) > 1
-    assert builds == [smp.t for smp in res.samples]
+    assert builds == [smp["t"] for smp in res.samples]
 
 
 def test_sample_weights_match_uncached_table_weight():
@@ -456,7 +458,7 @@ def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
     params = SolverParams(dt=dt, r=1.5, T_max=n_steps * dt)
     res = run(grid, damping, st0, params, tracker=tracker, sample_stride=10)
     last, st = res.samples[-1], res.final_state
-    assert last.t == st.t and res.n_steps == n_steps
+    assert last["t"] == st.t and res.n_steps == n_steps
     u, v, h, vol = st.u, st.v, grid.h, grid.cell_volume
     assert 0 < np.count_nonzero(u) < grid.fluid.size // 5
     kin = float(np.sum(v * v))
@@ -473,8 +475,7 @@ def test_windowed_sample_matches_whole_grid_sums(dim, sharp):
             eval_weight(WeightFamily.poly(1.0), WeightKind.PHI, q + st.t) * e)),
         "high_energy": vol * float(np.sum(grad_sq(grid, v)) + np.sum(utt * utt)),
     }
-    got = {"E": last.E, "E_phi": last.E_phi, "high_energy": last.high_energy,
-           "prop1.E_phi": last.bundle["prop1.E_phi"]}
+    got = {name: last[name] for name in expect}
     for name, value in expect.items():
         assert value > 0.0
         assert got[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
@@ -500,7 +501,7 @@ def test_window_sample_byte_identical_to_full_state(case):
         want = full.sample(WaveState(st.u, st.v, t), 0.25, 1.0)
         got = part.sample(WaveState(st.u[box], st.v[box], t, box), 0.25, 1.0)
         assert repr(got) == repr(want)
-    assert sharp or want.bundle["obs.lhs_cum"] > 0.0
+    assert sharp or want["obs.lhs_cum"] > 0.0
     tight = functionals._support_box(st.u, st.v, 1)
     with pytest.raises(ValueError, match="halo"):
         part.sample(WaveState(st.u[tight], st.v[tight], st.t + 1.0, tight),
@@ -514,7 +515,7 @@ def test_high_energy_from_handed_laplacian_byte_identical(dim, sharp):
     # recomputing it: on windows whose 2-node halo touches their edge, and
     # on wider ones, high_energy has the bytes of the full state's sample
     grid, damping, fam, tracker, st = _window_sample_case(dim, sharp)
-    want = SampleTracker(tracker.cfg).sample(st, 0.25, 1.0).high_energy
+    want = SampleTracker(tracker.cfg).sample(st, 0.25, 1.0)["high_energy"]
     for pad in (2, 3, 10):
         box = functionals._support_box(st.u, st.v, pad)
         g = grid.window(box)
@@ -522,8 +523,8 @@ def test_high_energy_from_handed_laplacian_byte_identical(dim, sharp):
         lap = laplacian(g, held.u)
         got = SampleTracker(tracker.cfg).sample(held, 0.25, 1.0, g,
                                                 damping.window(box), lap)
-        assert repr(got.high_energy) == repr(want)
-        assert got.high_energy > 0.0
+        assert repr(got["high_energy"]) == repr(want)
+        assert got["high_energy"] > 0.0
 
 
 def test_compact_weights_are_one_number():
@@ -555,7 +556,7 @@ def test_prop1_zero_solution_degenerate():
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=2.0)
     res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
               params, tracker=tracker)
-    rep = prop1_inequality_check(res.samples, window_T=1.0)
+    rep = prop1_inequality_check(series_table(res.samples), window_T=1.0)
     assert rep.degenerate and rep.max_defect == 0.0
 
 
@@ -575,7 +576,7 @@ def test_prop1_lambda_mu_zero_reduces_to_identity():
         params = SolverParams.for_grid(grid, cfl, 1.5, T_max=4.0)
         st = make_initial_compact(grid, 3.0, 1.0, 1.0, "bump_u")
         res = run(grid, damping, st, params, tracker=tracker)
-        rep = prop1_inequality_check(res.samples, window_T=2.0,
+        rep = prop1_inequality_check(series_table(res.samples), window_T=2.0,
                                      mu=0.0, lam=0.0)
         defects[n] = rep.max_defect
     assert defects[600] <= 2e-2
@@ -593,13 +594,13 @@ def test_observability_zero_solution_degenerate():
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=2.0)
     res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
               params, tracker=tracker)
-    rep = observability_ratio(res.samples, window_T=1.0)
+    rep = observability_ratio(series_table(res.samples), window_T=1.0)
     assert rep.degenerate
 
 
 def test_observability_finite_on_real_run():
     _, _, _, res = _tracked_run(T_max=8.0)
-    rep = observability_ratio(res.samples, window_T=2.0)
+    rep = observability_ratio(series_table(res.samples), window_T=2.0)
     finite = [x for x in rep.ratios if math.isfinite(x)]
     assert finite and all(x >= 0.0 for x in finite)
 
@@ -609,7 +610,8 @@ def test_high_energy_zero_data_holds():
     consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
     d = data_functionals(WaveState(grid.zeros(), grid.zeros()), grid, None,
                          consts)
-    rep = high_energy_check([], d, a_inf=1.0)
+    rep = high_energy_check({"t": np.array([]), "high_energy": np.array([])},
+                            d, a_inf=1.0)
     assert rep.worst_value == -math.inf   # vacuous: 0 <= bound
 
 
@@ -618,8 +620,78 @@ def test_high_energy_holds_on_tracked_run():
     consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
     st0 = make_initial_compact(grid, 1.25, 0.7, 1.0, "bump_u", R=2.0)
     d = data_functionals(st0, grid, None, consts)
-    rep = high_energy_check(res.samples, d, damping.a_inf)
+    rep = high_energy_check(series_table(res.samples), d, damping.a_inf)
     assert rep.holds(1.1)
+
+
+def _prop1_by_loop(series, wlen, mu, lam):
+    """(max defect, windows) of prop1's window inequality, one window at a time."""
+    E_phi, disp = series["prop1.E_phi"], series["prop1.disp_cum"]
+    phip = series["prop1.absphip_cum"]
+    worst, n = -math.inf, 0
+    for i in range(len(E_phi) - wlen):
+        j = i + wlen
+        lhs = E_phi[j] + (disp[j] - disp[i])
+        rhs = E_phi[i] + 0.5 * (lam + mu) * (phip[j] - phip[i])
+        worst = max(worst, (lhs - rhs) / E_phi[0])
+        n += 1
+    return worst, n
+
+
+def _obs_by_loop(series, wlen):
+    """(ratios, degenerate, spread) of the observability display per window."""
+    lhs = series["obs.lhs_cum"]
+    rhs = series["obs.rhs_disp_cum"] + series["obs.rhs_u2_cum"]
+    ratios = []
+    for i in np.unique(np.linspace(0, len(lhs) - wlen - 1, 10, dtype=int)):
+        dr = rhs[i + wlen] - rhs[i]
+        ratios.append(math.inf if dr <= 1e-300 else (lhs[i + wlen] - lhs[i]) / dr)
+    finite = [x for x in ratios if math.isfinite(x)]
+    spread = max(finite) / min(finite) if finite and min(finite) > 0 else math.inf
+    return tuple(ratios), math.inf in ratios, spread
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 30),
+       mu=st.floats(0.0, 4.0), lam=st.floats(0.0, 4.0))
+def test_checks_on_table_match_per_window_loops(data, n, mu, lam):
+    # the checks read whole columns; random tables (tied maxima, an empty
+    # series, E_phi(0) <= 0) must give exactly what per-sample loops give
+    def column(values, first=None):
+        cells = data.draw(st.lists(values, min_size=n, max_size=n))
+        if first is not None and cells:
+            cells[0] = data.draw(first)
+        return np.array(cells, dtype=float)
+
+    whole = st.integers(-20, 20).map(float)       # small range: many ties
+    series = {"t": 0.25 * np.arange(n),
+              "prop1.E_phi": column(st.floats(-1e3, 1e3),
+                                    st.just(0.0) | st.floats(1e-3, 1e3)),
+              "prop1.disp_cum": column(st.floats(-1e3, 1e3)),
+              "prop1.absphip_cum": column(st.floats(-1e3, 1e3)),
+              "obs.lhs_cum": column(whole), "obs.rhs_disp_cum": column(whole),
+              "obs.rhs_u2_cum": column(whole), "high_energy": column(whole)}
+
+    core = {"u0_H2_sq": 1.0, "u1_H1_sq": 0.0, "u1_H1_2r": 0.0}
+    rep = high_energy_check(series, functionals.DataFunctionals("T3", 2.0, core), 0.5)
+    worst, worst_t = -math.inf, 0.0           # the first maximum wins
+    for t, value in zip(series["t"], series["high_energy"]):
+        if value > worst:
+            worst, worst_t = value, t
+    assert (rep.bound, rep.worst_value, rep.worst_t) == (3.0, worst, worst_t)
+    assert type(rep.worst_value) is float and type(rep.worst_t) is float
+    if n < 2:
+        return
+
+    wlen = data.draw(st.integers(1, n - 1))
+    rep = prop1_inequality_check(series, 0.25 * wlen, mu, lam)
+    if series["prop1.E_phi"][0] <= 0.0:
+        assert rep.degenerate and (rep.max_defect, rep.n_windows) == (0.0, 0)
+    else:
+        assert (rep.max_defect, rep.n_windows) == _prop1_by_loop(series, wlen, mu, lam)
+        assert type(rep.max_defect) is float and not rep.degenerate
+    rep = observability_ratio(series, 0.25 * wlen)
+    assert (rep.ratios, rep.degenerate, rep.spread) == _obs_by_loop(series, wlen)
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +701,16 @@ def test_high_energy_holds_on_tracked_run():
 def test_series_csv_roundtrip(tmp_path):
     _, _, tracker, res = _tracked_run(T_max=3.0)
     path = tmp_path / "series.csv"
-    write_series_csv(path, res.samples, tracker.bundle_names)
-    header, data = read_series_csv(path)
+    series = series_table(res.samples)
+    write_series_csv(path, series)
+    back = read_series_csv(path)
+    header = list(back)
     assert header[:6] == ["t", "E", "E_phi", "X", "D_cum", "D_weighted_cum"]
     assert header[-1] == "high_energy"
-    assert data.shape[0] == len(res.samples)
-    ts = np.array([s.t for s in res.samples])
-    Es = np.array([s.E for s in res.samples])
-    assert np.array_equal(data[:, 0], ts)      # 17 digits: bit-exact
-    assert np.array_equal(data[:, 1], Es)
+    assert header == list(series) == list(res.samples[0])
+    assert back["t"].size == len(res.samples)
+    for name, column in series.items():     # 17 digits: bit-exact
+        assert np.array_equal(back[name], column), name
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +721,11 @@ def test_sample_series_invariants():
     _, _, _, res = _tracked_run(T_max=6.0)
     D_prev = -1.0
     for s in res.samples:
-        assert s.E >= 0.0 and s.E_phi >= 0.0
-        assert s.D_cum >= D_prev          # nondecreasing
-        assert s.D_weighted_cum >= 0.0
-        D_prev = s.D_cum
-        assert math.isfinite(s.bundle["diag.identity_defect"])
+        assert s["E"] >= 0.0 and s["E_phi"] >= 0.0
+        assert s["D_cum"] >= D_prev          # nondecreasing
+        assert s["D_weighted_cum"] >= 0.0
+        D_prev = s["D_cum"]
+        assert math.isfinite(s["diag.identity_defect"])
 
 
 def test_quadrature_order_under_refinement():
@@ -704,7 +777,7 @@ def test_high_energy_linear_regime_holds_with_margin():
     st = make_initial_compact(grid, 10.0, 1.0, 0.01, "bump_u", R=11.0)
     res = run(grid, damping, st, params, tracker=tracker)
     d = data_functionals(st, grid, None, consts)
-    rep = high_energy_check(res.samples, d, a_inf=0.0)
+    rep = high_energy_check(series_table(res.samples), d, a_inf=0.0)
     assert rep.holds(1.0)
 
 
@@ -720,11 +793,11 @@ def test_prop1_with_log_practical_weights():
     params = SolverParams.for_grid(grid, 0.45, 1.5, T_max=6.0)
     st = make_initial_compact(grid, 3.0, 1.0, 1.0, "bump_u")
     res = run(grid, damping, st, params, tracker=tracker)
-    rep = prop1_inequality_check(res.samples, window_T=2.0)
+    rep = prop1_inequality_check(series_table(res.samples), window_T=2.0)
     assert rep.max_defect <= 2e-2
 
 
 def test_prop1_window_exceeding_series_rejected():
     _, _, _, res = _tracked_run(T_max=2.0)
     with pytest.raises(ValueError, match="does not fit"):
-        prop1_inequality_check(res.samples, window_T=50.0)
+        prop1_inequality_check(series_table(res.samples), window_T=50.0)

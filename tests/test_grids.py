@@ -212,7 +212,7 @@ def test_radius_built_on_read_and_per_window(dim):
                                   "annulus_plus_exterior", "psi"])
 def test_held_field_windows_match_whole_grid_values(dim, kind):
     g = _grids()[dim - 1]
-    rho = g.alpha if dim == 1 else g.rho_obstacle
+    rho = g.obstacle_radius
     L, eps0, a_max = (1.0, 0.5, 1.5) if kind != "psi" else (1.5, 0, 0)
     if kind == "constant":      # no node in [L, 1.001 L): the margin is off the box
         L = 1.02

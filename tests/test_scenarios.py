@@ -473,10 +473,8 @@ def test_report_is_self_contained_for_refit(tmp_path):
     rep = run_scenario(cfg, tmp_path)
     assert not rep.failed
     fit0 = rep.payload["fits"]["CompactDecay"]
-    header, data = read_series_csv(tmp_path / rep.payload["series_csv"])
-    ts = data[:, header.index("t")]
-    Es = data[:, header.index("E")]
-    refit = fit_decay(ts, Es, "CompactDecay", cfg.R_support,
+    series = read_series_csv(tmp_path / rep.payload["series_csv"])
+    refit = fit_decay(series["t"], series["E"], "CompactDecay", cfg.R_support,
                       tuple(fit0["window"]))
     assert refit.gamma_hat == fit0["gamma_hat"]      # bit-identical
     assert refit.ln_C_hat == fit0["ln_C_hat"]
@@ -573,6 +571,16 @@ def test_cli_fit_roundtrip(tmp_path, capsys):
     assert code == 0
     fit = json.loads(capsys.readouterr().out)
     assert math.isfinite(fit["gamma_hat"])
+
+
+@pytest.mark.parametrize("missing", ["t", "E"])
+def test_cli_fit_names_missing_column(tmp_path, capsys, missing):
+    csv = tmp_path / "series.csv"
+    header = ",".join(c for c in ("t", "E", "X") if c != missing)
+    csv.write_text(f"{header}\n1,2\n2,1\n")
+    code = cli_main(["fit", str(csv), "--model", "PolyDecay", "--window", "1:2"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {csv} has no {missing!r} column\n"
 
 
 def test_cli_suite(tmp_path, capsys):
@@ -811,6 +819,17 @@ def test_weight_suite_counts_are_config_rows(tmp_path):
     assert rep.payload["weight_inequalities"]["families"] == 2
     with pytest.raises(ConfigError, match=r"^\[weights\] pairs must be an integer"):
         load_config(_with(text, ("weights", "pairs", "0")))
+
+
+def test_wall_clock_ignores_a_clock_that_steps_back(tmp_path, monkeypatch):
+    # the system clock stepping back mid-run must not make the run's duration
+    # negative
+    text = _with(presets.get("weight-suite"), ("weights", "pairs", "1"),
+                 ("weights", "families", "1"))
+    readings = iter(range(10**6, 0, -1000))
+    monkeypatch.setattr(scenarios.time, "time", lambda: float(next(readings)))
+    rep = run_scenario(load_config(text), tmp_path)
+    assert rep.payload["wall_clock_s"] >= 0.0
 
 
 def test_compact_config_without_cone_keys_loads_and_runs(tmp_path):
