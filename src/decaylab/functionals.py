@@ -17,6 +17,7 @@ in CSV order; `series_table` turns a run's rows into the series table
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -131,6 +132,11 @@ class _SampleContext:
         "a_ur1": lambda c: c.a * c.ur1,
         "a_vel_r1": lambda c: c.a * np.abs(c.v) ** (c.r + 1.0),
     }
+
+    def release(self, keep):
+        """Frees every density not in `keep`; a later read builds it anew."""
+        for name in self._DENSITIES.keys() - keep:
+            vars(self).pop(name, None)
 
     def __getattr__(self, name):
         if name not in self._DENSITIES:
@@ -313,9 +319,10 @@ class TrackerConfig:
     obs_R0: float | None = None     # observability ball radius; None: off
 
 
-# Registry groups are (member names, fn): fn(ctx) returns one value per
-# name, so the members of a group share their weights.  Names ending in
-# "_cum" are cumulative.
+# Registry groups are (member names, fn, densities): fn(ctx) returns one
+# value per name, so the members of a group share their weights, and reads
+# the named `_SampleContext` densities.  Names ending in "_cum" are
+# cumulative.
 
 # bundle members in registry order, each with the density it integrates
 # ("E": the plain energy, carried by the compact tail member)
@@ -346,7 +353,7 @@ def _theorem_members(prefix: str, family: WeightFamily,
             return [c.vol * float(np.sum(c.weight(family, entry, 1.0, 1.0)
                                          * getattr(c, dens)))
                     for entry, dens in specs]
-    return names, fn
+    return names, fn, {dens for _, dens in specs} - {"E"}
 
 
 def _prop1_members(cfg: TrackerConfig) -> tuple:
@@ -364,7 +371,7 @@ def _prop1_members(cfg: TrackerConfig) -> tuple:
                 c.vol * float(np.sum(phi * c.a_vel_r1)),
                 c.vol * float(np.sum(phip * c.e)))
 
-    return ["prop1.E_phi", "prop1.disp_cum", "prop1.absphip_cum"], fn
+    return ["prop1.E_phi", "prop1.disp_cum", "prop1.absphip_cum"], fn, {"e", "a_vel_r1"}
 
 
 def _obs_members(cfg: TrackerConfig) -> tuple:
@@ -381,7 +388,7 @@ def _obs_members(cfg: TrackerConfig) -> tuple:
                 c.vol * float(np.sum(c.weight(fam, table["obs_u2"], mu, 1.0)
                                      * c.a * c.u2)))
 
-    return ["obs.lhs_cum", "obs.rhs_disp_cum", "obs.rhs_u2_cum"], fn
+    return ["obs.lhs_cum", "obs.rhs_disp_cum", "obs.rhs_u2_cum"], fn, {"e", "u2"}
 
 
 class SampleTracker:
@@ -408,11 +415,15 @@ class SampleTracker:
         if cfg.obs_R0 is not None and cfg.family is not None:
             self.groups.append(_obs_members(cfg))
         self.groups.append((["diag.trunc_band_energy"], lambda c: [
-            0.5 * c.vol * float(np.sum(c.e[c.grid.boundary_band(4.0 * c.grid.h)]))]))
+            0.5 * c.vol * float(np.sum(c.e[c.grid.boundary_band(4.0 * c.grid.h)]))],
+            {"e"}))
+        # after each group, the densities a later group reads
+        self._later = [set().union(*(reads for *_, reads in self.groups[i + 1:]))
+                       for i in range(len(self.groups))]
         self._prev_t = None
         self._stride = None
         self._prev_integrand = {}
-        self._cum = {n: 0.0 for names, _ in self.groups for n in names
+        self._cum = {n: 0.0 for names, *_ in self.groups for n in names
                      if n.endswith("_cum")}
         self._E_solver_0 = None
 
@@ -445,7 +456,7 @@ class SampleTracker:
         # D_weighted_cum holds its column's place until its member is summed
         row = {"t": state.t, "E": E_plain, "E_phi": E_phi, "X": X,
                "D_cum": D_cum, "D_weighted_cum": 0.0}
-        for names, fn in self.groups:
+        for (names, fn, _), later in zip(self.groups, self._later):
             for name, val in zip(names, fn(ctx)):
                 if name in self._cum:
                     if self._prev_t is not None:
@@ -454,6 +465,7 @@ class SampleTracker:
                     self._prev_integrand[name] = val
                     val = self._cum[name]
                 row[name] = val
+            ctx.release(later)
         self._prev_t = state.t
         row["D_weighted_cum"] = row.get(self._disp_key, 0.0)
 
@@ -630,8 +642,12 @@ def write_series_csv(dest, series: dict):
 
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
-    """The series table a `write_series_csv` file holds."""
+    """The series table a `write_series_csv` file holds; a file with no
+    data line under its header raises ValueError."""
     with open(path) as f:
         header = f.readline().strip().split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        first = f.readline()
+        if not first.strip():
+            raise ValueError(f"{path} has no data line under its header")
+        data = np.loadtxt(itertools.chain([first], f), delimiter=",", ndmin=2)
     return {name: data[:, k] for k, name in enumerate(header)}

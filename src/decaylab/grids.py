@@ -140,6 +140,10 @@ def _disk_cells(r_out: float, nodes_per_unit: float) -> int:
     return n + n % 2
 
 
+# row blocks of the 2D disk mask: each block's |x| is 1/32 of a full float array
+_MASK_BLOCKS = 32
+
+
 def build_grid_2d_disk(rho: float, r_out: float,
                        nodes_per_unit: float) -> ExteriorGrid:
     """Cartesian grid on [-r_out, r_out]^2 minus the closed disk |x| <= rho.
@@ -164,9 +168,12 @@ def build_grid_2d_disk(rho: float, r_out: float,
     x, y = np.meshgrid(axis, axis, indexing="ij", copy=False)
     x.flags.writeable = y.flags.writeable = False    # views of `axis`
     sq = axis * axis
-    # from a full |x|, freed at once: a build without that 2 MB block leaves
-    # glibc's mmap threshold low, and every large run temporary is mmapped
-    fluid = np.sqrt(sq[:, None] + sq[None, :]) > rho
+    # sqrt(x*x + y*y) > rho by blocks of rows, with no full-grid float array
+    fluid = np.empty(x.shape, dtype=bool)
+    rows = -(-(n + 1) // _MASK_BLOCKS)
+    for i in range(0, n + 1, rows):
+        block = sq[i:i + rows, None] + sq[None, :]
+        np.greater(np.sqrt(block, out=block), rho, out=fluid[i:i + rows])
     fluid[0, :] = fluid[-1, :] = fluid[:, 0] = fluid[:, -1] = False
     return ExteriorGrid(
         dim=2, h=h, shape=x.shape, fluid=fluid, coords=(x, y),
@@ -178,11 +185,16 @@ def _within(box, window):
     return tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
 
 
-def _lay_out(x: np.ndarray, old, new, shape, fill: float = 0.0) -> np.ndarray:
+def _lay_out(x: np.ndarray, old, new, shape, fill: float = 0.0,
+             out: np.ndarray | None = None) -> np.ndarray:
     """x, the values on index box `old` of an array of `shape` that holds
-    `fill` elsewhere, in a fresh array on box `new` (None: the whole array)."""
+    `fill` elsewhere, on box `new` (None: the whole array): in `out`, an
+    array of the new box's shape, else in a fresh array."""
     old, new = (b or tuple(slice(0, n) for n in shape) for b in (old, new))
-    out = np.full(tuple(s.stop - s.start for s in new), fill)
+    if out is None:
+        out = np.full(tuple(s.stop - s.start for s in new), fill)
+    else:
+        out.fill(fill)
     both = [slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(old, new)]
     if all(s.stop > s.start for s in both):
         out[_within(both, new)] = x[_within(both, old)]
@@ -200,10 +212,11 @@ class _BoxHeld:
     def values(self) -> np.ndarray:
         return self.window(None)
 
-    def window(self, box) -> np.ndarray:
-        """The field on an index box of the grid (None: all of it)."""
+    def window(self, box, out: np.ndarray | None = None) -> np.ndarray:
+        """The field on an index box of the grid (None: all of it), in `out`
+        if given."""
         core, core_box, fill, grid, clamp = self.held
-        out = _lay_out(core, core_box, box, grid.shape, fill)
+        out = _lay_out(core, core_box, box, grid.shape, fill, out)
         return grid.window(box).clamp_dirichlet(out) if clamp else out
 
 

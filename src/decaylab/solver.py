@@ -31,6 +31,15 @@ States are bit-identical to whole-grid stepping; E*, the dissipation and the
 sampled sums differ only in summation order.  Weighted data fill the grid, so
 their box is the whole grid and they take the whole-grid path.
 
+`run` holds one `_Workspace` for the whole run: flat buffers viewed on the
+current window, for two state pairs that take turns, Lap_h(u), w and the
+window's damping, which grow only with a window that outgrows them.  `step`,
+`laplacian` and the nodal solve write into it, with the same operations in
+the same order as their fresh-array forms, so a step allocates nothing and
+the outputs are byte-identical.  `step` and `laplacian` called without a
+workspace or output array allocate theirs; the samples, the cone check and a
+re-window's mask and support scan allocate theirs too.
+
 With a == 0 the scheme is plain leapfrog and conserves the two-level
 quadratic form
 
@@ -79,10 +88,11 @@ class WaveState:
     def copy(self) -> "WaveState":
         return WaveState(self.u.copy(), self.v.copy(), self.t, self.box)
 
-    def on(self, box, shape) -> "WaveState":
-        """The state on index box `box` (None: all) of a `shape` grid, in new arrays."""
-        return WaveState(_lay_out(self.u, self.box, box, shape),
-                         _lay_out(self.v, self.box, box, shape), self.t, box)
+    def on(self, box, shape, out=(None, None)) -> "WaveState":
+        """The state on index box `box` (None: all) of a `shape` grid, in new
+        arrays or in the pair `out`."""
+        return WaveState(_lay_out(self.u, self.box, box, shape, out=out[0]),
+                         _lay_out(self.v, self.box, box, shape, out=out[1]), self.t, box)
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ class ConeSpec:
 _DAMPING_TOL = 1e-12
 
 
-def _newton_abs(c, aw, r, tol, max_iter):
+def _newton_abs(c, aw, r, tol, max_iter, out=None, scratch=None):
     """|v| with |v| + c|v|^r = aw per node, by Newton from a guess below
     the root, which needs no bracket (see the module docstring).
 
@@ -134,29 +144,39 @@ def _newton_abs(c, aw, r, tol, max_iter):
     steps the result stands if each residual is within tol * max(1, aw):
     round-off keeps residuals near a few ulps of aw, so an absolute tol is
     out of reach once aw is large.  Otherwise raises FloatingPointError.
-    Small arrays take as long to allocate as to compute, so the guess
-    aw / (1 + c aw^(r-1)), g = v + c v p - aw and v -= g / (1 + rc p) are
-    formed in place, in that order of operations.
+    The guess aw / (1 + c aw^(r-1)), p = v^(r-1), g = v + c v p - aw and
+    v -= g / (1 + rc p) are formed in place, in that order of operations,
+    into `out` (else a fresh array) and two scratch arrays g and d; with
+    `scratch` = (rc, g, d), rc = r c and arrays of aw's shape, none is
+    allocated.
     """
-    rc = r * c
-    v = aw ** (r - 1.0)
+    rc, g, d = ((r * c, np.empty_like(aw), np.empty_like(aw)) if scratch is None
+                else scratch)
+    v = np.power(aw, r - 1.0, out=out)
     v *= c
     v += 1.0
     np.divide(aw, v, out=v)
-    g, d = np.empty_like(v), np.empty_like(v)
     for _ in range(max_iter):
-        p = v ** (r - 1.0)          # one power serves g and its derivative
+        np.power(v, r - 1.0, out=d)     # p: one power serves g and its derivative
         np.multiply(c, v, out=g)
-        g *= p
+        g *= d
         g += v
         g -= aw
-        if np.abs(g, out=d).max() <= tol:
+        if g.max() <= tol and -g.min() <= tol:      # max |g|, with no |g| array
             return v
-        np.multiply(rc, p, out=d)
+        d *= rc
         d += 1.0
         g /= d
         v -= g
-    res = np.abs(v + c * v * v ** (r - 1.0) - aw)
+    # a c = 0 node's root is aw; its guess formed 0 * inf if aw^(r-1) overflows
+    free = np.equal(c, 0.0)
+    np.copyto(v, aw, where=free)
+    over = ~free & (c * aw ** (r - 1.0) == math.inf)
+    if over.any():
+        raise FloatingPointError(
+            f"nodal damping solve: c |w|^(r-1) overflows the double range at "
+            f"{np.count_nonzero(over)} node(s), largest |w| {np.max(aw[over]):.3g}")
+    res = np.where(free, 0.0, np.abs(v + c * v * v ** (r - 1.0) - aw))
     bad = ~(res <= tol * np.maximum(1.0, aw))
     if not bad.any():
         return v
@@ -166,14 +186,18 @@ def _newton_abs(c, aw, r, tol, max_iter):
         f"at {np.count_nonzero(bad)} node(s), largest |w| {np.max(aw):.3g}")
 
 
-def _solve_damping_field(c, w, r, tol, max_iter=90):
-    """Vector root of v + c|v|^(r-1) v = w: Newton on |v| at every node.
+def _solve_damping_field(c, w, r, tol, max_iter=90, out=None, scratch=None):
+    """Vector root of v + c|v|^(r-1) v = w: Newton on |v| at every node,
+    into `out` if given; w is only read.
 
     A node with c = 0 or w = 0 has a residual of exactly 0 at the first
     iterate, so it returns w itself (-0.0 as +0.0) with no special case.
+    `scratch` = (aw, rc, g, d) takes |w| in `aw`, an array of w's shape, and
+    the rest as `_newton_abs` does.
     """
-    v = _newton_abs(c, np.abs(w), r, tol, max_iter)
-    v *= np.sign(w)
+    aw = np.abs(w, out=None if scratch is None else scratch[0])
+    v = _newton_abs(c, aw, r, tol, max_iter, out, None if scratch is None else scratch[1:])
+    v *= np.sign(w, out=aw)         # |w| is spent
     return v
 
 
@@ -200,18 +224,41 @@ def solve_damping_scalar(c: float, w: float, r: float,
 # spatial operators and the solver's energy form
 # ---------------------------------------------------------------------------
 
-def laplacian(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
+def laplacian(grid: ExteriorGrid, u: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """Discrete Laplacian on fluid nodes (3-point / 5-point), zero elsewhere;
     Dirichlet data enter through the pinned zeros of u itself.  A body per
-    dim: no loop over the axes sums in both stencils' orders to the bit."""
-    out = np.zeros_like(u)
+    dim: no loop over the axes sums in both stencils' orders to the bit.
+    Written into `out` (C-contiguous, not u itself) if given, else into a
+    fresh array; the 5-point form's 4 u term goes to `scratch`, a
+    C-contiguous array of u's size, if given.  The sums of
+    (u[2:] - 2 u + u[:-2]) / h^2 and (u_E + u_W + u_N + u_S - 4 u) / h^2 run
+    in place, in that order."""
+    out = np.empty(u.shape) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("laplacian writes into a C-contiguous array")
     h2 = grid.h * grid.h
     if grid.dim == 1:
-        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
+        inner = out[1:-1]
+        np.multiply(2.0, u[1:-1], out=inner)
+        np.subtract(u[2:], inner, out=inner)
+        inner += u[:-2]
     else:
-        out[1:-1, 1:-1] = (
-            u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
-            - 4.0 * u[1:-1, 1:-1]) / h2
+        # rows 1 to -2 as one run of the flattened array, so that every
+        # operand is contiguous; the end columns, summed across the row
+        # ends, are zeroed below
+        m = u.shape[1]
+        n = max(u.size - 2 * m - 2, 0)
+        flat, inner = u.reshape(-1), out.reshape(-1)[m + 1:m + 1 + n]
+        np.add(flat[2 * m + 1:2 * m + 1 + n], flat[1:1 + n], out=inner)
+        inner += flat[m + 2:m + 2 + n]
+        inner += flat[m:m + n]
+        inner -= np.multiply(4.0, flat[m + 1:m + 1 + n],
+                             out=None if scratch is None else scratch.reshape(-1)[:n])
+    inner /= h2
+    out[0] = out[-1] = 0.0
+    if grid.dim == 2:
+        out[:, 0] = out[:, -1] = 0.0
     return grid.clamp_dirichlet(out)
 
 
@@ -273,28 +320,86 @@ def support_radius(grid: ExteriorGrid, state: WaveState, threshold: float) -> fl
 # `step` stops a run once |u| or |v| exceeds this: the scheme has blown up
 BLOWUP = 1e100
 
+
+class _Workspace:
+    """The arrays `run` writes, as views on the current window of flat
+    buffers held for the whole run: two state pairs (u0, v0 and u1, v1) that
+    take turns, Lap_h(u), w, and the window's a, c = dt a and rc = r c.  A
+    window that outgrows the buffers drops them; each is then made anew on
+    first use, half again as large (at most `cap` nodes)."""
+
+    _BUFFERS = ("u0", "v0", "u1", "v1", "lap", "w", "a", "c", "rc")
+
+    def __init__(self, cap: int):
+        self._cap, self._size, self._flat, self._pair = cap, 0, {}, 1
+
+    def fit(self, shape) -> "_Workspace":
+        n = math.prod(shape)
+        if n > self._size:      # an old buffer goes with its last view
+            self._size, self._flat = max(n, min(self._size * 3 // 2, self._cap)), {}
+        self._shape = shape
+        for k in self._BUFFERS:
+            vars(self).pop(k, None)
+        return self
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in self._BUFFERS:
+            raise AttributeError(name)
+        if name not in self._flat:
+            self._flat[name] = np.empty(self._size)
+        view = self._flat[name][:math.prod(self._shape)].reshape(self._shape)
+        setattr(self, name, view)
+        return view
+
+    def damp(self, a: np.ndarray, params: SolverParams) -> "_Workspace":
+        """c = dt a and rc = r c, which serve every solve on the window."""
+        np.multiply(params.dt, a, out=self.c)
+        np.multiply(params.r, self.c, out=self.rc)
+        return self
+
+    def next_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (u, v) pair that does not hold the current state, which is
+        current from now on."""
+        self._pair ^= 1
+        return (self.u1, self.v1) if self._pair else (self.u0, self.v0)
+
+    @property
+    def spent_v(self) -> np.ndarray:
+        """The v of the pair that is not current."""
+        return self.v0 if self._pair else self.v1
+
+
 def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
          params: SolverParams, lap: np.ndarray | None = None,
-         c: np.ndarray | None = None) -> tuple[WaveState, float]:
+         work: _Workspace | None = None) -> tuple[WaveState, float]:
     """One semi-implicit leapfrog step; returns (new state, dissipation increment).
 
     The increment is dt * sum h^d a |v'|^(r+1), the discrete counterpart of
     the energy-identity dissipation, with `a` the damping array on `grid`.  A
-    caller that holds `lap` = Lap_h(state.u) and `c` = dt * a passes them in.
+    caller that holds `lap` = Lap_h(state.u) passes it in.  `run` passes its
+    `_Workspace`, which holds the state, `lap` and `a`: the step then
+    allocates nothing, and skips the Dirichlet clamps of w and u', no-ops on
+    `run`'s clamped states.  Once w is formed, Lap_h(u) and v are spent and
+    serve as Newton's scratch, and |w| waits in the new u until u' is formed.
+    Without a workspace every array is fresh and the caller's are only read.
     """
     dt = params.dt
     lap = laplacian(grid, state.u) if lap is None else lap
-    w = dt * lap
+    ws = work or _Workspace(state.u.size).fit(state.u.shape).damp(a, params)
+    w = np.multiply(dt, lap, out=ws.w)
     w += state.v
-    grid.clamp_dirichlet(w)
-    c = dt * a if c is None else c
+    if work is None:
+        grid.clamp_dirichlet(w)
+    u_new, v_new = ws.next_state()
     # the solve maps the clamped w's +0.0 to +0.0, so v_new is clamped too
-    v_new = _solve_damping_field(c, w, params.r, _DAMPING_TOL)
-    u_new = dt * v_new
+    v_new = _solve_damping_field(ws.c, w, params.r, _DAMPING_TOL, out=v_new,
+                                 scratch=(u_new, ws.rc, ws.lap, ws.spent_v))
+    u_new = np.multiply(dt, v_new, out=u_new)
     u_new += state.u
-    grid.clamp_dirichlet(u_new)
-    av = np.abs(v_new)
-    peak = float(np.abs(u_new).max(initial=av.max()))
+    if work is None:
+        grid.clamp_dirichlet(u_new)
+    av = np.abs(v_new, out=w)
+    peak = float(np.abs(u_new, out=ws.lap).max(initial=av.max()))
     if not math.isfinite(peak) or peak > BLOWUP:
         raise FloatingPointError(
             f"field magnitude {peak:.3g} at t = {state.t + dt:.6g}; "
@@ -349,10 +454,16 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     for fixed inputs.
     """
     n_steps = int(round(params.T_max / params.dt)) if params.T_max > 0 else 0
+    ws = _Workspace(grid.fluid.size)
 
-    def window(box):        # c = dt a serves every solve on the window
-        a = damping.window(box)
-        return grid.window(box), a, params.dt * a
+    def window(box, st):
+        """The grid and the damping on `box`, and `st` laid out there, in
+        the workspace's spare pair."""
+        g = grid.window(box)
+        ws.fit(g.shape)
+        a = damping.window(box, out=ws.a)
+        ws.damp(a, params)
+        return g, a, st.on(box, grid.shape, ws.next_state())
 
     held = grid.window(initial.box)
     if initial.u[held._pinned].any() or initial.v[held._pinned].any():
@@ -361,10 +472,10 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         held.clamp_dirichlet(initial.u), held.clamp_dirichlet(initial.v)
     # every node that can be nonzero until the next re-window
     box = _support_box(initial.u, initial.v, _REWINDOW + 2, initial.box, grid.shape)
-    # fresh arrays, clamped for any -0.0 on a Dirichlet node
-    sub, (g, a, c) = initial.on(box, grid.shape), window(box)
+    # a copy, clamped for any -0.0 on a Dirichlet node
+    g, a, sub = window(box, initial)
     g.clamp_dirichlet(sub.u), g.clamp_dirichlet(sub.v)
-    lap = laplacian(g, sub.u)       # serves E* and the next kick
+    lap = laplacian(g, sub.u, ws.lap, ws.w)     # serves E* and the next kick
     if cone is not None:
         amp0 = max(float(np.max(np.abs(sub.u))), float(np.max(np.abs(sub.v))))
         cone_thresh = 1e-12 * amp0 if amp0 > 0 else math.inf
@@ -398,8 +509,8 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     take_sample(sub, 0)
 
     for n in range(1, n_steps + 1):
-        sub, diss = step(sub, g, a, params, lap, c)
-        lap = laplacian(g, sub.u)
+        sub, diss = step(sub, g, a, params, lap, ws)
+        lap = laplacian(g, sub.u, ws.lap, ws.w)
         D_cum += diss
         E[n] = solver_energy(g, sub, params.dt, lap)
         if E[n] > E[n - 1] * (1.0 + 1e-12) and E[n - 1] > 0.0:
@@ -412,11 +523,10 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         if box is not None and n % _REWINDOW == 0:
             # nothing outside the window is nonzero, so its scan finds the box
             box = _support_box(sub.u, sub.v, _REWINDOW + 2, box, grid.shape)
-            sub = sub.on(box, grid.shape)
-            g, a, c = window(box)
-            lap = laplacian(g, sub.u)
+            g, a, sub = window(box, sub)
+            lap = laplacian(g, sub.u, ws.lap, ws.w)
 
-    result._end = (sub, grid.shape)
+    result._end = (sub.copy(), grid.shape)     # off the workspace
     result.D_cum = D_cum
     return result
 

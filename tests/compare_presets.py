@@ -11,6 +11,10 @@ files the runs write (`<name>.series.csv`, `<name>.fit-*.dat`,
 `wall_clock_s` line of each report left out.  Exits 0 when every file is
 identical, else 1, naming each file that differs or that only one checkout
 wrote.  Not a test module: pytest does not collect it.
+
+Each `decaylab run` also prints its cost, read from `os.wait4` on its own
+process: wall time, minor page faults and peak RSS, as
+`cost <a|b> <preset>: <s> s, <n> minor faults, <MB> MB peak RSS`.
 """
 
 from __future__ import annotations
@@ -19,30 +23,47 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 RUN = "import sys; from decaylab.cli import main; sys.exit(main(sys.argv[1:]))"
 NAMES = "from decaylab import presets; print(*presets.names())"
 
 
-def _python(checkout: Path, *args: str) -> subprocess.CompletedProcess:
+def _python(checkout: Path, *args: str):
+    """`python -c args` with the checkout's `src` on PYTHONPATH: the completed
+    process, its wall seconds and its resource usage."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    return subprocess.run([sys.executable, "-c", *args], env=env, text=True,
-                          capture_output=True)
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", *args], env=env,
+                                stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0), err.seek(0)
+        done = subprocess.CompletedProcess(proc.args, proc.returncode,
+                                           out.read(), err.read())
+    return done, wall, usage
 
 
 def _decaylab(checkout: Path, *args: str):
-    proc = _python(checkout, RUN, *args)
+    proc, wall, usage = _python(checkout, RUN, *args)
     if proc.returncode not in (0, 1):       # 1: a verdict failed, still written
         sys.exit(f"{checkout}: decaylab {' '.join(args)} exited {proc.returncode}\n"
                  f"{proc.stderr}")
+    return wall, usage
 
 
-def _outputs(checkout: Path, names: list[str], out: Path) -> dict[str, bytes]:
-    """Run each preset serially into `out/run`, then the presets as one suite
-    on two threads into `out/suite`; the files written, by path under `out`."""
+def _outputs(checkout: Path, label: str, names: list[str],
+             out: Path) -> dict[str, bytes]:
+    """Run each preset serially into `out/run`, printing its cost, then the
+    presets as one suite on two threads into `out/suite`; the files written,
+    by path under `out`."""
     for name in names:
-        _decaylab(checkout, "run", name, "--out", str(out / "run"))
+        wall, usage = _decaylab(checkout, "run", name, "--out", str(out / "run"))
+        print(f"cost {label} {name}: {wall:.3f} s, {usage.ru_minflt} minor faults, "
+              f"{usage.ru_maxrss / 1024:.1f} MB peak RSS", flush=True)
     _decaylab(checkout, "presets", "--write", str(out / "ini"))
     _decaylab(checkout, "suite", str(out / "ini"), "--parallel", "2",
               "--out", str(out / "suite"))
@@ -60,13 +81,14 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
     a, b = (Path(p).resolve() for p in argv)
-    names = _python(a, NAMES).stdout.split()
-    if names != _python(b, NAMES).stdout.split():
+    names = _python(a, NAMES)[0].stdout.split()
+    if names != _python(b, NAMES)[0].stdout.split():
         print("the checkouts ship different presets")
         return 1
+    print(f"a = {a}\nb = {b}")
     with tempfile.TemporaryDirectory() as tmp:
-        files_a = _outputs(a, names, Path(tmp, "a"))
-        files_b = _outputs(b, names, Path(tmp, "b"))
+        files_a = _outputs(a, "a", names, Path(tmp, "a"))
+        files_b = _outputs(b, "b", names, Path(tmp, "b"))
     differ = sorted(n for n in files_a.keys() | files_b.keys()
                     if files_a.get(n) != files_b.get(n))
     for name in differ:

@@ -350,3 +350,40 @@ def test_bump_box_and_values_match_per_dimension_form(name, centers):
         z = np.where(inside, dist / 0.5, 1.0)
         assert state.box == box
         assert _same(state.u, -1.3 * np.where(inside, (1.0 - z * z) ** 3, 0.0))
+
+
+def _preset_2d_grid_args():
+    from decaylab import presets, scenarios
+    cfgs = [scenarios._resolved(presets.load(name)) for name in presets.names()]
+    return [(c.rho, c.r_out, 1.0 / c.h) for c in cfgs if c.dim == 2]
+
+
+@pytest.mark.parametrize("args", _preset_2d_grid_args() + [
+    (1.0, 6.0, 10.0), (1.0, 6.3, 10.0), (0.7, 4.0, 9.0), (1.0, 2.5, 6.0)])
+def test_disk_mask_by_row_blocks_matches_one_shot(args):
+    # every preset 2D grid (541 rows in blocks of 17), and 121, 127, 73 and
+    # 31 rows, in blocks of 4, 4, 3 and 1: the last block is short but for 31
+    rho, r_out, per_unit = args
+    grid = build_grid_2d_disk(rho, r_out, per_unit)
+    sq = grid.coords[0][:, 0] ** 2
+    want = np.sqrt(sq[:, None] + sq[None, :]) > rho
+    want[0, :] = want[-1, :] = want[:, 0] = want[:, -1] = False
+    assert np.array_equal(grid.fluid, want)
+
+
+def test_disk_build_holds_no_full_grid_float_array():
+    # the mask's |x| is built a block of rows at a time: the build's traced
+    # peak, the boolean mask itself included, stays below a quarter of one
+    # full-grid float array
+    import tracemalloc
+    rho, r_out, per_unit = _preset_2d_grid_args()[0]
+    build_grid_2d_disk(rho, r_out, per_unit)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grid = build_grid_2d_disk(rho, r_out, per_unit)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert grid.fluid.size > 250_000
+    assert peak < grid.fluid.size * 8 // 4

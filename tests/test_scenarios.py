@@ -583,6 +583,14 @@ def test_cli_fit_names_missing_column(tmp_path, capsys, missing):
     assert capsys.readouterr().err == f"error: {csv} has no {missing!r} column\n"
 
 
+def test_cli_fit_rejects_a_series_with_no_data(tmp_path, capsys):
+    csv = tmp_path / "series.csv"
+    csv.write_text("t,E,X\n")
+    code = cli_main(["fit", str(csv), "--model", "PolyDecay", "--window", "1:2"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {csv} has no data line under its header\n"
+
+
 def test_cli_suite(tmp_path, capsys):
     cfgdir = tmp_path / "cfgs"
     cfgdir.mkdir()

@@ -236,13 +236,16 @@ def test_large_amplitude_compact_run_matches_dense_solve(monkeypatch):
         p = SolverParams.for_grid(g, 0.9, 1.5, T_max=T)
         shares = []
 
-        def solve(c, w, r, tol, max_iter=90):
+        def solve(c, w, r, tol, max_iter=90, **buffers):
             shares.append(np.count_nonzero((c != 0.0) & (w != 0.0)) / w.size)
-            return field_solve(c, w, r, tol, max_iter)
+            return field_solve(c, w, r, tol, max_iter, **buffers)
+
+        def dense(c, w, r, tol, max_iter=90, **buffers):    # fresh arrays
+            return dense_newton_oracle(c, w, r, tol, max_iter)
 
         monkeypatch.setattr(sv, "_solve_damping_field", solve)
         res = run(g, d, s, p)
-        monkeypatch.setattr(sv, "_solve_damping_field", dense_newton_oracle)
+        monkeypatch.setattr(sv, "_solve_damping_field", dense)
         want = run(g, d, s, p)
         assert res.n_steps == want.n_steps > min_steps
         assert any(x < 0.5 for x in shares) == (g.dim == 2)
@@ -256,6 +259,28 @@ def test_field_solve_leaves_inactive_nodes_alone():
     out = sv._solve_damping_field(c, w, 1.5, 1e-12)
     assert out.tobytes() == np.array([-3.5, 0.0, 1e-300, 0.0]).tobytes()
     assert out is not w
+
+
+def test_field_solve_returns_w_where_c_is_zero_at_large_r():
+    # |w|^(r-1) = 1e390 overflows: the guess formed 0 * inf on the c = 0
+    # nodes, whose root is w itself, and the solve raised with residual nan
+    tol = 1e-12
+    for c, w in ((np.array([0.0, 0.0, 1.0]), np.array([1e10, -1e10, 1e-3])),
+                 (np.array([0.0, 1.0]), np.array([1e10, 1e-3]))):
+        with np.errstate(all="ignore"):
+            v = sv._solve_damping_field(c, w, 40.0, tol)
+        free = c == 0.0
+        assert v[free].tobytes() == w[free].tobytes()
+        alone = sv._solve_damping_field(c[~free], w[~free], 40.0, tol)
+        assert np.all(np.abs(v[~free] - alone) <= tol)
+
+
+def test_field_solve_names_an_overflowing_node():
+    # c > 0 and c |w|^(r-1) past the double range: Newton cannot start
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"overflows the double range at 1 node\(s\)"):
+        sv._solve_damping_field(np.array([0.0, 1.0, 1.0]),
+                                np.array([1e10, 1e10, 1e-3]), 40.0, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +733,31 @@ def test_dot_bits_do_not_depend_on_blas_threads():
     assert len(outs) == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]),
+       lo=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+       size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_laplacian_in_place_matches_the_stencil_expression(dim, lo, size, seed):
+    # in place on the flattened rows, into fresh or given arrays, every bit
+    # as the 3- and 5-point expressions; windows down to one row or column
+    grid = build_grid_1d(0.5, 40.0, 100) if dim == 1 else build_grid_2d_disk(1.0, 6.0, 10.0)
+    box = tuple(slice(a, min(a + n, m)) for a, n, m in zip(lo, size, grid.shape))
+    sub = grid.window(box)
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, sub.shape)
+    want, h2 = np.zeros_like(u), sub.h * sub.h
+    if dim == 1:
+        want[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
+    else:
+        want[1:-1, 1:-1] = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
+                            - 4.0 * u[1:-1, 1:-1]) / h2
+    sub.clamp_dirichlet(want)
+    out, scratch = np.full(u.shape, np.nan), np.full(u.shape, np.nan)
+    assert sv.laplacian(sub, u).tobytes() == want.tobytes()
+    assert sv.laplacian(sub, u, out, scratch) is out
+    assert out.tobytes() == want.tobytes()
+
+
 def test_whole_grid_run_takes_one_laplacian_per_step(monkeypatch):
     # Lap_h(u_n) serves E*[n] and the kick of step n + 1
     grid, damping, params, state = _stepping_cases()[2]     # weighted data
@@ -760,7 +810,7 @@ def test_step_hands_window_to_the_field_solve(monkeypatch, case):
         assert a.tobytes() == damping.values[box].tobytes()
     for args, kwargs in calls:
         c, w, r, tol = args
-        assert not kwargs
+        assert set(kwargs) == {"out", "scratch"}    # the run's workspace
         if case < 2:
             assert c.shape == w.shape == damping.values[box].shape
             assert c.size < grid.fluid.size
@@ -1090,6 +1140,125 @@ def test_compact_build_and_run_allocate_less_than_one_full_array():
     assert held < full // 4
     assert peak < full
     assert "radius" not in vars(grid) and "values" not in vars(damping)
+
+
+def test_run_keeps_the_traced_call_contract(monkeypatch):
+    # profiling hooks wrap the module globals: a windowed run calls `step`
+    # once per step, and the field solve with c, w, r first, never over w
+    grid = build_grid_2d_disk(1.0, 10.0, 10.0)
+    damping = build_damping(grid, "annulus_plus_exterior", 0.5, 2.0, 1.0)
+    state = make_initial_compact(grid, (3.5, 0.0), 1.0, 1.0, "both", R=4.5)
+    params = _n_step_params(grid, 40)
+    calls = {"step": 0, "solve": 0, "laplacian": 0, "solver_energy": 0,
+             "support_radius": 0}
+    real = {name: getattr(sv, name) for name in calls if name != "solve"}
+    real["solve"] = sv._solve_damping_field
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+        return wrapper
+
+    def solve(*args, **kwargs):
+        calls["solve"] += 1
+        c, w, r = args[:3]
+        before = w.copy()
+        v = real["solve"](*args, **kwargs)
+        assert w.tobytes() == before.tobytes() and not np.shares_memory(v, w)
+        assert np.max(np.abs(v + c * np.abs(v) ** (r - 1.0) * v - w)) <= 1e-12
+        return v
+
+    for name in ("step", "laplacian", "solver_energy", "support_radius"):
+        monkeypatch.setattr(sv, name, counting(name))
+    monkeypatch.setattr(sv, "_solve_damping_field", solve)
+    res = run(grid, damping, state, params, cone=ConeSpec(R=4.5, enforce=False),
+              sample_stride=10)
+    windows = res.n_steps // sv._REWINDOW
+    assert res.n_steps == 40 and windows == 5
+    assert calls == {"step": 40, "solve": 40, "laplacian": 41 + windows,
+                     "solver_energy": 41, "support_radius": 5}
+
+
+def _traced_step_rises(monkeypatch, grid, damping, state, params):
+    """Runs `run` under tracemalloc.  Per step: the most memory traced above
+    the level where the step began (a step ends at its E*, after any
+    re-window before it), and the nodes of the window the workspace was
+    fitted to in that time (0: none), with whether it grew.  Also the run's
+    result and the numpy memory (numpy's tracemalloc domain) held once the
+    run has returned."""
+    rises, fits, level, fitted = [], [], [], [(0, False)]
+    real_energy, real_fit = sv.solver_energy, sv._Workspace.fit
+
+    def probe(*args):
+        peak = tracemalloc.get_traced_memory()[1]
+        if level:
+            rises.append(peak - level[-1])
+            fits.append(fitted[0])
+            fitted[0] = (0, False)
+        tracemalloc.reset_peak()
+        level.append(tracemalloc.get_traced_memory()[0])
+        return real_energy(*args)
+
+    def fit(self, shape):
+        size = self._size
+        out = real_fit(self, shape)
+        fitted[0] = (math.prod(shape), self._size > size)
+        return out
+
+    monkeypatch.setattr(sv, "solver_energy", probe)
+    monkeypatch.setattr(sv._Workspace, "fit", fit)
+    tracemalloc.start()
+    try:
+        res = run(grid, damping, state, params)
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    return rises, fits, res, sum(t.size for t in snap.traces)
+
+
+# a step's own Python objects (the new state, views, floats) stay below this
+_STEP_OBJECTS = 4096
+
+
+def test_whole_grid_run_allocates_nothing_per_step(monkeypatch):
+    # weighted data fill the grid, so the run never re-windows: once its
+    # first step has filled the workspace, a step allocates no array, and
+    # 40 steps leave the numpy memory of 20 save E*'s 20 more floats
+    grid = build_grid_1d(0.0, 30.0, 3000)
+    damping = build_damping(grid, "constant", 1.0, 1.0, 1.0)
+    state = make_initial_weighted(grid, 10.0, None, 0.0)
+    held = []
+    for n in (20, 40):
+        rises, fits, res, numpy_held = _traced_step_rises(
+            monkeypatch, grid, damping, state, _n_step_params(grid, n))
+        assert res.n_steps == len(rises) == n
+        assert fits[0] == (grid.fluid.size, True) and not any(f[0] for f in fits[1:])
+        assert max(rises[1:]) < _STEP_OBJECTS < state.u.nbytes // 4
+        held.append(numpy_held)
+    assert held[1] - held[0] == 20 * 8
+
+
+def test_windowed_run_allocates_only_where_the_workspace_grows(monkeypatch):
+    # a 2D bump: a step allocates no array; a re-window to a window the
+    # workspace fits adds only its Dirichlet masks and support scan, under a
+    # third of one float array of the window; float arrays come only with a
+    # window that outgrows the workspace
+    grid = build_grid_2d_disk(1.0, 20.0, 10.0)
+    damping = build_damping(grid, "annulus_plus_exterior", 0.5, 2.0, 1.0)
+    state = make_initial_compact(grid, (3.5, 0.0), 1.0, 1.0, "both", R=4.5)
+    rises, fits, res, _ = _traced_step_rises(
+        monkeypatch, grid, damping, state, _n_step_params(grid, 96))
+    assert res.n_steps == len(rises) == 96
+    for rise, (nodes, grew) in zip(rises, fits):
+        if not nodes:
+            assert rise < _STEP_OBJECTS
+        elif not grew:
+            assert rise < nodes * 8 // 3
+    windows = [f for f in fits if f[0]]
+    assert len(windows) == 1 + 95 // sv._REWINDOW
+    assert 3 <= sum(not grew for _, grew in windows) < len(windows) // 2
 
 
 def test_reference_fixed_point_divergence_reported():
