@@ -8,11 +8,15 @@ time is the desk-scale falsifiable content of the estimates.
 
 Space integrals are midpoint quadrature (node value times h^d over fluid
 nodes); time integrals accumulate by the trapezoid rule over the uniform
-sampling stride.  Bundle members are kept in a named registry; cumulative
-members store their running integral, instantaneous members are evaluated
-fresh at each sample.  A sample is one row, a dict keyed by the CSV columns
-in CSV order; `series_table` turns a run's rows into the series table
-{column: array}, which the checks read and `write_series_csv` writes.
+sampling stride.  A compact weight depends on t alone, so in every
+functional (E_phi, X, the bundle, the observability members) it scales a
+density's integral, one number times one sum that the functionals share;
+the other weights multiply the density node by node at q + t.  Bundle
+members are kept in a named registry; cumulative members store their
+running integral, instantaneous members are evaluated fresh at each sample.
+A sample is one row, a dict keyed by the CSV columns in CSV order;
+`series_table` turns a run's rows into the series table {column: array},
+which the checks read and `write_series_csv` writes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .grids import CutoffPsi, DampingProfile, ExteriorGrid, _within
-from .solver import WaveState, _support_box, edge_form, laplacian
+from .solver import WaveState, _support_box, laplacian
 from .weights import (Regime, TheoremConstants, WeightFamily, WeightKind,
                       WeightOverflowError, eval_weight, exponent_table,
                       table_weight)
@@ -40,50 +44,64 @@ __all__ = [
 ]
 
 
-def grad_sq(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:
+def _diff_squares(u: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the squared edge differences of u."""
+    return [np.square(d, out=d) for d in (np.diff(u, axis=k) for k in range(u.ndim))]
+
+
+def grad_sq(grid: ExteriorGrid, u: np.ndarray, squares=None) -> np.ndarray:
     """|grad_h u|^2 per node: the two one-sided edge differences averaged.
 
     Every fluid node has in-array neighbors (Dirichlet zeros included), so
     inward one-sided differences double as the boundary formula; averaging
     their squares keeps the nodal density consistent with the edge-based
-    Dirichlet form used by `energy` and the solver.
+    Dirichlet form used by `energy` and the solver.  `squares` is
+    `_diff_squares(u)`, if the caller holds it; it is only read.
     """
+    squares = _diff_squares(u) if squares is None else squares
     out = np.zeros_like(u)
     inner = (slice(1, -1),) * u.ndim
-    d = [np.diff(u, axis=k) for k in range(u.ndim)]
-    # per axis, the squared differences below and above a node, summed in place
-    squares = (d[k][inner[:k] + (side,) + inner[k + 1:]] ** 2
-               for k in range(u.ndim) for side in (slice(None, -1), slice(1, None)))
-    out[inner] = 0.5 * reduce(np.ndarray.__iadd__, squares) / (grid.h * grid.h)
+    # per axis, the squared differences below and above a node, summed in order
+    terms = [squares[k][inner[:k] + (side,) + inner[k + 1:]]
+             for k in range(u.ndim) for side in (slice(None, -1), slice(1, None))]
+    out[inner] = (0.5 * reduce(np.ndarray.__iadd__, terms[2:], terms[0] + terms[1])
+                  / (grid.h * grid.h))
     return grid.clamp_dirichlet(out)
+
+
+def _energy(grid: ExteriorGrid, v2: np.ndarray, squares) -> float:
+    """`energy` from the fluid v^2 and u's squared edge differences."""
+    return 0.5 * (grid.cell_volume * float(np.sum(v2))
+                  + grid.h ** (grid.dim - 2) * sum(float(np.sum(d2)) for d2 in squares))
 
 
 def energy(state: WaveState, grid: ExteriorGrid) -> float:
     """E_u(t) = (h^d/2) (sum over fluid of v^2) + 1/2 <K u, u>.
 
     The gradient part is the edge-midpoint Dirichlet form matching the
-    discrete Laplacian: one-sided edge differences carry the boundary layer,
-    interior edges the second-order bulk quadrature.
+    discrete Laplacian (`solver.edge_form`): one-sided edge differences carry
+    the boundary layer, interior edges the second-order bulk quadrature.
     """
-    kin = grid.cell_volume * float(
-        np.sum(np.where(grid.fluid, state.v * state.v, 0.0)))
-    return 0.5 * (kin + edge_form(grid, state.u, state.u))
+    return _energy(grid, np.where(grid.fluid, state.v * state.v, 0.0),
+                   _diff_squares(state.u))
 
 
 class _SampleContext:
-    """One state's nodal densities (e = |grad u|^2 + |u_t|^2, u2, ur1 =
-    |u|^(r+1), and their products with a) and weight arguments, each built
-    on first use and shared by every functional evaluated on that state;
-    so are a log family's ln(b+s) and ln ln(b+s), keyed by its ln b.
+    """One state's nodal densities (u's squared edge differences du2, the
+    fluid v2 = v^2, e = |grad u|^2 + |u_t|^2, u2, ur1 = |u|^(r+1), and
+    their products with a) and weight arguments, each built on first use
+    and shared by every functional evaluated on that state; so are a log
+    family's ln(b+s) and ln ln(b+s), keyed by its ln b.
 
     `sub` (by default the grid's window), `a` and `lap` are the grid, the
-    damping and Lap_h(u) on the state's box.  All are cut to `box`: the box
-    of the state's nonzeros plus the 2-node halo of `grad_sq` and `laplacian`
-    (None: the whole grid), which must fit in the state's box.  Every
-    density vanishes outside it."""
+    damping and Lap_h(u) on the state's box, and `integrand`, if given,
+    a |v|^(r+1) there, which serves as the density a_vel_r1.  All are cut to
+    `box`: the box of the state's nonzeros plus the 2-node halo of `grad_sq`
+    and `laplacian` (None: the whole grid), which must fit in the state's
+    box.  Every density vanishes outside it."""
 
     def __init__(self, grid: ExteriorGrid, state: WaveState, a=None, r=None,
-                 lap=None, sub: ExteriorGrid | None = None):
+                 lap=None, sub: ExteriorGrid | None = None, integrand=None):
         window = state.box
         self.box = box = _support_box(state.u, state.v, 2, window,
                                       grid.shape) or window
@@ -99,6 +117,8 @@ class _SampleContext:
         self.lap = None if lap is None else lap[cut]
         self.vol = grid.cell_volume
         self._s, self._logs, self._totals = {}, {}, {}
+        # densities handed in on the state's box, taken up on first read
+        self._handed = {} if integrand is None else {"a_vel_r1": integrand[cut]}
 
     def s(self, mu: float, lam: float) -> np.ndarray:
         """The weight argument mu q(x) + lam t."""
@@ -123,9 +143,19 @@ class _SampleContext:
             self._totals[name] = self.vol * float(np.sum(getattr(self, name)))
         return self._totals[name]
 
+    def integral(self, w, name: str) -> float:
+        """h^d times the sum of w times a density: per node, or w times the
+        density's total when w is one number (a compact weight)."""
+        if np.ndim(w) == 0:
+            return w * self.total(name)
+        return self.vol * float(np.sum(w * getattr(self, name)))
+
     # nodal densities, each built on first use by __getattr__
     _DENSITIES = {
-        "e": lambda c: grad_sq(c.grid, c.u) + np.where(c.grid.fluid, c.v**2, 0.0),
+        "du2": lambda c: _diff_squares(c.u),
+        "v2": lambda c: np.where(c.grid.fluid, c.v * c.v, 0.0),
+        # E reads du2 first; e is its last reader and lets it go
+        "e": lambda c: grad_sq(c.grid, c.u, vars(c).pop("du2", None)) + c.v2,
         "u2": lambda c: c.u**2,
         "ur1": lambda c: np.abs(c.u) ** (c.r + 1.0),
         "a_u2": lambda c: c.a * c.u2,
@@ -141,7 +171,10 @@ class _SampleContext:
     def __getattr__(self, name):
         if name not in self._DENSITIES:
             raise AttributeError(name)
-        value = self.__dict__[name] = self._DENSITIES[name](self)
+        # a handed density is made contiguous, so that it sums as a built one
+        value = self.__dict__[name] = (np.ascontiguousarray(self._handed[name])
+                                       if name in self._handed
+                                       else self._DENSITIES[name](self))
         return value
 
 
@@ -170,7 +203,7 @@ def _weighted_energy(c: _SampleContext, family, mu, lam) -> float:
         raise WeightOverflowError(
             "phi exceeds the double range; ln E_phi supplied",
             weighted_energy_log(c.state, c.grid, family, mu, lam)) from exc
-    return 0.5 * c.vol * float(np.sum(w * c.e))
+    return 0.5 * c.integral(w, "e")
 
 
 def weighted_energy_log(state: WaveState, grid: ExteriorGrid,
@@ -229,6 +262,11 @@ def _x_value(c: _SampleContext, psi, constants, family) -> float:
     vv, vvt = one_m_psi * c.u, one_m_psi * c.v
     del one_m_psi
     k, k1, k2 = constants.k, constants.k1, constants.k2
+    if mu == 0.0:       # compact weights: one number each, scaling a total
+        return (w(WeightKind.F) * c.vol * float(np.sum(vv * vvt))
+                + 0.5 * k1 * c.integral(w(WeightKind.F1), "a_u2")
+                + k2 * c.integral(w(WeightKind.F2), "a_ur1")
+                + 0.5 * k * c.integral(w(WeightKind.PHI), "e"))
     return c.vol * (float(np.sum(w(WeightKind.F) * vv * vvt))
                     + 0.5 * k1 * float(np.sum(w(WeightKind.F1) * c.a * c.u2))
                     + k2 * float(np.sum(c.a * w(WeightKind.F2) * c.ur1))
@@ -344,15 +382,12 @@ def _theorem_members(prefix: str, family: WeightFamily,
     table = exponent_table(family, constants.gamma, constants.r)
     specs = [(table[name], dens) for name, dens in _BUNDLE if name in table]
     names = [f"{prefix}.{name}" for name, _ in _BUNDLE if name in table]
-    if family.regime is Regime.COMPACT_POLY:
-        def fn(c):
-            return [table_weight(family, entry, c.t) * c.total(dens)
-                    for entry, dens in specs]
-    else:
-        def fn(c):
-            return [c.vol * float(np.sum(c.weight(family, entry, 1.0, 1.0)
-                                         * getattr(c, dens)))
-                    for entry, dens in specs]
+    mu = _mu(family)
+
+    def fn(c):
+        return [c.integral(c.weight(family, entry, mu, 1.0), dens)
+                for entry, dens in specs]
+
     return names, fn, {dens for _, dens in specs} - {"E"}
 
 
@@ -380,15 +415,20 @@ def _obs_members(cfg: TrackerConfig) -> tuple:
     mu = _mu(fam)
 
     def fn(c):
-        f = c.weight(fam, table[WeightKind.F], mu, 1.0)
-        a_vel_obs = c.a * c.v**2 + c.a * np.abs(c.v) ** (2.0 * c.r)
+        f, f_u2 = (c.weight(fam, table[kind], mu, 1.0)
+                   for kind in (WeightKind.F, "obs_u2"))
+        a_vel_obs = c.a * c.v2 + c.a * np.abs(c.v) ** (2.0 * c.r)
         inside = c.grid.fluid & (c.grid.radius <= cfg.obs_R0)
+        if mu == 0.0:       # compact weights: one number each, scaling a total
+            return (f * c.vol * float(np.sum(c.e[inside])),
+                    f * c.vol * float(np.sum(a_vel_obs)), c.integral(f_u2, "a_u2"))
         return (c.vol * float(np.sum((f * c.e)[inside])),
                 c.vol * float(np.sum(f * a_vel_obs)),
-                c.vol * float(np.sum(c.weight(fam, table["obs_u2"], mu, 1.0)
-                                     * c.a * c.u2)))
+                c.vol * float(np.sum(f_u2 * c.a * c.u2)))
 
-    return ["obs.lhs_cum", "obs.rhs_disp_cum", "obs.rhs_u2_cum"], fn, {"e", "u2"}
+    # a compact a_u2 is read by its total, which X has taken
+    reads = {"e", "v2"} if mu == 0.0 else {"e", "v2", "u2"}
+    return ["obs.lhs_cum", "obs.rhs_disp_cum", "obs.rhs_u2_cum"], fn, reads
 
 
 class SampleTracker:
@@ -428,15 +468,17 @@ class SampleTracker:
         self._E_solver_0 = None
 
     def sample(self, state: WaveState, D_cum: float, E_solver: float,
-               grid: ExteriorGrid | None = None, a=None, lap=None) -> dict[str, float]:
+               grid: ExteriorGrid | None = None, a=None, lap=None,
+               integrand=None) -> dict[str, float]:
         """The row of `state` (zero off `state.box`).  `grid`, `a` and `lap` are
         the grid, the damping and Lap_h(state.u) on that box, as `run` holds
-        them, else built; the sample box slices them.  A non-finite column is
-        an error."""
+        them, else built; the sample box slices them.  `integrand` is
+        a |v|^(r+1) on that box, at the tracker's r, as the step that made
+        `state` left it, else built.  A non-finite column is an error."""
         cfg = self.cfg
         a = cfg.damping.window(state.box) if a is None else a
-        ctx = _SampleContext(cfg.grid, state, a, cfg.r, lap, grid)
-        E_plain = ctx._totals["E"] = energy(ctx.state, ctx.grid)
+        ctx = _SampleContext(cfg.grid, state, a, cfg.r, lap, grid, integrand)
+        E_plain = ctx._totals["E"] = _energy(ctx.grid, ctx.v2, ctx.du2)
         # E_phi and X first, while few per-sample arrays are live
         if cfg.family is None:
             E_phi, X = E_plain, 0.0

@@ -212,12 +212,16 @@ class _BoxHeld:
     def values(self) -> np.ndarray:
         return self.window(None)
 
-    def window(self, box, out: np.ndarray | None = None) -> np.ndarray:
+    def window(self, box, out: np.ndarray | None = None,
+               sub: ExteriorGrid | None = None) -> np.ndarray:
         """The field on an index box of the grid (None: all of it), in `out`
-        if given."""
+        if given; `sub` is the grid on that box, if the caller holds it, so
+        that the clamp reads its Dirichlet mask rather than building one."""
         core, core_box, fill, grid, clamp = self.held
         out = _lay_out(core, core_box, box, grid.shape, fill, out)
-        return grid.window(box).clamp_dirichlet(out) if clamp else out
+        if not clamp:
+            return out
+        return (grid.window(box) if sub is None else sub).clamp_dirichlet(out)
 
 
 def _extreme(held: tuple, grid: ExteriorGrid, reduce, r_min: float) -> float:

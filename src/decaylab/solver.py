@@ -36,9 +36,12 @@ current window, for two state pairs that take turns, Lap_h(u), w and the
 window's damping, which grow only with a window that outgrows them.  `step`,
 `laplacian` and the nodal solve write into it, with the same operations in
 the same order as their fresh-array forms, so a step allocates nothing and
-the outputs are byte-identical.  `step` and `laplacian` called without a
-workspace or output array allocate theirs; the samples, the cone check and a
-re-window's mask and support scan allocate theirs too.
+the outputs are byte-identical.  A step leaves its dissipation integrand
+a |v'|^(r+1) in w, which `run` hands to the tracker's sample; the 2D
+Laplacian's 4u term goes to the u of the pair the step has spent.  `step`
+and `laplacian` called without a workspace or output array allocate theirs;
+the samples, the cone check and a re-window's mask and support scan
+allocate theirs too.
 
 With a == 0 the scheme is plain leapfrog and conserves the two-level
 quadratic form
@@ -148,16 +151,20 @@ def _newton_abs(c, aw, r, tol, max_iter, out=None, scratch=None):
     v -= g / (1 + rc p) are formed in place, in that order of operations,
     into `out` (else a fresh array) and two scratch arrays g and d; with
     `scratch` = (rc, g, d), rc = r c and arrays of aw's shape, none is
-    allocated.
+    allocated.  The powers raise a copy in place with `**=`, which numpy
+    takes as a square root at r - 1 = 0.5 (the same value as np.power, at
+    half the cost) and as np.power at any other r.
     """
     rc, g, d = ((r * c, np.empty_like(aw), np.empty_like(aw)) if scratch is None
                 else scratch)
-    v = np.power(aw, r - 1.0, out=out)
+    v = np.positive(aw, out=out)        # a copy of aw, raised in place
+    v **= r - 1.0
     v *= c
     v += 1.0
     np.divide(aw, v, out=v)
     for _ in range(max_iter):
-        np.power(v, r - 1.0, out=d)     # p: one power serves g and its derivative
+        np.copyto(d, v)
+        d **= r - 1.0                   # p: one power serves g and its derivative
         np.multiply(c, v, out=g)
         g *= d
         g += v
@@ -364,9 +371,9 @@ class _Workspace:
         return (self.u1, self.v1) if self._pair else (self.u0, self.v0)
 
     @property
-    def spent_v(self) -> np.ndarray:
-        """The v of the pair that is not current."""
-        return self.v0 if self._pair else self.v1
+    def spent(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (u, v) pair that is not current."""
+        return (self.u0, self.v0) if self._pair else (self.u1, self.v1)
 
 
 def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
@@ -378,8 +385,9 @@ def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
     the energy-identity dissipation, with `a` the damping array on `grid`.  A
     caller that holds `lap` = Lap_h(state.u) passes it in.  `run` passes its
     `_Workspace`, which holds the state, `lap` and `a`: the step then
-    allocates nothing, and skips the Dirichlet clamps of w and u', no-ops on
-    `run`'s clamped states.  Once w is formed, Lap_h(u) and v are spent and
+    allocates nothing, skips the Dirichlet clamps of w and u', no-ops on
+    `run`'s clamped states, and leaves the increment's integrand
+    a |v'|^(r+1) in the workspace's w.  Once w is formed, Lap_h(u) and v are spent and
     serve as Newton's scratch, and |w| waits in the new u until u' is formed.
     Without a workspace every array is fresh and the caller's are only read.
     """
@@ -393,7 +401,7 @@ def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
     u_new, v_new = ws.next_state()
     # the solve maps the clamped w's +0.0 to +0.0, so v_new is clamped too
     v_new = _solve_damping_field(ws.c, w, params.r, _DAMPING_TOL, out=v_new,
-                                 scratch=(u_new, ws.rc, ws.lap, ws.spent_v))
+                                 scratch=(u_new, ws.rc, ws.lap, ws.spent[1]))
     u_new = np.multiply(dt, v_new, out=u_new)
     u_new += state.u
     if work is None:
@@ -440,14 +448,16 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         cone: ConeSpec | None = None, sample_stride: int = 10) -> RunResult:
     """March to T_max, sampling functionals every `sample_stride` steps.
 
-    `tracker` is any object with sample(state, D_cum, E_solver, grid, a, lap)
-    returning a row to collect (functionals.SampleTracker returns a dict keyed
-    by the series columns, for `functionals.series_table`), where
+    `tracker` is any object with sample(state, D_cum, E_solver, grid, a, lap,
+    integrand) returning a row to collect (functionals.SampleTracker returns
+    a dict keyed by the series columns, for `functionals.series_table`), where
     `state` holds the index box `state.box` of the grid (None: the whole
     grid) and is zero elsewhere, and `grid`, `a` and `lap` are the grid, the
     damping array (damping.window(box), built once per re-window, which `step`
-    takes too) and Lap_h(state.u) on that box; with tracker=None the records
-    are (t, E_solver) pairs.  When `cone` declares compact data the numerical
+    takes too) and Lap_h(state.u) on that box.  `integrand` is the step's
+    a |v|^(r+1) at params.r on that box, in the workspace and valid only
+    during the call, or None at t = 0; with tracker=None the records are
+    (t, E_solver) pairs.  When `cone` declares compact data the numerical
     support is checked at every sample against R + t + 2h + 2dt and a
     violation is a hard error (truncation contamination would follow).
     `initial` may hold a box of the grid; it is only read.  Deterministic
@@ -461,7 +471,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         the workspace's spare pair."""
         g = grid.window(box)
         ws.fit(g.shape)
-        a = damping.window(box, out=ws.a)
+        a = damping.window(box, out=ws.a, sub=g)
         ws.damp(a, params)
         return g, a, st.on(box, grid.shape, ws.next_state())
 
@@ -475,7 +485,8 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     # a copy, clamped for any -0.0 on a Dirichlet node
     g, a, sub = window(box, initial)
     g.clamp_dirichlet(sub.u), g.clamp_dirichlet(sub.v)
-    lap = laplacian(g, sub.u, ws.lap, ws.w)     # serves E* and the next kick
+    # serves E* and the next kick; 2D's 4u goes to the spent pair's u
+    lap = laplacian(g, sub.u, ws.lap, ws.spent[0])
     if cone is not None:
         amp0 = max(float(np.max(np.abs(sub.u))), float(np.max(np.abs(sub.v))))
         cone_thresh = 1e-12 * amp0 if amp0 > 0 else math.inf
@@ -489,8 +500,9 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     def take_sample(st, n):
         if tracker is None:
             result.samples.append((st.t, float(E[n])))
-        else:
-            result.samples.append(tracker.sample(st, D_cum, float(E[n]), g, a, lap))
+        else:     # after a step, w holds the step's a |v|^(r+1)
+            result.samples.append(tracker.sample(st, D_cum, float(E[n]), g, a, lap,
+                                                 ws.w if n else None))
 
     def check_cone(st):
         rad = support_radius(g, st, cone_thresh)
@@ -510,7 +522,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
 
     for n in range(1, n_steps + 1):
         sub, diss = step(sub, g, a, params, lap, ws)
-        lap = laplacian(g, sub.u, ws.lap, ws.w)
+        lap = laplacian(g, sub.u, ws.lap, ws.spent[0])
         D_cum += diss
         E[n] = solver_energy(g, sub, params.dt, lap)
         if E[n] > E[n - 1] * (1.0 + 1e-12) and E[n - 1] > 0.0:
@@ -524,7 +536,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
             # nothing outside the window is nonzero, so its scan finds the box
             box = _support_box(sub.u, sub.v, _REWINDOW + 2, box, grid.shape)
             g, a, sub = window(box, sub)
-            lap = laplacian(g, sub.u, ws.lap, ws.w)
+            lap = laplacian(g, sub.u, ws.lap, ws.spent[0])
 
     result._end = (sub.copy(), grid.shape)     # off the workspace
     result.D_cum = D_cum

@@ -12,6 +12,11 @@ files the runs write (`<name>.series.csv`, `<name>.fit-*.dat`,
 identical, else 1, naming each file that differs or that only one checkout
 wrote.  Not a test module: pytest does not collect it.
 
+Under each differing series it names what moved, one line per column:
+`<column>: <n> of <rows> rows moved, largest change <x> of max |value|`
+(the change over the column's largest |value| in either checkout); under
+each differing report, the dotted keys whose values differ.
+
 Each `decaylab run` also prints its cost, read from `os.wait4` on its own
 process: wall time, minor page faults and peak RSS, as
 `cost <a|b> <preset>: <s> s, <n> minor faults, <MB> MB peak RSS`.
@@ -19,6 +24,7 @@ process: wall time, minor page faults and peak RSS, as
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -67,14 +73,57 @@ def _outputs(checkout: Path, label: str, names: list[str],
     _decaylab(checkout, "presets", "--write", str(out / "ini"))
     _decaylab(checkout, "suite", str(out / "ini"), "--parallel", "2",
               "--out", str(out / "suite"))
-    files = {}
-    for path in sorted((out / "run").iterdir()) + sorted((out / "suite").iterdir()):
-        data = path.read_bytes()
-        if path.name.endswith(".report.json"):
-            data = b"".join(line for line in data.splitlines(keepends=True)
-                            if b'"wall_clock_s":' not in line)
-        files[f"{path.parent.name}/{path.name}"] = data
-    return files
+    paths = sorted((out / "run").iterdir()) + sorted((out / "suite").iterdir())
+    return {f"{path.parent.name}/{path.name}": path.read_bytes() for path in paths}
+
+
+def _compared(name: str, data: bytes | None) -> bytes | None:
+    """The bytes compared: a report without its `wall_clock_s` line."""
+    if data is None or not name.endswith(".report.json"):
+        return data
+    return b"".join(line for line in data.splitlines(keepends=True)
+                    if b'"wall_clock_s":' not in line)
+
+
+def _columns(data: bytes) -> dict[str, list[float]]:
+    header, *lines = data.decode().split()
+    rows = [[float(x) for x in line.split(",")] for line in lines]
+    return {name: [row[k] for row in rows] for k, name in enumerate(header.split(","))}
+
+
+def _moved_columns(a: bytes, b: bytes) -> list[str]:
+    """Per column of two series that differs: its count of moved rows and its
+    largest change over its largest |value|."""
+    cols_a, cols_b = _columns(a), _columns(b)
+    out = [f"  column {name} in one checkout only"
+           for name in sorted(cols_a.keys() ^ cols_b.keys())]
+    for name in (n for n in cols_a if n in cols_b and cols_a[n] != cols_b[n]):
+        xa, xb = cols_a[name], cols_b[name]
+        if len(xa) != len(xb):
+            out.append(f"  {name}: {len(xa)} rows against {len(xb)}")
+            continue
+        moved = [abs(x - y) for x, y in zip(xa, xb) if x != y]
+        scale = max(abs(x) for x in xa + xb)
+        rel = max(moved) / scale if scale else float("inf")
+        out.append(f"  {name}: {len(moved)} of {len(xa)} rows moved, "
+                   f"largest change {rel:.3g} of max |value|")
+    return out
+
+
+def _flat(value, key: str = "") -> dict:
+    """A JSON value as {dotted key: leaf}."""
+    if isinstance(value, dict):
+        return {k: v for name, item in value.items()
+                for k, v in _flat(item, f"{key}.{name}" if key else name).items()}
+    return {key: value}
+
+
+def _moved_keys(a: bytes, b: bytes) -> list[str]:
+    """The dotted keys of two reports whose values differ, `wall_clock_s` aside."""
+    ka, kb = _flat(json.loads(a)), _flat(json.loads(b))
+    keys = sorted(k for k in ka.keys() | kb.keys()
+                  if k != "wall_clock_s" and ka.get(k, ...) != kb.get(k, ...))
+    return [f"  key {k}" for k in keys]
 
 
 def main(argv: list[str]) -> int:
@@ -90,9 +139,15 @@ def main(argv: list[str]) -> int:
         files_a = _outputs(a, "a", names, Path(tmp, "a"))
         files_b = _outputs(b, "b", names, Path(tmp, "b"))
     differ = sorted(n for n in files_a.keys() | files_b.keys()
-                    if files_a.get(n) != files_b.get(n))
+                    if _compared(n, files_a.get(n)) != _compared(n, files_b.get(n)))
     for name in differ:
         print(f"differs: {name}")
+        if name in files_a and name in files_b:
+            for explain, suffix in ((_moved_columns, ".series.csv"),
+                                    (_moved_keys, ".report.json")):
+                if name.endswith(suffix):
+                    for line in explain(files_a[name], files_b[name]):
+                        print(line)
     print(f"{len(names)} presets, {len(files_a.keys() | files_b.keys())} files, "
           f"{len(differ)} differ")
     return 1 if differ else 0

@@ -371,10 +371,22 @@ def test_t1_sample_takes_ln_b_plus_s_once_per_family(monkeypatch):
     assert sample["X"] != 0.0 and math.isfinite(sample["E_phi"])
 
 
+class _BuildingTracker(SampleTracker):
+    """A tracker that ignores the integrand `run` hands it and builds
+    a |v|^(r+1) itself at every sample."""
+
+    def sample(self, state, D_cum, E_solver, grid=None, a=None, lap=None,
+               integrand=None):
+        return super().sample(state, D_cum, E_solver, grid, a, lap)
+
+
 def test_t3_sample_builds_dissipation_density_once(monkeypatch):
-    # the T3 bundle sums a |v|^(r+1) and prop1 weights it per node: one build
-    # per sample serves both
-    grid, damping, psi, consts, fam, tracker = _regime_tracker("T3")
+    # the T3 bundle sums a |v|^(r+1) and prop1 weights it per node.  After a
+    # step the sample takes the step's integrand, the same products, so a run
+    # builds the density only at t = 0; its rows are, byte for byte, those of
+    # a tracker that builds it at every sample.  The 2D sample box cuts a
+    # strided block of over 8192 nodes from the window's integrand, where
+    # numpy sums a strided block in other parts than a contiguous one
     build = functionals._SampleContext._DENSITIES["a_vel_r1"]
     builds = []
 
@@ -383,11 +395,76 @@ def test_t3_sample_builds_dissipation_density_once(monkeypatch):
         return build(c)
 
     monkeypatch.setitem(functionals._SampleContext._DENSITIES, "a_vel_r1", counting)
-    params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
-    st = make_initial_compact(grid, 1.25, 0.7, 1.0, "both", R=2.0)
-    res = run(grid, damping, st, params, tracker=tracker, sample_stride=10)
-    assert len(res.samples) > 1
-    assert builds == [smp["t"] for smp in res.samples]
+    grid, damping, _, _, _, tracker = _regime_tracker("T3")
+    grid2 = build_grid_2d_disk(1.0, 8.0, 16.0)
+    consts = compute_constants("T3", 1.5, 2, 0.01, 0.2)
+    fam = WeightFamily.compact(consts.gamma, 6.5, r=1.5)
+    damping2 = build_damping(grid2, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+    cfg2 = TrackerConfig(grid=grid2, damping=damping2, psi=build_psi(grid2, 1.0), r=1.5,
+                         family=fam, constants=consts, bundle_sets=[("thm3", fam)],
+                         prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.5)
+    for cfg, bump in ((tracker.cfg, (1.25, 0.7, 2.0)), (cfg2, ((4.0, 0.0), 2.5, 6.5))):
+        grid, damping = cfg.grid, cfg.damping
+        params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
+        for mode in ("bump_u", "both"):
+            st0 = make_initial_compact(grid, *bump[:2], 1.0, mode, R=bump[2])
+            builds.clear()
+            res = run(grid, damping, st0, params, tracker=SampleTracker(cfg),
+                      sample_stride=10)
+            got = res.samples
+            assert len(got) > 1 and builds == [0.0]
+            builds.clear()
+            want = run(grid, damping, st0, params, tracker=_BuildingTracker(cfg),
+                       sample_stride=10).samples
+            assert builds == [row["t"] for row in want]
+            assert [list(row) for row in got] == [list(row) for row in want]
+            assert (np.array([list(row.values()) for row in got]).tobytes()
+                    == np.array([list(row.values()) for row in want]).tobytes())
+        box = functionals._support_box(res.final_state.u, res.final_state.v, 2)
+        assert (math.prod(b.stop - b.start for b in box) > 8192) == (grid.dim == 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 50.0),
+       scale=st.floats(1e-3, 1e3), lo=st.integers(0, 580), size=st.integers(1, 590))
+def test_compact_weights_scale_totals_within_round_off(seed, t, scale, lo, size):
+    # a compact weight is one number per sample: E_phi, X and the obs members
+    # take it times a density's total, which must match the per-node sum of
+    # the terms w * density within 8 n eps of the sum of their |values|
+    grid, damping, psi, consts, fam, tracker = _regime_tracker("T3")
+    rng = np.random.default_rng(seed)
+    block = np.zeros(grid.shape, dtype=bool)
+    block[lo:lo + size] = True
+    u, v = (grid.clamp_dirichlet(np.where(block, scale * rng.normal(size=grid.shape),
+                                          0.0))
+            for _ in range(2))
+    state, a, vol, r = WaveState(u, v, t), damping.values, grid.cell_volume, consts.r
+    e = grad_sq(grid, u) + np.where(grid.fluid, v * v, 0.0)
+
+    def weight(kind, table=exponent_table(fam)):
+        return table_weight(fam, table[kind], t)
+
+    def assert_sums(got, *terms):
+        flat = np.concatenate([np.ravel(x) for x in terms])
+        bound = 8 * flat.size * np.finfo(float).eps * vol * float(np.sum(np.abs(flat)))
+        assert abs(got - vol * math.fsum(flat)) <= bound
+
+    assert_sums(weighted_energy(state, grid, fam, 0.0, 1.0),
+                0.5 * weight(WeightKind.PHI) * e)
+    table = exponent_table(fam, r=r)
+    one_m_psi = 1.0 - psi.values
+    assert_sums(X_functional(state, grid, psi, damping, consts, fam),
+                weight(WeightKind.F, table) * (one_m_psi * u) * (one_m_psi * v),
+                0.5 * consts.k1 * weight(WeightKind.F1, table) * a * u * u,
+                consts.k2 * weight(WeightKind.F2, table) * a * np.abs(u) ** (r + 1.0),
+                0.5 * consts.k * weight(WeightKind.PHI, table) * e)
+    _, members, _ = functionals._obs_members(tracker.cfg)
+    lhs, rhs_disp, rhs_u2 = members(functionals._SampleContext(grid, state, a, r))
+    f = weight(WeightKind.F)
+    inside = grid.fluid & (grid.radius <= tracker.cfg.obs_R0)
+    assert_sums(lhs, (f * e)[inside])
+    assert_sums(rhs_disp, f * (a * v * v + a * np.abs(v) ** (2.0 * r)))
+    assert_sums(rhs_u2, weight("obs_u2") * a * u * u)
 
 
 def test_sample_weights_match_uncached_table_weight():

@@ -222,6 +222,40 @@ def test_field_solve_accepts_round_off_limited_residual():
     assert solve_damping_scalar(c[2], w[2], 1.5) == got[2]
 
 
+def _np_power_newton(c, w, r, tol, max_iter=90):
+    """The field solve's Newton on |v|, every power by np.power."""
+    aw = np.abs(w)
+    v = aw / (1.0 + c * np.power(aw, r - 1.0))
+    for _ in range(max_iter):
+        p = np.power(v, r - 1.0)
+        g = v + c * v * p - aw
+        if np.max(np.abs(g)) <= tol:
+            break
+        v = v - g / (1.0 + r * c * p)
+    return np.sign(w) * v
+
+
+# |w| at the edges of the double range: zeros of both signs, subnormals, 1e150
+_EDGE_W = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1e150, -1e150])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.just(0.0) | st.floats(0.0, 1e4),
+                          _EDGE_W | st.floats(-1e150, 1e150)),
+                min_size=1, max_size=40))
+def test_half_power_solve_keeps_residuals_and_matches_np_power(nodes):
+    # at r = 1.5 Newton's powers are square roots: every residual stays
+    # within tol * max(1, |w|), the solve's limit, and the result is within
+    # that of the same Newton written with np.power
+    c, w = (np.array(x, dtype=float) for x in zip(*nodes))
+    tol = 1e-12
+    v = sv._solve_damping_field(c, w, 1.5, tol)
+    limit = tol * np.maximum(1.0, np.abs(w))
+    assert (np.abs(v + c * np.power(np.abs(v), 0.5) * v - w) <= limit).all()
+    assert (np.abs(v - _np_power_newton(c, w, 1.5, tol)) <= limit).all()
+    assert (v[c == 0.0] == w[c == 0.0]).all()
+
+
 def test_large_amplitude_compact_run_matches_dense_solve(monkeypatch):
     g1 = build_grid_1d(0.5, 40.0, 790)
     # the 2D bump's early windows have fewer than half of their nodes active
@@ -1259,6 +1293,37 @@ def test_windowed_run_allocates_only_where_the_workspace_grows(monkeypatch):
     windows = [f for f in fits if f[0]]
     assert len(windows) == 1 + 95 // sv._REWINDOW
     assert 3 <= sum(not grew for _, grew in windows) < len(windows) // 2
+
+
+def test_compact_2d_run_builds_one_mask_per_window(monkeypatch, tmp_path):
+    # a window's damping is clamped through the grid window `run` holds, so a
+    # full t3-compact-2d run builds one Dirichlet mask per window, and one
+    # more for its initial state's box (the dirty-data check), not two
+    from functools import cached_property
+
+    from decaylab import presets
+    from decaylab.grids import ExteriorGrid
+    from decaylab.scenarios import run_scenario
+
+    masks, windows, in_run = [], [], []
+    build = ExteriorGrid._pinned.func
+    pinned = cached_property(lambda self: masks.append(self.shape) or build(self))
+    pinned.__set_name__(ExteriorGrid, "_pinned")
+    monkeypatch.setattr(ExteriorGrid, "_pinned", pinned)
+    real_fit, real_run = sv._Workspace.fit, sv.run
+    monkeypatch.setattr(sv._Workspace, "fit", lambda self, shape: (
+        windows.append(shape) or real_fit(self, shape)))
+
+    def counted_run(*args, **kwargs):
+        before = len(masks)
+        out = real_run(*args, **kwargs)
+        in_run.append(len(masks) - before)
+        return out
+
+    monkeypatch.setattr(sv, "run", counted_run)
+    rep = run_scenario(presets.load("t3-compact-2d"), tmp_path)
+    assert not rep.failed
+    assert len(windows) == 32 and in_run == [len(windows) + 1]
 
 
 def test_reference_fixed_point_divergence_reported():
