@@ -6,20 +6,17 @@ machinery behind logarithmic / polynomial / compact-support decay estimates,
 and fits observed decay exponents against the admissible predictions.
 """
 
-from .weights import (Regime, WeightFamily, TheoremConstants, BValue, eval_q,
-                      eval_weight, compute_b, compute_constants,
-                      verify_weight_inequalities)
+from .weights import (Regime, WeightFamily, TheoremConstants, eval_weight,
+                      compute_constants, verify_weight_inequalities)
 from .grids import (ExteriorGrid, DampingProfile, CutoffPsi, build_grid_1d,
                     build_grid_2d_disk, build_damping, build_psi)
-from .solver import (WaveState, SolverParams, RunResult, solve_damping_scalar,
-                     step, run, make_initial_compact, make_initial_weighted)
-from .functionals import (DataFunctionals, TrackerConfig, SampleTracker,
-                          energy, weighted_energy, weighted_energy_log,
-                          X_functional, data_functionals,
+from .solver import (WaveState, SolverParams, RunResult, run,
+                     make_initial_compact, make_initial_weighted)
+from .functionals import (TrackerConfig, SampleTracker, energy, weighted_energy,
+                          weighted_energy_log, X_functional, data_functionals,
                           prop1_inequality_check, observability_ratio,
                           high_energy_check)
-from .decay import (DecayFit, Verdict, fit_decay, theorem_verdict,
-                    truncation_contamination)
+from .decay import fit_decay, theorem_verdict, truncation_contamination
 from .scenarios import (ScenarioConfig, ScenarioReport, load_config,
                         run_scenario, run_suite)
 from . import presets
@@ -27,19 +24,17 @@ from . import presets
 __version__ = "0.1.0"
 
 __all__ = [
-    "Regime", "WeightFamily", "TheoremConstants", "BValue",
-    "eval_q", "eval_weight", "compute_b", "compute_constants",
-    "verify_weight_inequalities",
+    "Regime", "WeightFamily", "TheoremConstants", "eval_weight",
+    "compute_constants", "verify_weight_inequalities",
     "ExteriorGrid", "DampingProfile", "CutoffPsi",
     "build_grid_1d", "build_grid_2d_disk", "build_damping", "build_psi",
-    "WaveState", "SolverParams", "RunResult", "solve_damping_scalar",
-    "step", "run", "make_initial_compact", "make_initial_weighted",
-    "DataFunctionals", "TrackerConfig", "SampleTracker",
+    "WaveState", "SolverParams", "RunResult", "run",
+    "make_initial_compact", "make_initial_weighted",
+    "TrackerConfig", "SampleTracker",
     "energy", "weighted_energy", "weighted_energy_log", "X_functional",
     "data_functionals", "prop1_inequality_check", "observability_ratio",
     "high_energy_check",
-    "DecayFit", "Verdict", "fit_decay", "theorem_verdict",
-    "truncation_contamination",
+    "fit_decay", "theorem_verdict", "truncation_contamination",
     "ScenarioConfig", "ScenarioReport", "load_config", "run_scenario",
     "run_suite", "presets",
 ]

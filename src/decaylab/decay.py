@@ -16,8 +16,8 @@ import numpy as np
 
 from .weights import TheoremConstants
 
-__all__ = ["DecayFit", "Verdict", "fit_decay", "theorem_verdict",
-           "truncation_contamination", "MODEL_FOR_THEOREM"]
+__all__ = ["fit_decay", "theorem_verdict", "truncation_contamination",
+           "MODEL_FOR_THEOREM"]
 
 MODEL_FOR_THEOREM = {"T1": "LogDecay", "T2": "PolyDecay", "T3": "CompactDecay"}
 _MODELS = tuple(MODEL_FOR_THEOREM.values())

@@ -35,7 +35,7 @@ from .weights import (Regime, TheoremConstants, WeightFamily, WeightKind,
                       table_weight)
 
 __all__ = [
-    "DataFunctionals", "Prop1Config", "TrackerConfig", "SampleTracker",
+    "Prop1Config", "TrackerConfig", "SampleTracker",
     "Prop1Report", "ObsReport", "HighEnergyReport", "energy", "grad_sq",
     "weighted_energy", "weighted_energy_log", "X_functional",
     "data_functionals", "series_table", "prop1_inequality_check",

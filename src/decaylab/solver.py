@@ -35,13 +35,14 @@ their box is the whole grid and they take the whole-grid path.
 current window, for two state pairs that take turns, Lap_h(u), w and the
 window's damping, which grow only with a window that outgrows them.  `step`,
 `laplacian` and the nodal solve write into it, with the same operations in
-the same order as their fresh-array forms, so a step allocates nothing and
-the outputs are byte-identical.  A step leaves its dissipation integrand
-a |v'|^(r+1) in w, which `run` hands to the tracker's sample; the 2D
-Laplacian's 4u term goes to the u of the pair the step has spent.  `step`
-and `laplacian` called without a workspace or output array allocate theirs;
-the samples, the cone check and a re-window's mask and support scan
-allocate theirs too.
+the same order as the fresh-array forms of the last two, so a step
+allocates nothing and the outputs are byte-identical.  A step leaves its
+dissipation integrand a |v'|^(r+1) in w, which `run` hands to the tracker's
+sample; the 2D Laplacian's 4u term goes to the u of the pair the step has
+spent.  `step` works only in that workspace, on `run`'s clamped states, so
+there is one stepping path.  `laplacian` called without an output array
+allocates it; the samples, the cone check and a re-window's mask and
+support scan allocate theirs too.
 
 With a == 0 the scheme is plain leapfrog and conserves the two-level
 quadratic form
@@ -69,7 +70,7 @@ from .weights import Regime, WeightFamily
 
 __all__ = [
     "WaveState", "SolverParams", "ConeSpec", "RunResult",
-    "SupportConeError", "solve_damping_scalar", "step", "run",
+    "SupportConeError", "run",
     "make_initial_compact", "make_initial_weighted",
     "laplacian", "edge_form", "solver_energy", "support_radius",
 ]
@@ -139,24 +140,23 @@ class ConeSpec:
 _DAMPING_TOL = 1e-12
 
 
-def _newton_abs(c, aw, r, tol, max_iter, out=None, scratch=None):
-    """|v| with |v| + c|v|^r = aw per node, by Newton from a guess below
-    the root, which needs no bracket (see the module docstring).
+def _solve_damping_field(c, w, r, tol, max_iter=90, out=None, scratch=None):
+    """Vector root of v + c|v|^(r-1) v = w per node, by Newton on |v| with
+    the stopping rule and the max_iter limit of the module docstring, into
+    `out` if given (else a fresh array); w is only read.
 
-    Every node runs until the worst residual is at most tol.  After max_iter
-    steps the result stands if each residual is within tol * max(1, aw):
-    round-off keeps residuals near a few ulps of aw, so an absolute tol is
-    out of reach once aw is large.  Otherwise raises FloatingPointError.
-    The guess aw / (1 + c aw^(r-1)), p = v^(r-1), g = v + c v p - aw and
+    A node with c = 0 or w = 0 has a residual of exactly 0 at the first
+    iterate, so it returns w itself (-0.0 as +0.0) with no special case.  The
+    guess aw / (1 + c aw^(r-1)), aw = |w|, p = v^(r-1), g = v + c v p - aw and
     v -= g / (1 + rc p) are formed in place, in that order of operations,
-    into `out` (else a fresh array) and two scratch arrays g and d; with
-    `scratch` = (rc, g, d), rc = r c and arrays of aw's shape, none is
-    allocated.  The powers raise a copy in place with `**=`, which numpy
-    takes as a square root at r - 1 = 0.5 (the same value as np.power, at
-    half the cost) and as np.power at any other r.
+    with rc = r c and aw, g and d arrays of w's shape: `scratch` =
+    (aw, rc, g, d), else fresh.  The powers raise a copy in place with `**=`,
+    which numpy takes as a square root at r - 1 = 0.5 (the same value as
+    np.power, at half the cost) and as np.power at any other r.
     """
-    rc, g, d = ((r * c, np.empty_like(aw), np.empty_like(aw)) if scratch is None
-                else scratch)
+    aw, rc, g, d = ((np.empty_like(w), r * c, np.empty_like(w), np.empty_like(w))
+                    if scratch is None else scratch)
+    np.abs(w, out=aw)
     v = np.positive(aw, out=out)        # a copy of aw, raised in place
     v **= r - 1.0
     v *= c
@@ -170,61 +170,29 @@ def _newton_abs(c, aw, r, tol, max_iter, out=None, scratch=None):
         g += v
         g -= aw
         if g.max() <= tol and -g.min() <= tol:      # max |g|, with no |g| array
-            return v
+            break
         d *= rc
         d += 1.0
         g /= d
         v -= g
-    # a c = 0 node's root is aw; its guess formed 0 * inf if aw^(r-1) overflows
-    free = np.equal(c, 0.0)
-    np.copyto(v, aw, where=free)
-    over = ~free & (c * aw ** (r - 1.0) == math.inf)
-    if over.any():
-        raise FloatingPointError(
-            f"nodal damping solve: c |w|^(r-1) overflows the double range at "
-            f"{np.count_nonzero(over)} node(s), largest |w| {np.max(aw[over]):.3g}")
-    res = np.where(free, 0.0, np.abs(v + c * v * v ** (r - 1.0) - aw))
-    bad = ~(res <= tol * np.maximum(1.0, aw))
-    if not bad.any():
-        return v
-    raise FloatingPointError(
-        f"nodal damping solve did not converge in {max_iter} iterations: "
-        f"worst residual {np.max(res[bad]):.3g} > tol {tol:.3g} * max(1, |w|) "
-        f"at {np.count_nonzero(bad)} node(s), largest |w| {np.max(aw):.3g}")
-
-
-def _solve_damping_field(c, w, r, tol, max_iter=90, out=None, scratch=None):
-    """Vector root of v + c|v|^(r-1) v = w: Newton on |v| at every node,
-    into `out` if given; w is only read.
-
-    A node with c = 0 or w = 0 has a residual of exactly 0 at the first
-    iterate, so it returns w itself (-0.0 as +0.0) with no special case.
-    `scratch` = (aw, rc, g, d) takes |w| in `aw`, an array of w's shape, and
-    the rest as `_newton_abs` does.
-    """
-    aw = np.abs(w, out=None if scratch is None else scratch[0])
-    v = _newton_abs(c, aw, r, tol, max_iter, out, None if scratch is None else scratch[1:])
+    else:
+        # a c = 0 node's root is aw; its guess formed 0 * inf if aw^(r-1) overflows
+        free = np.equal(c, 0.0)
+        np.copyto(v, aw, where=free)
+        over = ~free & (c * aw ** (r - 1.0) == math.inf)
+        if over.any():
+            raise FloatingPointError(
+                f"nodal damping solve: c |w|^(r-1) overflows the double range at "
+                f"{np.count_nonzero(over)} node(s), largest |w| {np.max(aw[over]):.3g}")
+        res = np.where(free, 0.0, np.abs(v + c * v * v ** (r - 1.0) - aw))
+        bad = ~(res <= tol * np.maximum(1.0, aw))
+        if bad.any():
+            raise FloatingPointError(
+                f"nodal damping solve did not converge in {max_iter} iterations: "
+                f"worst residual {np.max(res[bad]):.3g} > tol {tol:.3g} * max(1, |w|) "
+                f"at {np.count_nonzero(bad)} node(s), largest |w| {np.max(aw):.3g}")
     v *= np.sign(w, out=aw)         # |w| is spent
     return v
-
-
-def solve_damping_scalar(c: float, w: float, r: float,
-                         tol: float = _DAMPING_TOL) -> float:
-    """Unique root v of v + c |v|^(r-1) v = w (c >= 0, r > 1).
-
-    The map is strictly increasing, so sign(v) = sign(w) and |v| <= |w|;
-    on |v| it is also convex, and Newton from a guess below the root
-    converges monotonically from above after its first update.
-    """
-    if c < 0.0:
-        raise ValueError("damping scale c must be nonnegative")
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    if c == 0.0 or w == 0.0:
-        return w
-    out = _solve_damping_field(np.asarray([c], dtype=float),
-                               np.asarray([w], dtype=float), r, tol)
-    return float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -377,37 +345,31 @@ class _Workspace:
 
 
 def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
-         params: SolverParams, lap: np.ndarray | None = None,
-         work: _Workspace | None = None) -> tuple[WaveState, float]:
+         params: SolverParams, lap: np.ndarray,
+         work: _Workspace) -> tuple[WaveState, float]:
     """One semi-implicit leapfrog step; returns (new state, dissipation increment).
 
     The increment is dt * sum h^d a |v'|^(r+1), the discrete counterpart of
-    the energy-identity dissipation, with `a` the damping array on `grid`.  A
-    caller that holds `lap` = Lap_h(state.u) passes it in.  `run` passes its
-    `_Workspace`, which holds the state, `lap` and `a`: the step then
-    allocates nothing, skips the Dirichlet clamps of w and u', no-ops on
-    `run`'s clamped states, and leaves the increment's integrand
-    a |v'|^(r+1) in the workspace's w.  Once w is formed, Lap_h(u) and v are spent and
-    serve as Newton's scratch, and |w| waits in the new u until u' is formed.
-    Without a workspace every array is fresh and the caller's are only read.
+    the energy-identity dissipation, with `a` the damping array on `grid`.
+    `work` is `run`'s `_Workspace` as the run leaves it: fitted to `grid`,
+    damped with `a`, holding `state` in its current pair and `lap` =
+    Lap_h(state.u) in `work.lap`.  The step allocates nothing, leaves the
+    increment's integrand a |v'|^(r+1) in `work.w`, and clamps nothing:
+    `run`'s states are clamped, so w and u' are too.  Once w is formed,
+    Lap_h(u) and v are spent and serve as Newton's scratch, and |w| waits in
+    the new u until u' is formed.
     """
     dt = params.dt
-    lap = laplacian(grid, state.u) if lap is None else lap
-    ws = work or _Workspace(state.u.size).fit(state.u.shape).damp(a, params)
-    w = np.multiply(dt, lap, out=ws.w)
+    w = np.multiply(dt, lap, out=work.w)
     w += state.v
-    if work is None:
-        grid.clamp_dirichlet(w)
-    u_new, v_new = ws.next_state()
+    u_new, v_new = work.next_state()
     # the solve maps the clamped w's +0.0 to +0.0, so v_new is clamped too
-    v_new = _solve_damping_field(ws.c, w, params.r, _DAMPING_TOL, out=v_new,
-                                 scratch=(u_new, ws.rc, ws.lap, ws.spent[1]))
+    v_new = _solve_damping_field(work.c, w, params.r, _DAMPING_TOL, out=v_new,
+                                 scratch=(u_new, work.rc, work.lap, work.spent[1]))
     u_new = np.multiply(dt, v_new, out=u_new)
     u_new += state.u
-    if work is None:
-        grid.clamp_dirichlet(u_new)
     av = np.abs(v_new, out=w)
-    peak = float(np.abs(u_new, out=ws.lap).max(initial=av.max()))
+    peak = float(np.abs(u_new, out=work.lap).max(initial=av.max()))
     if not math.isfinite(peak) or peak > BLOWUP:
         raise FloatingPointError(
             f"field magnitude {peak:.3g} at t = {state.t + dt:.6g}; "

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Regime", "WeightKind", "WeightFamily", "TheoremConstants", "BValue",
-    "WeightOverflowError", "AdmissibilityError", "InequalityCheck",
-    "WeightInequalityReport", "eval_q", "eval_weight", "compute_b",
+    "Regime", "WeightKind", "WeightFamily", "TheoremConstants",
+    "WeightOverflowError", "AdmissibilityError", "eval_weight",
     "compute_constants", "verify_weight_inequalities",
 ]
 
@@ -201,24 +200,6 @@ class WeightFamily:
     @property
     def _offset(self) -> float:
         return 1.0 if self.regime is Regime.POLY else self.R
-
-
-def eval_q(x) -> np.ndarray | float:
-    """q(x) = sqrt(1 + |x|^2), evaluated without overflow for huge |x|.
-
-    A scalar is a 1D point; a tuple/list is one point in R^d; an ndarray is
-    an array of 1D points (ndim 1) or of R^d points along the last axis.
-    """
-    if isinstance(x, (tuple, list)):
-        return float(np.hypot(1.0, math.hypot(*[float(c) for c in x])))
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return float(np.hypot(1.0, x))
-    if x.ndim >= 2:
-        r = np.sqrt(np.sum(x * x, axis=-1))
-    else:
-        r = np.abs(x)
-    return np.hypot(1.0, r)
 
 
 @functools.lru_cache(maxsize=256)

@@ -19,7 +19,10 @@ each differing report, the dotted keys whose values differ.
 
 Each `decaylab run` also prints its cost, read from `os.wait4` on its own
 process: wall time, minor page faults and peak RSS, as
-`cost <a|b> <preset>: <s> s, <n> minor faults, <MB> MB peak RSS`.
+`cost <a|b> <preset>: <s> s, <n> minor faults, <MB> MB peak RSS`.  Each
+checkout's size comes first: the lines of its `src/decaylab` and the names
+its modules' `__all__` export, summed, as
+`size <a|b>: <lines> lines, <names> exported names`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from pathlib import Path
 
 RUN = "import sys; from decaylab.cli import main; sys.exit(main(sys.argv[1:]))"
 NAMES = "from decaylab import presets; print(*presets.names())"
+SIZE = ("import importlib, pathlib, pkgutil, decaylab; "
+        "lines = sum(p.read_bytes().count(b'\\n') for p in pathlib.Path(decaylab.__file__)"
+        ".parent.rglob('*.py')); names = len(decaylab.__all__) + sum(len(importlib."
+        "import_module(f'decaylab.{m.name}').__all__) for m in pkgutil.iter_modules("
+        "decaylab.__path__)); print(f'{lines} lines, {names} exported names')")
 
 
 def _python(checkout: Path, *args: str):
@@ -135,6 +143,8 @@ def main(argv: list[str]) -> int:
         print("the checkouts ship different presets")
         return 1
     print(f"a = {a}\nb = {b}")
+    for label, checkout in (("a", a), ("b", b)):
+        print(f"size {label}: {_python(checkout, SIZE)[0].stdout.strip()}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         files_a = _outputs(a, "a", names, Path(tmp, "a"))
         files_b = _outputs(b, "b", names, Path(tmp, "b"))

@@ -2,17 +2,48 @@
 
 `reference_solve`, a fully implicit midpoint integrator, cross-validates the
 main stepper (`decaylab.solver.run`) on small instances: its energy curve and
-its trajectories.  The `*_by_dim` functions are the grid operators written
-with one body for 1D and one for 2D; the one-body forms, which loop over
-`ExteriorGrid.axes`, must match them byte for byte.
+its trajectories.  `solve_damping_scalar` is the nodal damping solve on one
+node, and `whole_grid_step` one step of `run`'s scheme on the whole grid.
+The `*_by_dim` functions are the grid operators written with one body for 1D
+and one for 2D; the one-body forms, which loop over `ExteriorGrid.axes`,
+must match them byte for byte.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from decaylab import solver
 from decaylab.grids import DampingProfile, ExteriorGrid
 from decaylab.solver import SolverParams, WaveState, edge_form, laplacian
+
+
+def solve_damping_scalar(c: float, w: float, r: float,
+                         tol: float = solver._DAMPING_TOL) -> float:
+    """Unique root v of v + c |v|^(r-1) v = w (c >= 0, r > 1), by the
+    solver's nodal solve on one node; sign(v) = sign(w) and |v| <= |w|."""
+    if c < 0.0:
+        raise ValueError("damping scale c must be nonnegative")
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    if c == 0.0 or w == 0.0:
+        return w
+    out = solver._solve_damping_field(np.asarray([c], dtype=float),
+                                      np.asarray([w], dtype=float), r, tol)
+    return float(out[0])
+
+
+def whole_grid_step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
+                    params: SolverParams) -> tuple[WaveState, float]:
+    """`decaylab.solver.step` on the whole grid, set up as `run` sets up a
+    window (a fresh workspace, a clamped copy of `state`, Lap_h(u) in `lap`):
+    (new state in fresh arrays, dissipation increment)."""
+    ws = solver._Workspace(grid.fluid.size).fit(grid.shape).damp(a, params)
+    st = state.on(None, grid.shape, ws.next_state())
+    grid.clamp_dirichlet(st.u), grid.clamp_dirichlet(st.v)
+    lap = laplacian(grid, st.u, ws.lap, ws.spent[0])
+    new, diss = solver.step(st, grid, a, params, lap, ws)
+    return new.copy(), diss
 
 
 @dataclass

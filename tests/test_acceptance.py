@@ -17,12 +17,11 @@ from decaylab.decay import fit_decay
 from decaylab.functionals import read_series_csv
 from decaylab.grids import build_damping, build_grid_1d
 from decaylab.scenarios import load_config, run_scenario
-from decaylab.solver import (SolverParams, make_initial_compact, run,
-                             solve_damping_scalar)
+from decaylab.solver import SolverParams, make_initial_compact, run
 from decaylab.weights import (Regime, WeightFamily, WeightKind, compute_b,
                               eval_weight, k_quadratic,
                               verify_weight_inequalities)
-from oracles import reference_solve
+from oracles import reference_solve, solve_damping_scalar
 from test_scenarios import _with
 
 SEED = 20240809

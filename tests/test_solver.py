@@ -20,9 +20,8 @@ import decaylab.solver as sv
 from decaylab.functionals import energy
 from decaylab.grids import build_damping, build_grid_1d, build_grid_2d_disk
 from decaylab.solver import (ConeSpec, SolverParams, WaveState,
-                             make_initial_compact, make_initial_weighted,
-                             run, solve_damping_scalar, step)
-from oracles import reference_solve
+                             make_initial_compact, make_initial_weighted, run)
+from oracles import reference_solve, solve_damping_scalar, whole_grid_step
 
 
 def bisect_oracle(c, w, r, tol=1e-14):
@@ -80,14 +79,16 @@ def test_damping_solve_properties(c, w, r):
         assert math.copysign(1.0, v) == math.copysign(1.0, w) or v == 0.0
 
 
-def dense_newton_oracle(c, w, r, tol, max_iter=90):
+def dense_newton_oracle(c, w, r, tol, max_iter=90, power=pow):
     """Whole-array Newton on every node, written out plainly: no in-place
-    forms, and the same order of operations as the field solve."""
+    forms, and the same order of operations as the field solve.  Powers are
+    taken by `power`: `**`, which numpy takes as a square root at r - 1 =
+    0.5, or np.power."""
     sign = np.sign(w)
     aw = np.abs(w)
-    v = aw / (1.0 + c * aw ** (r - 1.0))
+    v = aw / (1.0 + c * power(aw, r - 1.0))
     for _ in range(max_iter):
-        p = v ** (r - 1.0)
+        p = power(v, r - 1.0)
         g = v + c * v * p - aw
         if np.max(np.abs(g)) <= tol:
             break
@@ -222,19 +223,6 @@ def test_field_solve_accepts_round_off_limited_residual():
     assert solve_damping_scalar(c[2], w[2], 1.5) == got[2]
 
 
-def _np_power_newton(c, w, r, tol, max_iter=90):
-    """The field solve's Newton on |v|, every power by np.power."""
-    aw = np.abs(w)
-    v = aw / (1.0 + c * np.power(aw, r - 1.0))
-    for _ in range(max_iter):
-        p = np.power(v, r - 1.0)
-        g = v + c * v * p - aw
-        if np.max(np.abs(g)) <= tol:
-            break
-        v = v - g / (1.0 + r * c * p)
-    return np.sign(w) * v
-
-
 # |w| at the edges of the double range: zeros of both signs, subnormals, 1e150
 _EDGE_W = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1e150, -1e150])
 
@@ -252,7 +240,7 @@ def test_half_power_solve_keeps_residuals_and_matches_np_power(nodes):
     v = sv._solve_damping_field(c, w, 1.5, tol)
     limit = tol * np.maximum(1.0, np.abs(w))
     assert (np.abs(v + c * np.power(np.abs(v), 0.5) * v - w) <= limit).all()
-    assert (np.abs(v - _np_power_newton(c, w, 1.5, tol)) <= limit).all()
+    assert (np.abs(v - dense_newton_oracle(c, w, 1.5, tol, power=np.power)) <= limit).all()
     assert (v[c == 0.0] == w[c == 0.0]).all()
 
 
@@ -339,7 +327,7 @@ def _zero_damping(grid):
 def test_step_zero_state_fixed_point():
     grid, damping, params = _box_setup()
     st0 = WaveState(grid.zeros(), grid.zeros(), 0.0)
-    st1, diss = step(st0, grid, damping.values, params)
+    st1, diss = whole_grid_step(st0, grid, damping.values, params)
     assert diss == 0.0
     assert not st1.u.any() and not st1.v.any()
 
@@ -365,32 +353,9 @@ def test_uniform_velocity_reduces_to_nodal_solve():
     damping = build_damping(grid, "constant", 2.0, 0.25, 2.0)
     v0 = 0.7
     state = WaveState(grid.zeros(), np.full(grid.shape, v0), 0.0)
-    new, _ = step(state, grid, damping.values, params)
+    new, _ = whole_grid_step(state, grid, damping.values, params)
     expect = solve_damping_scalar(params.dt * 2.0, v0, 2.0)
     assert np.allclose(new.v[grid.fluid], expect, atol=1e-12)
-
-
-@pytest.mark.parametrize("dense", [False, True])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_step_clamps_unclamped_state(dim, dense):
-    # `step` clamps w and u' but not v': the solve maps the clamped w's +0.0
-    # to +0.0, whether fewer or more than half of the nodes are active
-    if dim == 1:
-        grid = build_grid_1d(0.0, 1.0, 64)
-    else:
-        grid = build_grid_2d_disk(1.0, 3.0, 6.0)
-    damping = build_damping(grid, "constant", 1.0, 0.5, 1.0)
-    params = SolverParams.for_grid(grid, 0.9, 1.5, T_max=0.0)
-    pinned = ~grid.fluid
-    rng = np.random.default_rng(dim)
-    u, v = (rng.uniform(-1.0, 1.0, grid.shape) * (1.0 if dense else pinned)
-            for _ in range(2))
-    w = grid.clamp_dirichlet(params.dt * sv.laplacian(grid, u) + v)
-    assert (2 * np.count_nonzero(w) >= w.size) == dense
-    new, _ = step(WaveState(u, v), grid, damping.values, params)
-    for x in (new.u, new.v):
-        assert not x[pinned].any() and not np.signbit(x[pinned]).any()
-        assert x[grid.fluid].any()
 
 
 def test_run_zero_tmax_single_sample():
@@ -691,7 +656,7 @@ def _stepping_cases():
 def test_step_dissipation_bit_equal_to_full_sum(case):
     grid, damping, params, state = _stepping_cases()[case]
     for _ in range(8):
-        new, diss = step(state, grid, damping.values, params)
+        new, diss = whole_grid_step(state, grid, damping.values, params)
         full = params.dt * grid.cell_volume * float(np.sum(
             damping.values * np.abs(new.v) ** (params.r + 1.0)))
         assert diss > 0.0
@@ -856,16 +821,14 @@ def test_step_hands_window_to_the_field_solve(monkeypatch, case):
 
 
 def _whole_grid_loop(grid, damping, state, params):
-    """`step` on the full arrays n_steps times: final state, E* per step and
-    the summed dissipation."""
+    """`step` on the full arrays n_steps times, each in a fresh workspace:
+    final state, E* per step and the summed dissipation."""
     st = state.on(None, grid.shape)
-    grid.clamp_dirichlet(st.u)
-    grid.clamp_dirichlet(st.v)
     n_steps = int(round(params.T_max / params.dt))
     E = [sv.solver_energy(grid, st, params.dt, sv.laplacian(grid, st.u))]
     D = 0.0
     for _ in range(n_steps):
-        st, diss = step(st, grid, damping.values, params)
+        st, diss = whole_grid_step(st, grid, damping.values, params)
         D += diss
         E.append(sv.solver_energy(grid, st, params.dt, sv.laplacian(grid, st.u)))
     return st, np.array(E), D
@@ -984,24 +947,36 @@ def test_run_reads_initial_and_final_state_owns_memory(case, n_steps):
                                    _n_step_params(grid, n_steps))
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(9))
 def test_run_unclamped_initial_matches_clamped(case):
     # values on Dirichlet nodes, -0.0 included, are clamped away first; the
-    # caller's arrays keep them.  Case 4 holds a 2D bump on its box, which
-    # takes in an obstacle node: a nonzero in u and a NaN in v there
+    # caller's arrays keep them, and the pinned nodes of every state read
+    # +0.0.  Case 4 holds a 2D bump on its box, which takes in an obstacle
+    # node: a nonzero in u and a NaN in v there.  Cases 5 to 8 hold random
+    # values on every node (dense) or on the Dirichlet nodes alone, in 1D
+    # and 2D
+    dense = case >= 5 and case % 2 == 0
     if case < 4:
         grid, damping, state = _run_cases()[case]
         pinned = ~grid.fluid
         rng = np.random.default_rng(case)
         raw = WaveState(np.where(pinned, rng.uniform(-1.0, 1.0, grid.shape), state.u),
                         np.where(pinned, -0.0, state.v))
-    else:
+    elif case == 4:
         grid, damping, _ = _run_cases()[1]
         state = make_initial_compact(grid, (1.8, 0.0), 0.7, 1.0, "both")
         pinned = ~grid.window(state.box).fluid
         assert pinned.any()
         raw = WaveState(np.where(pinned, 0.5, state.u),
                         np.where(pinned, np.nan, state.v), box=state.box)
+    else:
+        grid = build_grid_1d(0.0, 1.0, 64) if case < 7 else build_grid_2d_disk(1.0, 3.0, 6.0)
+        damping = build_damping(grid, "constant", 1.0, 0.5, 1.0)
+        pinned = ~grid.fluid
+        rng = np.random.default_rng(case)
+        raw = WaveState(*(rng.uniform(-1.0, 1.0, grid.shape) * (1.0 if dense else pinned)
+                          for _ in range(2)))
+        state = WaveState(*(np.where(pinned, 0.0, x) for x in (raw.u, raw.v)))
     kept = raw.copy()
     params = _n_step_params(grid, 20)
     want = run(grid, damping, state, params, sample_stride=5)
@@ -1012,6 +987,9 @@ def test_run_unclamped_initial_matches_clamped(case):
     assert got.E_steps.tobytes() == want.E_steps.tobytes()
     assert got.final_state.u.tobytes() == want.final_state.u.tobytes()
     assert got.final_state.v.tobytes() == want.final_state.v.tobytes()
+    for x in (got.final_state.u, got.final_state.v):
+        assert not x[~grid.fluid].any() and not np.signbit(x[~grid.fluid]).any()
+        assert x[grid.fluid].any() == (case < 5 or dense)
     # -0.0 alone is not copied before the scan, but the first window, which
     # is the final state at T_max = 0, is clamped as well
     signed = WaveState(np.where(pinned, -0.0, state.u), np.where(pinned, -0.0, state.v),

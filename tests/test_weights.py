@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decaylab.grids import build_grid_1d, build_grid_2d_disk
 from decaylab.weights import (
     AdmissibilityError, Regime, WeightFamily, WeightKind, compute_b,
-    compute_constants, eval_q, eval_weight, exponent_table, k_quadratic,
+    compute_constants, eval_weight, exponent_table, k_quadratic,
     verify_weight_inequalities,
 )
 
@@ -22,37 +23,44 @@ E = math.e
 
 
 # ---------------------------------------------------------------------------
-# q(x)
+# q(x) = sqrt(1 + |x|^2), as `ExteriorGrid.q` holds it per node
 # ---------------------------------------------------------------------------
 
+# nodes at 0 and at 1e6
+_LINE = build_grid_1d(0.0, 1.0e6, 16)
+
+
 def test_q_at_origin():
-    assert eval_q(0.0) == 1.0
+    assert _LINE.coords[0][0] == 0.0 and _LINE.q[0] == 1.0
 
 
 def test_q_unit_vector_2d():
-    assert eval_q((1.0, 0.0)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    grid = build_grid_2d_disk(0.5, 3.0, 8.0)
+    node = (grid.coords[0] == 1.0) & (grid.coords[1] == 0.0)
+    assert np.count_nonzero(node) == 1
+    assert grid.q[node][0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_q_huge_argument_no_overflow():
     # oracle: q - |x| = 1/(q + |x|); mpmath gives 4.99999999999875e-7.
     # The subtraction itself cancels ~eps*|x| of precision, hence rel 1e-3.
-    x = 1.0e6
-    q = eval_q(x)
-    assert 1.0e6 < q < 1.0e6 + 1.0e-6
+    x, q = _LINE.coords[0][-1], _LINE.q[-1]
+    assert x == 1.0e6 and 1.0e6 < q < 1.0e6 + 1.0e-6
     assert q - x == pytest.approx(4.999999999998750e-7, rel=1e-3)
 
 
-@given(st.floats(min_value=-1e150, max_value=1e150, allow_nan=False))
-def test_q_dominates_one_and_abs(x):
-    q = eval_q(x)
-    assert q >= 1.0
-    assert q >= abs(x)
+@given(st.sampled_from([1, 2]), st.floats(min_value=1e-300, max_value=1e148))
+def test_q_dominates_one_and_abs(dim, h):
+    # grids of spacing about h, so |x| runs up to about 1e150; the grid's
+    # |x| is its `radius` (in 1D abs(x), to the bit)
+    grid = (build_grid_1d(0.0, 16.0 * h, 16) if dim == 1
+            else build_grid_2d_disk(4.5 * h, 10.0 * h, 1.0 / h))
+    assert (grid.q >= 1.0).all() and (grid.q >= grid.radius).all()
 
 
 def test_q_monotone_in_radius():
-    xs = np.linspace(0.0, 50.0, 101)
-    qs = eval_q(xs)
-    assert np.all(np.diff(qs) > 0.0)
+    grid = build_grid_1d(0.0, 50.0, 100)
+    assert np.all(np.diff(grid.q) > 0.0)
 
 
 # ---------------------------------------------------------------------------
