@@ -162,9 +162,8 @@ def _dispatch(args) -> int:
         b_or_R = {"LogDecay": args.b, "PolyDecay": 1.0,
                   "CompactDecay": args.R}[args.model]
         if b_or_R is None:
-            flag = "--b" if args.model == "LogDecay" else "--R"
-            print(f"error: {args.model} requires {flag}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.model} requires "
+                             f"{'--b' if args.model == 'LogDecay' else '--R'}")
         fit = decay.fit_decay(series["t"], series["E"], args.model, b_or_R, window)
         print(json.dumps(asdict(fit), indent=2, sort_keys=True))
         return 0

@@ -21,6 +21,7 @@ __all__ = ["fit_decay", "theorem_verdict", "truncation_contamination",
 
 MODEL_FOR_THEOREM = {"T1": "LogDecay", "T2": "PolyDecay", "T3": "CompactDecay"}
 _MODELS = tuple(MODEL_FOR_THEOREM.values())
+_OFFSET = {"LogDecay": "b", "PolyDecay": "offset", "CompactDecay": "R"}
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ def fit_decay(ts, Es, model: str, b_or_R: float,
     """OLS of ln E on the model's abscissa over [t_lo, t_hi]; slope = -gamma.
 
     A nonpositive-energy tail inside the window is cut off (recorded on the
-    fit); fewer than 8 usable samples is an error.
+    fit); fewer than 8 usable samples is an error, and so is a non-finite
+    abscissa (an offset outside the model's domain) or ln E in the window.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown decay model {model!r}")
@@ -69,8 +71,14 @@ def fit_decay(ts, Es, model: str, b_or_R: float,
     if t_w.size < 8:
         raise ValueError(f"only {t_w.size} usable samples in window {window}; "
                          "need at least 8")
-    z = _abscissa(model, t_w, b_or_R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = _abscissa(model, t_w, b_or_R)
     y = np.log(E_w)
+    for values, what in ((z, f"the {model} abscissa with {_OFFSET[model]} = {b_or_R}"),
+                         (y, "ln E")):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"{what} is not finite at t = {t_w[bad][0]:.6g}")
     zc = z - z.mean()
     slope = float(np.dot(zc, y) / np.dot(zc, zc))
     intercept = float(y.mean() - slope * z.mean())

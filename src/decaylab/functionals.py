@@ -79,8 +79,8 @@ def energy(state: WaveState, grid: ExteriorGrid) -> float:
     """E_u(t) = (h^d/2) (sum over fluid of v^2) + 1/2 <K u, u>.
 
     The gradient part is the edge-midpoint Dirichlet form matching the
-    discrete Laplacian (`solver.edge_form`): one-sided edge differences carry
-    the boundary layer, interior edges the second-order bulk quadrature.
+    discrete Laplacian, from u's squared edge differences: one-sided edge
+    differences carry the boundary layer, interior edges the bulk quadrature.
     """
     return _energy(grid, np.where(grid.fluid, state.v * state.v, 0.0),
                    _diff_squares(state.u))
@@ -164,7 +164,9 @@ class _SampleContext:
     }
 
     def release(self, keep):
-        """Frees every density not in `keep`; a later read builds it anew."""
+        """Frees every density not in `keep`; a later read builds it anew.  No
+        output shows it, but as a no-op it lets X's u2, ur1, a_u2 and a_ur1 live
+        on: a full t3-compact-2d run's tracemalloc peak goes 38.5 -> 46.3 MB."""
         for name in self._DENSITIES.keys() - keep:
             vars(self).pop(name, None)
 

@@ -224,11 +224,11 @@ class _BoxHeld:
         return (grid.window(box) if sub is None else sub).clamp_dirichlet(out)
 
 
-def _extreme(held: tuple, grid: ExteriorGrid, reduce, r_min: float) -> float:
-    """`reduce` (np.min or np.max) of a held field over the fluid nodes with
-    |x| >= r_min: on its box, and its constant if a fluid node lies off the
-    box, hence beyond the box's ball, whose radius is at least r_min."""
-    core, box, fill, _, _ = held
+def _extreme(held: tuple, reduce, r_min: float) -> float:
+    """`reduce` (np.min or np.max) of a held field over the fluid nodes of its
+    grid with |x| >= r_min: on its box, and its constant if a fluid node lies
+    off the box, hence beyond the box's ball, whose radius is at least r_min."""
+    core, box, fill, grid, _ = held
     sub = grid.window(box)
     out = float(reduce(core, where=sub.fluid & (sub.radius >= r_min),
                        initial=math.inf if reduce is np.min else -math.inf))
@@ -245,9 +245,9 @@ class DampingProfile(_BoxHeld):
     kind: str
     a_inf: float
 
-    def hyp_a_margin(self, grid: ExteriorGrid) -> float:
-        """min over fluid {|x| >= L} of a - epsilon0; >= 0 by construction."""
-        return _extreme(self.held, grid, np.min, self.L) - self.epsilon0
+    def hyp_a_margin(self) -> float:
+        """min over its grid's fluid {|x| >= L} of a - epsilon0; >= 0 by construction."""
+        return _extreme(self.held, np.min, self.L) - self.epsilon0
 
 
 def _radial(grid: ExteriorGrid, fn, flat: float, clamp: bool = False) -> tuple:
@@ -307,9 +307,9 @@ def build_damping(grid: ExteriorGrid, kind: str, epsilon0: float, L: float,
     else:
         held = _radial(grid, profile, max(2.0 * L, rho + L), clamp=True)
     # the max over every node: Dirichlet nodes read 0
-    a_inf = max(_extreme(held, grid, np.max, 0.0), 0.0)
+    a_inf = max(_extreme(held, np.max, 0.0), 0.0)
     prof = DampingProfile(held=held, epsilon0=epsilon0, L=L, kind=kind, a_inf=a_inf)
-    margin = prof.hyp_a_margin(grid)
+    margin = prof.hyp_a_margin()
     if not margin >= 0.0:
         raise ValueError(f"damping breaks a >= epsilon0 on |x| >= L: "
                          f"hypothesis margin {margin:.6g}")

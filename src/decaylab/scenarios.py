@@ -516,7 +516,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
             if cfg.theorem == "T1":
                 fits[model]["illustrative_practical_b"] = True
             verdicts[model] = asdict(decay.theorem_verdict(fit, consts, cfg.margin))
-            _write_fit_dat(out, cfg.name, model, ts, Es, fit, fit_b_or_R)
+            _write_fit_dat(out, cfg.name, ts, Es, fit, fit_b_or_R)
 
         payload["constants"] = consts.to_dict()
         payload["bundle_boundedness"] = _bundle_boundedness(series, bundle_sets)
@@ -548,11 +548,11 @@ def _bundle_boundedness(series, bundle_sets) -> dict:
             if name.endswith("_cum") and name.startswith(prefixes)}
 
 
-def _write_fit_dat(out: Path, name: str, model: str, ts, Es, fit, b_or_R):
+def _write_fit_dat(out: Path, name: str, ts, Es, fit, b_or_R):
     sel = (ts >= fit.window[0]) & (ts <= fit.window[1]) & (Es > 0)
-    z = decay._abscissa(model, ts[sel], b_or_R)
+    z = decay._abscissa(fit.model, ts[sel], b_or_R)
     lines = [f"{a:.17g} {b:.17g}" for a, b in zip(z, np.log(Es[sel]))]
-    _atomic_write(out / f"{name}.fit-{model}.dat", "\n".join(lines) + "\n")
+    _atomic_write(out / f"{name}.fit-{fit.model}.dat", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,10 @@ the same order as the fresh-array forms of the last two, so a step
 allocates nothing and the outputs are byte-identical.  A step leaves its
 dissipation integrand a |v'|^(r+1) in w, which `run` hands to the tracker's
 sample; the 2D Laplacian's 4u term goes to the u of the pair the step has
-spent.  `step` works only in that workspace, on `run`'s clamped states, so
-there is one stepping path.  `laplacian` called without an output array
-allocates it; the samples, the cone check and a re-window's mask and
-support scan allocate theirs too.
+spent.  `step` works only in that workspace, on `run`'s clamped states and
+the damping and Lap_h(u) `run` wrote there, so there is one stepping path.
+`laplacian` called without an output array allocates it; the samples, the
+cone check and a re-window's mask and support scan allocate theirs too.
 
 With a == 0 the scheme is plain leapfrog and conserves the two-level
 quadratic form
@@ -72,7 +72,7 @@ __all__ = [
     "WaveState", "SolverParams", "ConeSpec", "RunResult",
     "SupportConeError", "run",
     "make_initial_compact", "make_initial_weighted",
-    "laplacian", "edge_form", "solver_energy", "support_radius",
+    "laplacian", "solver_energy", "support_radius",
 ]
 
 
@@ -237,12 +237,6 @@ def laplacian(grid: ExteriorGrid, u: np.ndarray, out: np.ndarray | None = None,
     return grid.clamp_dirichlet(out)
 
 
-def edge_form(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
-    """<K u1, u2>_h: the edge-based Dirichlet form matching `laplacian`."""
-    return grid.h ** (grid.dim - 2) * sum(
-        float(np.sum(np.diff(u1, axis=k) * np.diff(u2, axis=k))) for k in range(u1.ndim))
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) on one thread.  numpy's OpenBLAS runs a dot of over 10 000
     elements on every core: it waits for them, leaves their threads spinning
@@ -308,14 +302,13 @@ class _Workspace:
     def __init__(self, cap: int):
         self._cap, self._size, self._flat, self._pair = cap, 0, {}, 1
 
-    def fit(self, shape) -> "_Workspace":
+    def fit(self, shape) -> None:
         n = math.prod(shape)
         if n > self._size:      # an old buffer goes with its last view
             self._size, self._flat = max(n, min(self._size * 3 // 2, self._cap)), {}
         self._shape = shape
         for k in self._BUFFERS:
             vars(self).pop(k, None)
-        return self
 
     def __getattr__(self, name: str) -> np.ndarray:
         if name not in self._BUFFERS:
@@ -326,11 +319,10 @@ class _Workspace:
         setattr(self, name, view)
         return view
 
-    def damp(self, a: np.ndarray, params: SolverParams) -> "_Workspace":
-        """c = dt a and rc = r c, which serve every solve on the window."""
-        np.multiply(params.dt, a, out=self.c)
+    def damp(self, params: SolverParams) -> None:
+        """c = dt a and rc = r c of the window's a, for every solve on it."""
+        np.multiply(params.dt, self.a, out=self.c)
         np.multiply(params.r, self.c, out=self.rc)
-        return self
 
     def next_state(self) -> tuple[np.ndarray, np.ndarray]:
         """The (u, v) pair that does not hold the current state, which is
@@ -344,15 +336,14 @@ class _Workspace:
         return (self.u0, self.v0) if self._pair else (self.u1, self.v1)
 
 
-def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
-         params: SolverParams, lap: np.ndarray,
+def step(state: WaveState, grid: ExteriorGrid, params: SolverParams,
          work: _Workspace) -> tuple[WaveState, float]:
     """One semi-implicit leapfrog step; returns (new state, dissipation increment).
 
     The increment is dt * sum h^d a |v'|^(r+1), the discrete counterpart of
-    the energy-identity dissipation, with `a` the damping array on `grid`.
+    the energy-identity dissipation, with a = `work.a` the damping on `grid`.
     `work` is `run`'s `_Workspace` as the run leaves it: fitted to `grid`,
-    damped with `a`, holding `state` in its current pair and `lap` =
+    damped from `work.a`, holding `state` in its current pair and
     Lap_h(state.u) in `work.lap`.  The step allocates nothing, leaves the
     increment's integrand a |v'|^(r+1) in `work.w`, and clamps nothing:
     `run`'s states are clamped, so w and u' are too.  Once w is formed,
@@ -360,7 +351,7 @@ def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
     the new u until u' is formed.
     """
     dt = params.dt
-    w = np.multiply(dt, lap, out=work.w)
+    w = np.multiply(dt, work.lap, out=work.w)
     w += state.v
     u_new, v_new = work.next_state()
     # the solve maps the clamped w's +0.0 to +0.0, so v_new is clamped too
@@ -375,7 +366,7 @@ def step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
             f"field magnitude {peak:.3g} at t = {state.t + dt:.6g}; "
             "check the CFL bound and damping parameters")
     av **= params.r + 1.0
-    av *= a
+    av *= work.a
     diss = dt * grid.cell_volume * float(av.sum())
     return WaveState(u_new, v_new, state.t + dt, state.box), diss
 
@@ -415,27 +406,26 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     a dict keyed by the series columns, for `functionals.series_table`), where
     `state` holds the index box `state.box` of the grid (None: the whole
     grid) and is zero elsewhere, and `grid`, `a` and `lap` are the grid, the
-    damping array (damping.window(box), built once per re-window, which `step`
-    takes too) and Lap_h(state.u) on that box.  `integrand` is the step's
-    a |v|^(r+1) at params.r on that box, in the workspace and valid only
-    during the call, or None at t = 0; with tracker=None the records are
-    (t, E_solver) pairs.  When `cone` declares compact data the numerical
-    support is checked at every sample against R + t + 2h + 2dt and a
-    violation is a hard error (truncation contamination would follow).
-    `initial` may hold a box of the grid; it is only read.  Deterministic
-    for fixed inputs.
+    damping array (damping.window(box), built once per re-window) and
+    Lap_h(state.u) on that box, the workspace arrays `step` reads.
+    `integrand` is the step's a |v|^(r+1) at params.r on that box, in the
+    workspace and valid only during the call, or None at t = 0; with
+    tracker=None the records are (t, E_solver) pairs.  When `cone` declares
+    compact data the numerical support is checked at every sample against
+    R + t + 2h + 2dt and a violation is a hard error (truncation
+    contamination would follow).  `initial` may hold a box of the grid; it
+    is only read.  Deterministic for fixed inputs.
     """
     n_steps = int(round(params.T_max / params.dt)) if params.T_max > 0 else 0
     ws = _Workspace(grid.fluid.size)
 
     def window(box, st):
-        """The grid and the damping on `box`, and `st` laid out there, in
-        the workspace's spare pair."""
+        """The grid on `box` and `st` in the spare pair there; the damping to ws.a."""
         g = grid.window(box)
         ws.fit(g.shape)
-        a = damping.window(box, out=ws.a, sub=g)
-        ws.damp(a, params)
-        return g, a, st.on(box, grid.shape, ws.next_state())
+        damping.window(box, out=ws.a, sub=g)
+        ws.damp(params)
+        return g, st.on(box, grid.shape, ws.next_state())
 
     held = grid.window(initial.box)
     if initial.u[held._pinned].any() or initial.v[held._pinned].any():
@@ -445,16 +435,16 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     # every node that can be nonzero until the next re-window
     box = _support_box(initial.u, initial.v, _REWINDOW + 2, initial.box, grid.shape)
     # a copy, clamped for any -0.0 on a Dirichlet node
-    g, a, sub = window(box, initial)
+    g, sub = window(box, initial)
     g.clamp_dirichlet(sub.u), g.clamp_dirichlet(sub.v)
     # serves E* and the next kick; 2D's 4u goes to the spent pair's u
-    lap = laplacian(g, sub.u, ws.lap, ws.spent[0])
+    laplacian(g, sub.u, ws.lap, ws.spent[0])
     if cone is not None:
         amp0 = max(float(np.max(np.abs(sub.u))), float(np.max(np.abs(sub.v))))
         cone_thresh = 1e-12 * amp0 if amp0 > 0 else math.inf
         cone_slack = 2.0 * grid.h + 2.0 * params.dt
     E = np.empty(n_steps + 1)
-    E[0] = solver_energy(g, sub, params.dt, lap)
+    E[0] = solver_energy(g, sub, params.dt, ws.lap)
     D_cum = 0.0
     result = RunResult(samples=[], E_steps=E, D_cum=0.0, n_steps=n_steps,
                        dt=params.dt)
@@ -463,8 +453,8 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         if tracker is None:
             result.samples.append((st.t, float(E[n])))
         else:     # after a step, w holds the step's a |v|^(r+1)
-            result.samples.append(tracker.sample(st, D_cum, float(E[n]), g, a, lap,
-                                                 ws.w if n else None))
+            result.samples.append(tracker.sample(st, D_cum, float(E[n]), g, ws.a,
+                                                 ws.lap, ws.w if n else None))
 
     def check_cone(st):
         rad = support_radius(g, st, cone_thresh)
@@ -483,10 +473,10 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     take_sample(sub, 0)
 
     for n in range(1, n_steps + 1):
-        sub, diss = step(sub, g, a, params, lap, ws)
-        lap = laplacian(g, sub.u, ws.lap, ws.spent[0])
+        sub, diss = step(sub, g, params, ws)
+        laplacian(g, sub.u, ws.lap, ws.spent[0])
         D_cum += diss
-        E[n] = solver_energy(g, sub, params.dt, lap)
+        E[n] = solver_energy(g, sub, params.dt, ws.lap)
         if E[n] > E[n - 1] * (1.0 + 1e-12) and E[n - 1] > 0.0:
             result.mono_violations += 1
             result.mono_worst = max(result.mono_worst, E[n] / E[n - 1] - 1.0)
@@ -497,8 +487,8 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
         if box is not None and n % _REWINDOW == 0:
             # nothing outside the window is nonzero, so its scan finds the box
             box = _support_box(sub.u, sub.v, _REWINDOW + 2, box, grid.shape)
-            g, a, sub = window(box, sub)
-            lap = laplacian(g, sub.u, ws.lap, ws.spent[0])
+            g, sub = window(box, sub)
+            laplacian(g, sub.u, ws.lap, ws.spent[0])
 
     result._end = (sub.copy(), grid.shape)     # off the workspace
     result.D_cum = D_cum

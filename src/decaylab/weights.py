@@ -133,15 +133,15 @@ class WeightFamily:
         if self.regime is Regime.LOG:
             if self.ln_b is None:
                 raise ValueError("Log family requires ln_b")
-            if self.ln_b < 1.0:
+            if not 1.0 <= self.ln_b < math.inf:      # a NaN ln b fails too
                 raise AdmissibilityError(
-                    f"Log family needs b >= e, i.e. ln b >= 1; got ln b = {self.ln_b}")
+                    f"Log family needs b >= e, a finite ln b >= 1; got ln b = {self.ln_b}")
         elif not -1.0 < self.beta <= 0.0:
             raise AdmissibilityError(f"{self.regime.value} regime requires "
                                      f"-1 < beta <= 0, got {self.beta}")
-        if self.regime is Regime.COMPACT_POLY and (self.R is None or self.R < 1.0):
+        if self.regime is Regime.COMPACT_POLY and not 1.0 <= (self.R or 0.0) < math.inf:
             raise AdmissibilityError(
-                f"CompactPoly regime requires R >= 1, got {self.R}")
+                f"CompactPoly regime requires a finite R >= 1, got {self.R}")
 
     # -- constructors ------------------------------------------------------
 
@@ -154,8 +154,8 @@ class WeightFamily:
     @staticmethod
     def log_practical(gamma: float, b: float, r: float | None = None) -> "WeightFamily":
         """Log family with a hand-picked b >= e; outside the admissible range."""
-        if b < math.e:
-            raise AdmissibilityError(f"practical b must be >= e, got {b}")
+        if not math.e <= b < math.inf:      # a NaN b fails too
+            raise AdmissibilityError(f"practical b must be finite and >= e, got {b}")
         return WeightFamily(Regime.LOG, beta=gamma - 1.0, ln_b=math.log(b), r=r)
 
     @staticmethod

@@ -19,10 +19,13 @@ each differing report, the dotted keys whose values differ.
 
 Each `decaylab run` also prints its cost, read from `os.wait4` on its own
 process: wall time, minor page faults and peak RSS, as
-`cost <a|b> <preset>: <s> s, <n> minor faults, <MB> MB peak RSS`.  Each
-checkout's size comes first: the lines of its `src/decaylab` and the names
-its modules' `__all__` export, summed, as
-`size <a|b>: <lines> lines, <names> exported names`.
+`cost <a|b> <preset>: <s> s, <n> minor faults, <MB> MB peak RSS`.  After
+the cost lines, each preset whose peak RSS under b is more than 5% above
+a's is named, as `rss up <preset>: <MB> -> <MB> MB (+<p>%)`; the same code's
+peak RSS moves by under 2% from run to run, so such a rise is the code's.
+It does not change the exit code.  Each checkout's size comes first: the
+lines of its `src/decaylab` and the names its modules' `__all__` export,
+summed, as `size <a|b>: <lines> lines, <names> exported names`.
 """
 
 from __future__ import annotations
@@ -69,20 +72,26 @@ def _decaylab(checkout: Path, *args: str):
     return wall, usage
 
 
+# a preset's peak RSS under b above this multiple of a's is named
+RSS_RISE = 1.05
+
+
 def _outputs(checkout: Path, label: str, names: list[str],
-             out: Path) -> dict[str, bytes]:
+             out: Path) -> tuple[dict[str, bytes], dict[str, float]]:
     """Run each preset serially into `out/run`, printing its cost, then the
-    presets as one suite on two threads into `out/suite`; the files written,
-    by path under `out`."""
+    presets as one suite on two threads into `out/suite`: the files written,
+    by path under `out`, and each preset's peak RSS in MB."""
+    rss = {}
     for name in names:
         wall, usage = _decaylab(checkout, "run", name, "--out", str(out / "run"))
+        rss[name] = usage.ru_maxrss / 1024
         print(f"cost {label} {name}: {wall:.3f} s, {usage.ru_minflt} minor faults, "
-              f"{usage.ru_maxrss / 1024:.1f} MB peak RSS", flush=True)
+              f"{rss[name]:.1f} MB peak RSS", flush=True)
     _decaylab(checkout, "presets", "--write", str(out / "ini"))
     _decaylab(checkout, "suite", str(out / "ini"), "--parallel", "2",
               "--out", str(out / "suite"))
     paths = sorted((out / "run").iterdir()) + sorted((out / "suite").iterdir())
-    return {f"{path.parent.name}/{path.name}": path.read_bytes() for path in paths}
+    return {f"{path.parent.name}/{path.name}": path.read_bytes() for path in paths}, rss
 
 
 def _compared(name: str, data: bytes | None) -> bytes | None:
@@ -146,8 +155,12 @@ def main(argv: list[str]) -> int:
     for label, checkout in (("a", a), ("b", b)):
         print(f"size {label}: {_python(checkout, SIZE)[0].stdout.strip()}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        files_a = _outputs(a, "a", names, Path(tmp, "a"))
-        files_b = _outputs(b, "b", names, Path(tmp, "b"))
+        files_a, rss_a = _outputs(a, "a", names, Path(tmp, "a"))
+        files_b, rss_b = _outputs(b, "b", names, Path(tmp, "b"))
+    for name in names:
+        if rss_b[name] > RSS_RISE * rss_a[name]:
+            print(f"rss up {name}: {rss_a[name]:.1f} -> {rss_b[name]:.1f} MB "
+                  f"(+{100 * (rss_b[name] / rss_a[name] - 1):.1f}%)")
     differ = sorted(n for n in files_a.keys() | files_b.keys()
                     if _compared(n, files_a.get(n)) != _compared(n, files_b.get(n)))
     for name in differ:

@@ -3,7 +3,8 @@
 `reference_solve`, a fully implicit midpoint integrator, cross-validates the
 main stepper (`decaylab.solver.run`) on small instances: its energy curve and
 its trajectories.  `solve_damping_scalar` is the nodal damping solve on one
-node, and `whole_grid_step` one step of `run`'s scheme on the whole grid.
+node, `whole_grid_step` one step of `run`'s scheme on the whole grid, and
+`edge_form` the Dirichlet form <K u1, u2>_h that `laplacian` sums by parts.
 The `*_by_dim` functions are the grid operators written with one body for 1D
 and one for 2D; the one-body forms, which loop over `ExteriorGrid.axes`,
 must match them byte for byte.
@@ -15,7 +16,7 @@ import numpy as np
 
 from decaylab import solver
 from decaylab.grids import DampingProfile, ExteriorGrid
-from decaylab.solver import SolverParams, WaveState, edge_form, laplacian
+from decaylab.solver import SolverParams, WaveState, laplacian
 
 
 def solve_damping_scalar(c: float, w: float, r: float,
@@ -36,14 +37,23 @@ def solve_damping_scalar(c: float, w: float, r: float,
 def whole_grid_step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
                     params: SolverParams) -> tuple[WaveState, float]:
     """`decaylab.solver.step` on the whole grid, set up as `run` sets up a
-    window (a fresh workspace, a clamped copy of `state`, Lap_h(u) in `lap`):
-    (new state in fresh arrays, dissipation increment)."""
-    ws = solver._Workspace(grid.fluid.size).fit(grid.shape).damp(a, params)
+    window (a fresh workspace with `a` in `ws.a`, a clamped copy of `state`,
+    Lap_h(u) in `ws.lap`): (new state in fresh arrays, dissipation increment)."""
+    ws = solver._Workspace(grid.fluid.size)
+    ws.fit(grid.shape)
+    np.copyto(ws.a, a)
+    ws.damp(params)
     st = state.on(None, grid.shape, ws.next_state())
     grid.clamp_dirichlet(st.u), grid.clamp_dirichlet(st.v)
-    lap = laplacian(grid, st.u, ws.lap, ws.spent[0])
-    new, diss = solver.step(st, grid, a, params, lap, ws)
+    laplacian(grid, st.u, ws.lap, ws.spent[0])
+    new, diss = solver.step(st, grid, params, ws)
     return new.copy(), diss
+
+
+def edge_form(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
+    """<K u1, u2>_h: the edge-based Dirichlet form matching `laplacian`."""
+    return grid.h ** (grid.dim - 2) * sum(
+        float(np.sum(np.diff(u1, axis=k) * np.diff(u2, axis=k))) for k in range(u1.ndim))
 
 
 @dataclass
@@ -153,16 +163,6 @@ def bump_box_and_distance_by_dim(grid: ExteriorGrid, center, radius: float):
     if grid.dim == 1:
         return box, np.abs(x[0] - center[0])
     return box, np.sqrt((x[0] - center[0]) ** 2 + (x[1] - center[1]) ** 2)
-
-
-def edge_form_by_dim(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
-    """<K u1, u2>_h, the edge-based Dirichlet form."""
-    scale = grid.h ** (grid.dim - 2)
-    if grid.dim == 1:
-        return scale * float(np.sum(np.diff(u1) * np.diff(u2)))
-    return scale * (
-        float(np.sum(np.diff(u1, axis=0) * np.diff(u2, axis=0)))
-        + float(np.sum(np.diff(u1, axis=1) * np.diff(u2, axis=1))))
 
 
 def grad_sq_by_dim(grid: ExteriorGrid, u: np.ndarray) -> np.ndarray:

@@ -79,6 +79,15 @@ def test_fit_truncates_zero_tail():
     assert abs(fit.gamma_hat - 2.0) <= 1e-6
 
 
+@pytest.mark.parametrize("E_bad", [math.inf, math.nan])
+def test_fit_rejects_non_finite_energy(E_bad):
+    ts = np.linspace(0.0, 10.0, 50)
+    Es = (1.0 + ts) ** -2.0
+    Es[20] = E_bad
+    with pytest.raises(ValueError, match="ln E is not finite at t = 4.08"):
+        fit_decay(ts, Es, "PolyDecay", 1.0, (0.0, 10.0))
+
+
 def test_fit_unknown_model():
     with pytest.raises(ValueError):
         fit_decay([0, 1], [1, 1], "Exponential", 1.0, (0.0, 1.0))

@@ -424,6 +424,42 @@ def test_t3_sample_builds_dissipation_density_once(monkeypatch):
         assert (math.prod(b.stop - b.start for b in box) > 8192) == (grid.dim == 2)
 
 
+def test_t3_sample_frees_the_densities_no_later_group_reads():
+    # the sample's memory plan: X and the bundle read u2, |u|^(r+1) and their
+    # products with a; no later group does, so prop1 and obs start with them
+    # freed and with e, which they read, still held.  Outputs do not show
+    # the plan: with `release` a no-op they stay byte-identical, but a full
+    # t3-compact-2d run's peak memory rises by about 8 MB
+    grid = build_grid_2d_disk(1.0, 6.0, 8.0)
+    consts = compute_constants("T3", 1.5, 2, 0.01, 0.2)
+    fam = WeightFamily.compact(consts.gamma, 4.5, r=1.5)
+    damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+    tracker = SampleTracker(TrackerConfig(
+        grid=grid, damping=damping, psi=build_psi(grid, 1.0), r=1.5, family=fam,
+        constants=consts, bundle_sets=[("thm3", fam)],
+        prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.5))
+    held = {}       # per group, the densities held as each of its calls starts
+
+    def watching(prefix, fn):
+        def fn_watched(c):
+            held.setdefault(prefix, []).append(vars(c).keys() & c._DENSITIES.keys())
+            return fn(c)
+        return fn_watched
+
+    tracker.groups = [(names, watching(names[0].split(".")[0], fn), reads)
+                      for names, fn, reads in tracker.groups]
+    st0 = make_initial_compact(grid, (3.0, 0.0), 1.0, 1.0, "both", R=4.5)
+    params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
+    res = run(grid, damping, st0, params, tracker=tracker, sample_stride=4)
+    assert len(res.samples) > 2
+    freed = {"u2", "ur1", "a_u2", "a_ur1"}
+    assert all(freed <= names for names in held["thm3"])    # built before
+    for group in ("prop1", "obs"):
+        assert len(held[group]) == len(res.samples)
+        for names in held[group]:
+            assert "e" in names and not names & freed
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 50.0),
        scale=st.floats(1e-3, 1e3), lo=st.integers(0, 580), size=st.integers(1, 590))

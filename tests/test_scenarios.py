@@ -583,6 +583,26 @@ def test_cli_fit_names_missing_column(tmp_path, capsys, missing):
     assert capsys.readouterr().err == f"error: {csv} has no {missing!r} column\n"
 
 
+@pytest.mark.parametrize("model, flag, value", [
+    ("CompactDecay", "--R", "0"), ("CompactDecay", "--R", "-1"),
+    ("CompactDecay", "--R", "nan"), ("LogDecay", "--b", "0.5"),
+    ("LogDecay", "--b", "1"),
+])
+def test_cli_fit_rejects_an_offset_outside_the_model_domain(tmp_path, capsys,
+                                                            model, flag, value):
+    # each offset makes the abscissa NaN or infinite on part of the window;
+    # the fit used to print NaN and exit 0
+    csv = tmp_path / "series.csv"
+    ts = [0.5 * k for k in range(41)]
+    csv.write_text("t,E\n" + "".join(f"{t!r},{(1.0 + t) ** -2.0!r}\n" for t in ts))
+    code = cli_main(["fit", str(csv), "--model", model, flag, value,
+                     "--window", "0:20"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {model} abscissa with {flag[2:]} = {float(value)} "
+                          "is not finite at t = ")
+
+
 def test_cli_fit_rejects_a_series_with_no_data(tmp_path, capsys):
     csv = tmp_path / "series.csv"
     csv.write_text("t,E,X\n")

@@ -21,7 +21,7 @@ from decaylab.functionals import energy
 from decaylab.grids import build_damping, build_grid_1d, build_grid_2d_disk
 from decaylab.solver import (ConeSpec, SolverParams, WaveState,
                              make_initial_compact, make_initial_weighted, run)
-from oracles import reference_solve, solve_damping_scalar, whole_grid_step
+from oracles import edge_form, reference_solve, solve_damping_scalar, whole_grid_step
 
 
 def bisect_oracle(c, w, r, tol=1e-14):
@@ -667,8 +667,8 @@ def test_step_dissipation_bit_equal_to_full_sum(case):
 def _edge_energy(grid, state, dt):
     """E* from the edge forms, before summation by parts."""
     return (0.5 * grid.cell_volume * float(np.sum(state.v * state.v))
-            + 0.5 * sv.edge_form(grid, state.u, state.u)
-            - 0.5 * dt * sv.edge_form(grid, state.v, state.u))
+            + 0.5 * edge_form(grid, state.u, state.u)
+            - 0.5 * dt * edge_form(grid, state.v, state.u))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -795,9 +795,9 @@ def test_step_hands_window_to_the_field_solve(monkeypatch, case):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    def recording(state, grid, a, *rest):
-        dampings.append(a)
-        return real_step(state, grid, a, *rest)
+    def recording(state, grid, params, work):
+        dampings.append(work.a.copy())
+        return real_step(state, grid, params, work)
 
     monkeypatch.setattr(sv, "_solve_damping_field", counting)
     monkeypatch.setattr(sv, "step", recording)

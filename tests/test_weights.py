@@ -237,6 +237,23 @@ def test_compute_b_lemma_dominates(r, gamma, delta0):
         compute_b(r, gamma, delta0, "theorem1").ln_b
 
 
+@pytest.mark.parametrize("make", [
+    lambda: WeightFamily(Regime.LOG, beta=0.0, ln_b=math.nan),
+    lambda: WeightFamily(Regime.LOG, beta=0.0, ln_b=math.inf),
+    lambda: WeightFamily.log_practical(1.0, math.nan),
+    lambda: WeightFamily.log_practical(1.0, math.inf),
+    lambda: WeightFamily.compact(0.5, math.nan),
+    lambda: WeightFamily.compact(0.5, math.inf),
+], ids=["log-nan-ln-b", "log-inf-ln-b", "practical-nan-b", "practical-inf-b",
+        "compact-nan-R", "compact-inf-R"])
+def test_weight_family_rejects_nan_and_infinite_parameters(make):
+    # comparisons with NaN are false, so a check written as `ln_b < 1` or
+    # `R < 1` lets NaN through; eval_weight then returns NaN, as it does at
+    # an infinite b
+    with pytest.raises(AdmissibilityError):
+        make()
+
+
 def test_compute_b_rejects_bad_parameters():
     with pytest.raises(AdmissibilityError):
         compute_b(1.0, 1.0, 0.5)
