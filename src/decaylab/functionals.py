@@ -81,24 +81,27 @@ def energy(state: WaveState, grid: ExteriorGrid) -> float:
     The gradient part is the edge-midpoint Dirichlet form matching the
     discrete Laplacian, from u's squared edge differences: one-sided edge
     differences carry the boundary layer, interior edges the bulk quadrature.
+    Summed, as every functional here, on the state's support box plus halo.
     """
-    return _energy(grid, np.where(grid.fluid, state.v * state.v, 0.0),
-                   _diff_squares(state.u))
+    c = _SampleContext(grid, state)
+    return _energy(c.grid, c.v2, c.du2)
 
 
 class _SampleContext:
     """One state's nodal densities (u's squared edge differences du2, the
     fluid v2 = v^2, e = |grad u|^2 + |u_t|^2, u2, ur1 = |u|^(r+1), and
-    their products with a) and weight arguments, each built on first use
-    and shared by every functional evaluated on that state; so are a log
-    family's ln(b+s) and ln ln(b+s), keyed by its ln b.
+    their products with a) and weight arguments, shared by every functional
+    evaluated on that state; so are a log family's ln(b+s) and ln ln(b+s),
+    keyed by its ln b.  A density read node by node (an attribute) is built
+    on first read and held; one read by its total alone is built for that
+    sum and let go.
 
     `sub` (by default the grid's window), `a` and `lap` are the grid, the
     damping and Lap_h(u) on the state's box, and `integrand`, if given,
-    a |v|^(r+1) there, which serves as the density a_vel_r1.  All are cut to
-    `box`: the box of the state's nonzeros plus the 2-node halo of `grad_sq`
-    and `laplacian` (None: the whole grid), which must fit in the state's
-    box.  Every density vanishes outside it."""
+    a |v|^(r+1) there, held as a_vel_r1.  All are cut to `box`: the box of
+    the state's nonzeros plus the 2-node halo of `grad_sq` and `laplacian`
+    (None: the whole grid), which must fit in the state's box.  Every
+    density vanishes outside it."""
 
     def __init__(self, grid: ExteriorGrid, state: WaveState, a=None, r=None,
                  lap=None, sub: ExteriorGrid | None = None, integrand=None):
@@ -115,10 +118,11 @@ class _SampleContext:
         self.u, self.v, self.t = self.state.u, self.state.v, state.t
         self.a, self.r = None if a is None else a[cut], r
         self.lap = None if lap is None else lap[cut]
+        if integrand is not None:
+            # contiguous, so that it sums as an array built on the box
+            self.a_vel_r1 = np.ascontiguousarray(integrand[cut])
         self.vol = grid.cell_volume
         self._s, self._logs, self._totals = {}, {}, {}
-        # densities handed in on the state's box, taken up on first read
-        self._handed = {} if integrand is None else {"a_vel_r1": integrand[cut]}
 
     def s(self, mu: float, lam: float) -> np.ndarray:
         """The weight argument mu q(x) + lam t."""
@@ -137,10 +141,15 @@ class _SampleContext:
             self._logs[key] = family._logs(s)
         return table_weight(family, entry, s, self._logs.get(key))
 
+    def _read(self, name: str) -> np.ndarray:
+        """A density as held, else built and not held."""
+        held = vars(self)
+        return held[name] if name in held else self._DENSITIES[name](self)
+
     def total(self, name: str) -> float:
         """h^d times the sum of a density; "E" is the plain energy."""
         if name not in self._totals:
-            self._totals[name] = self.vol * float(np.sum(getattr(self, name)))
+            self._totals[name] = self.vol * float(np.sum(self._read(name)))
         return self._totals[name]
 
     def integral(self, w, name: str) -> float:
@@ -150,7 +159,7 @@ class _SampleContext:
             return w * self.total(name)
         return self.vol * float(np.sum(w * getattr(self, name)))
 
-    # nodal densities, each built on first use by __getattr__
+    # nodal densities, each built by __getattr__ (held) or `_read` (not held)
     _DENSITIES = {
         "du2": lambda c: _diff_squares(c.u),
         "v2": lambda c: np.where(c.grid.fluid, c.v * c.v, 0.0),
@@ -158,25 +167,14 @@ class _SampleContext:
         "e": lambda c: grad_sq(c.grid, c.u, vars(c).pop("du2", None)) + c.v2,
         "u2": lambda c: c.u**2,
         "ur1": lambda c: np.abs(c.u) ** (c.r + 1.0),
-        "a_u2": lambda c: c.a * c.u2,
-        "a_ur1": lambda c: c.a * c.ur1,
-        "a_vel_r1": lambda c: c.a * np.abs(c.v) ** (c.r + 1.0),
+        "a_u2": lambda c: c.a * c._read("u2"),
+        "a_ur1": lambda c: c.a * c._read("ur1"),
     }
-
-    def release(self, keep):
-        """Frees every density not in `keep`; a later read builds it anew.  No
-        output shows it, but as a no-op it lets X's u2, ur1, a_u2 and a_ur1 live
-        on: a full t3-compact-2d run's tracemalloc peak goes 38.5 -> 46.3 MB."""
-        for name in self._DENSITIES.keys() - keep:
-            vars(self).pop(name, None)
 
     def __getattr__(self, name):
         if name not in self._DENSITIES:
             raise AttributeError(name)
-        # a handed density is made contiguous, so that it sums as a built one
-        value = self.__dict__[name] = (np.ascontiguousarray(self._handed[name])
-                                       if name in self._handed
-                                       else self._DENSITIES[name](self))
+        value = self.__dict__[name] = self._DENSITIES[name](self)
         return value
 
 
@@ -204,14 +202,17 @@ def _weighted_energy(c: _SampleContext, family, mu, lam) -> float:
     except WeightOverflowError as exc:
         raise WeightOverflowError(
             "phi exceeds the double range; ln E_phi supplied",
-            weighted_energy_log(c.state, c.grid, family, mu, lam)) from exc
+            _weighted_energy_log(c, family, mu, lam)) from exc
     return 0.5 * c.integral(w, "e")
 
 
 def weighted_energy_log(state: WaveState, grid: ExteriorGrid,
                         family: WeightFamily, mu: float, lam: float) -> float:
     """ln E_phi computed fully in log space (stable for extreme weights)."""
-    c = _SampleContext(grid, state)
+    return _weighted_energy_log(_SampleContext(grid, state), family, mu, lam)
+
+
+def _weighted_energy_log(c: _SampleContext, family, mu, lam) -> float:
     A, M, _ = exponent_table(family)[WeightKind.PHI]
     dens = c.e
     # one node stands for all when ln(b+s) is the same everywhere
@@ -349,7 +350,6 @@ class Prop1Config:
 @dataclass
 class TrackerConfig:
     grid: ExteriorGrid
-    damping: DampingProfile
     psi: CutoffPsi | None
     r: float
     family: WeightFamily | None = None          # drives X and E_phi
@@ -359,10 +359,9 @@ class TrackerConfig:
     obs_R0: float | None = None     # observability ball radius; None: off
 
 
-# Registry groups are (member names, fn, densities): fn(ctx) returns one
-# value per name, so the members of a group share their weights, and reads
-# the named `_SampleContext` densities.  Names ending in "_cum" are
-# cumulative.
+# Registry groups are (member names, fn): fn(ctx) returns one value per
+# name, so the members of a group share their weights and the
+# `_SampleContext` densities.  Names ending in "_cum" are cumulative.
 
 # bundle members in registry order, each with the density it integrates
 # ("E": the plain energy, carried by the compact tail member)
@@ -390,7 +389,7 @@ def _theorem_members(prefix: str, family: WeightFamily,
         return [c.integral(c.weight(family, entry, mu, 1.0), dens)
                 for entry, dens in specs]
 
-    return names, fn, {dens for _, dens in specs} - {"E"}
+    return names, fn
 
 
 def _prop1_members(cfg: TrackerConfig) -> tuple:
@@ -408,7 +407,7 @@ def _prop1_members(cfg: TrackerConfig) -> tuple:
                 c.vol * float(np.sum(phi * c.a_vel_r1)),
                 c.vol * float(np.sum(phip * c.e)))
 
-    return ["prop1.E_phi", "prop1.disp_cum", "prop1.absphip_cum"], fn, {"e", "a_vel_r1"}
+    return ["prop1.E_phi", "prop1.disp_cum", "prop1.absphip_cum"], fn
 
 
 def _obs_members(cfg: TrackerConfig) -> tuple:
@@ -428,9 +427,7 @@ def _obs_members(cfg: TrackerConfig) -> tuple:
                 c.vol * float(np.sum(f * a_vel_obs)),
                 c.vol * float(np.sum(f_u2 * c.a * c.u2)))
 
-    # a compact a_u2 is read by its total, which X has taken
-    reads = {"e", "v2"} if mu == 0.0 else {"e", "v2", "u2"}
-    return ["obs.lhs_cum", "obs.rhs_disp_cum", "obs.rhs_u2_cum"], fn, reads
+    return ["obs.lhs_cum", "obs.rhs_disp_cum", "obs.rhs_u2_cum"], fn
 
 
 class SampleTracker:
@@ -457,30 +454,25 @@ class SampleTracker:
         if cfg.obs_R0 is not None and cfg.family is not None:
             self.groups.append(_obs_members(cfg))
         self.groups.append((["diag.trunc_band_energy"], lambda c: [
-            0.5 * c.vol * float(np.sum(c.e[c.grid.boundary_band(4.0 * c.grid.h)]))],
-            {"e"}))
-        # after each group, the densities a later group reads
-        self._later = [set().union(*(reads for *_, reads in self.groups[i + 1:]))
-                       for i in range(len(self.groups))]
+            0.5 * c.vol * float(np.sum(c.e[c.grid.boundary_band(4.0 * c.grid.h)]))]))
         self._prev_t = None
         self._stride = None
         self._prev_integrand = {}
-        self._cum = {n: 0.0 for names, *_ in self.groups for n in names
+        self._cum = {n: 0.0 for names, _ in self.groups for n in names
                      if n.endswith("_cum")}
         self._E_solver_0 = None
 
     def sample(self, state: WaveState, D_cum: float, E_solver: float,
-               grid: ExteriorGrid | None = None, a=None, lap=None,
-               integrand=None) -> dict[str, float]:
-        """The row of `state` (zero off `state.box`).  `grid`, `a` and `lap` are
-        the grid, the damping and Lap_h(state.u) on that box, as `run` holds
-        them, else built; the sample box slices them.  `integrand` is
-        a |v|^(r+1) on that box, at the tracker's r, as the step that made
-        `state` left it, else built.  A non-finite column is an error."""
+               grid: ExteriorGrid, a: np.ndarray, lap: np.ndarray,
+               integrand: np.ndarray) -> dict[str, float]:
+        """The row of `state` (zero off `state.box`).  `grid`, `a`, `lap` and
+        `integrand` are the grid, the damping, Lap_h(state.u) and
+        a |v|^(r+1) at the tracker's r on that box, as `run` holds them; the
+        sample box slices them.  A non-finite column is an error."""
         cfg = self.cfg
-        a = cfg.damping.window(state.box) if a is None else a
         ctx = _SampleContext(cfg.grid, state, a, cfg.r, lap, grid, integrand)
         E_plain = ctx._totals["E"] = _energy(ctx.grid, ctx.v2, ctx.du2)
+        ctx.e       # held from here on: every group reads it node by node
         # E_phi and X first, while few per-sample arrays are live
         if cfg.family is None:
             E_phi, X = E_plain, 0.0
@@ -500,7 +492,7 @@ class SampleTracker:
         # D_weighted_cum holds its column's place until its member is summed
         row = {"t": state.t, "E": E_plain, "E_phi": E_phi, "X": X,
                "D_cum": D_cum, "D_weighted_cum": 0.0}
-        for (names, fn, _), later in zip(self.groups, self._later):
+        for names, fn in self.groups:
             for name, val in zip(names, fn(ctx)):
                 if name in self._cum:
                     if self._prev_t is not None:
@@ -509,7 +501,6 @@ class SampleTracker:
                     self._prev_integrand[name] = val
                     val = self._cum[name]
                 row[name] = val
-            ctx.release(later)
         self._prev_t = state.t
         row["D_weighted_cum"] = row.get(self._disp_key, 0.0)
 
@@ -534,7 +525,6 @@ class SampleTracker:
         """||grad v||^2 + ||u_tt||^2 with u_tt rebuilt from the equation.  The
         run's Lap_h(u) cut to the sample box is Lap_h of the cut u: both are
         zero on its border, 2 nodes off the support or Dirichlet."""
-        lap = laplacian(grid, state.u) if lap is None else lap
         utt = lap - a * np.abs(state.v) ** (self.cfg.r - 1.0) * state.v
         grid.clamp_dirichlet(utt)
         return grid.cell_volume * float(

@@ -453,7 +453,7 @@ def _run_scenario_inner(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         family=weights.WeightFamily.poly(cfg.prop1_gamma), mu=cfg.prop1_mu,
         lam=cfg.prop1_lam) if cfg.prop1_enabled else None
     tracker = functionals.SampleTracker(functionals.TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=cfg.r, family=family,
+        grid=grid, psi=psi, r=cfg.r, family=family,
         constants=consts, bundle_sets=bundle_sets, prop1=prop1,
         obs_R0=cfg.obs_R0 if cfg.obs_enabled else None))
 

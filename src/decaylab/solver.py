@@ -38,9 +38,10 @@ window's damping, which grow only with a window that outgrows them.  `step`,
 the same order as the fresh-array forms of the last two, so a step
 allocates nothing and the outputs are byte-identical.  A step leaves its
 dissipation integrand a |v'|^(r+1) in w, which `run` hands to the tracker's
-sample; the 2D Laplacian's 4u term goes to the u of the pair the step has
-spent.  `step` works only in that workspace, on `run`'s clamped states and
-the damping and Lap_h(u) `run` wrote there, so there is one stepping path.
+sample; at t = 0 `run` forms it there by the step's own operations.  The 2D
+Laplacian's 4u term goes to the u of the pair the step has spent.  `step`
+works only in that workspace, on `run`'s clamped states and the damping and
+Lap_h(u) `run` wrote there, so there is one stepping path.
 `laplacian` called without an output array allocates it; the samples, the
 cone check and a re-window's mask and support scan allocate theirs too.
 
@@ -365,10 +366,15 @@ def step(state: WaveState, grid: ExteriorGrid, params: SolverParams,
         raise FloatingPointError(
             f"field magnitude {peak:.3g} at t = {state.t + dt:.6g}; "
             "check the CFL bound and damping parameters")
+    diss = dt * grid.cell_volume * float(_integrand(av, params, work).sum())
+    return WaveState(u_new, v_new, state.t + dt, state.box), diss
+
+
+def _integrand(av: np.ndarray, params: SolverParams, work: _Workspace) -> np.ndarray:
+    """The dissipation integrand a |v|^(r+1), a = `work.a`, in place in av = |v|."""
     av **= params.r + 1.0
     av *= work.a
-    diss = dt * grid.cell_volume * float(av.sum())
-    return WaveState(u_new, v_new, state.t + dt, state.box), diss
+    return av
 
 
 # steps between re-windows in run; a fixed count, not the sample stride, so
@@ -405,12 +411,13 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     integrand) returning a row to collect (functionals.SampleTracker returns
     a dict keyed by the series columns, for `functionals.series_table`), where
     `state` holds the index box `state.box` of the grid (None: the whole
-    grid) and is zero elsewhere, and `grid`, `a` and `lap` are the grid, the
-    damping array (damping.window(box), built once per re-window) and
-    Lap_h(state.u) on that box, the workspace arrays `step` reads.
-    `integrand` is the step's a |v|^(r+1) at params.r on that box, in the
-    workspace and valid only during the call, or None at t = 0; with
-    tracker=None the records are (t, E_solver) pairs.  When `cone` declares
+    grid) and is zero elsewhere, and `grid`, `a`, `lap` and `integrand` are
+    the grid, the damping array (damping.window(box), built once per
+    re-window), Lap_h(state.u) and a |v|^(r+1) at params.r on that box: the
+    workspace arrays `step` reads and writes, valid only during the call.
+    The integrand is the one the step that made `state` left in w; at t = 0
+    `run` forms it there with the step's operations.  With tracker=None the
+    records are (t, E_solver) pairs.  When `cone` declares
     compact data the numerical support is checked at every sample against
     R + t + 2h + 2dt and a violation is a hard error (truncation
     contamination would follow).  `initial` may hold a box of the grid; it
@@ -452,9 +459,9 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
     def take_sample(st, n):
         if tracker is None:
             result.samples.append((st.t, float(E[n])))
-        else:     # after a step, w holds the step's a |v|^(r+1)
+        else:     # w holds a |v|^(r+1): the step's, or formed at t = 0
             result.samples.append(tracker.sample(st, D_cum, float(E[n]), g, ws.a,
-                                                 ws.lap, ws.w if n else None))
+                                                 ws.lap, ws.w))
 
     def check_cone(st):
         rad = support_radius(g, st, cone_thresh)
@@ -470,6 +477,7 @@ def run(grid: ExteriorGrid, damping: DampingProfile,
 
     if cone is not None:
         check_cone(sub)
+    _integrand(np.abs(sub.v, out=ws.w), params, ws)     # for the t = 0 sample
     take_sample(sub, 0)
 
     for n in range(1, n_steps + 1):
@@ -516,11 +524,11 @@ def make_initial_compact(grid: ExteriorGrid, center, radius: float,
         raise ValueError(f"center must have {grid.dim} coordinates")
     if not np.isfinite(center).all():
         raise ValueError(f"center must be finite, got {center}")
-    # the bump's box: one node more per side than the nodes within `radius`
-    # of the centre along each (ascending) axis
+    # the bump's box: the nodes within `radius` of the centre along each
+    # (ascending) axis, and the 2-node halo that every functional reads
     ends = [np.searchsorted(x.ravel(), (ck - radius, ck + radius))
             for x, ck in zip(grid.axes, center)]
-    box = tuple(slice(max(int(lo) - 1, 0), min(int(hi) + 1, x.size))
+    box = tuple(slice(max(int(lo) - 2, 0), min(int(hi) + 2, x.size))
                 for x, (lo, hi) in zip(grid.axes, ends))
     sub = grid.window(box)
     dist = np.sqrt(reduce(np.add, ((x - ck) ** 2 for x, ck in zip(sub.axes, center))))

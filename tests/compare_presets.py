@@ -26,6 +26,15 @@ peak RSS moves by under 2% from run to run, so such a rise is the code's.
 It does not change the exit code.  Each checkout's size comes first: the
 lines of its `src/decaylab` and the names its modules' `__all__` export,
 summed, as `size <a|b>: <lines> lines, <names> exported names`.
+
+After the runs, each checkout runs every preset once more, all in one
+process, each under `tracemalloc` with its output discarded, and prints the
+peak of what Python and numpy allocate during that run, as
+`tracemalloc <a|b> <preset>: <MB> MB peak`.  That peak does not move with
+heap fragmentation, as RSS does, so each preset whose peak under b is more
+than 2% above a's is named, as
+`tracemalloc up <preset>: <MB> -> <MB> MB (+<p>%)`; the exit code stays as
+the byte comparison sets it.
 """
 
 from __future__ import annotations
@@ -45,6 +54,18 @@ SIZE = ("import importlib, pathlib, pkgutil, decaylab; "
         ".parent.rglob('*.py')); names = len(decaylab.__all__) + sum(len(importlib."
         "import_module(f'decaylab.{m.name}').__all__) for m in pkgutil.iter_modules("
         "decaylab.__path__)); print(f'{lines} lines, {names} exported names')")
+# each preset named in argv run in this one process under tracemalloc: its
+# name and peak in MB, one line per preset
+TRACE = ("import contextlib, io, sys, tempfile, tracemalloc\n"
+         "from decaylab.cli import main\n"
+         "for name in sys.argv[1:]:\n"
+         "    with tempfile.TemporaryDirectory() as out, "
+         "contextlib.redirect_stdout(io.StringIO()):\n"
+         "        tracemalloc.start()\n"
+         "        main(['run', name, '--out', out])\n"
+         "        peak = tracemalloc.get_traced_memory()[1]\n"
+         "        tracemalloc.stop()\n"
+         "    print(name, peak / 2**20, flush=True)")
 
 
 def _python(checkout: Path, *args: str):
@@ -74,6 +95,20 @@ def _decaylab(checkout: Path, *args: str):
 
 # a preset's peak RSS under b above this multiple of a's is named
 RSS_RISE = 1.05
+# a preset's tracemalloc peak under b above this multiple of a's is named
+TRACE_RISE = 1.02
+
+
+def _traced_peaks(checkout: Path, label: str, names: list[str]) -> dict[str, float]:
+    """Each preset's tracemalloc peak in MB, from one process, printed."""
+    proc = _python(checkout, TRACE, *names)[0]
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: the tracemalloc pass exited {proc.returncode}\n"
+                 f"{proc.stderr}")
+    peaks = {name: float(mb) for name, mb in map(str.split, proc.stdout.splitlines())}
+    for name in names:
+        print(f"tracemalloc {label} {name}: {peaks[name]:.2f} MB peak", flush=True)
+    return peaks
 
 
 def _outputs(checkout: Path, label: str, names: list[str],
@@ -157,10 +192,15 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files_a, rss_a = _outputs(a, "a", names, Path(tmp, "a"))
         files_b, rss_b = _outputs(b, "b", names, Path(tmp, "b"))
+    peak_a, peak_b = (_traced_peaks(c, label, names) for label, c in (("a", a), ("b", b)))
     for name in names:
         if rss_b[name] > RSS_RISE * rss_a[name]:
             print(f"rss up {name}: {rss_a[name]:.1f} -> {rss_b[name]:.1f} MB "
                   f"(+{100 * (rss_b[name] / rss_a[name] - 1):.1f}%)")
+    for name in names:
+        if peak_b[name] > TRACE_RISE * peak_a[name]:
+            print(f"tracemalloc up {name}: {peak_a[name]:.2f} -> {peak_b[name]:.2f} MB "
+                  f"(+{100 * (peak_b[name] / peak_a[name] - 1):.1f}%)")
     differ = sorted(n for n in files_a.keys() | files_b.keys()
                     if _compared(n, files_a.get(n)) != _compared(n, files_b.get(n)))
     for name in differ:

@@ -3,7 +3,8 @@
 `reference_solve`, a fully implicit midpoint integrator, cross-validates the
 main stepper (`decaylab.solver.run`) on small instances: its energy curve and
 its trajectories.  `solve_damping_scalar` is the nodal damping solve on one
-node, `whole_grid_step` one step of `run`'s scheme on the whole grid, and
+node, `whole_grid_step` one step of `run`'s scheme on the whole grid,
+`sample_as_run` a tracker's sample handed the arrays `run` hands it, and
 `edge_form` the Dirichlet form <K u1, u2>_h that `laplacian` sums by parts.
 The `*_by_dim` functions are the grid operators written with one body for 1D
 and one for 2D; the one-body forms, which loop over `ExteriorGrid.axes`,
@@ -48,6 +49,18 @@ def whole_grid_step(state: WaveState, grid: ExteriorGrid, a: np.ndarray,
     laplacian(grid, st.u, ws.lap, ws.spent[0])
     new, diss = solver.step(st, grid, params, ws)
     return new.copy(), diss
+
+
+def sample_as_run(tracker, damping: DampingProfile, state: WaveState,
+                  D_cum: float, E_solver: float) -> dict:
+    """`tracker.sample` of `state` handed what `run` hands it, built afresh
+    on the state's box: the grid, the damping, Lap_h(u) and the dissipation
+    integrand a |v|^(r+1) at the tracker's r."""
+    grid = tracker.cfg.grid.window(state.box)
+    a = damping.window(state.box)
+    integrand = a * np.abs(state.v) ** (tracker.cfg.r + 1.0)
+    return tracker.sample(state, D_cum, E_solver, grid, a,
+                          laplacian(grid, state.u), integrand)
 
 
 def edge_form(grid: ExteriorGrid, u1: np.ndarray, u2: np.ndarray) -> float:
@@ -157,7 +170,7 @@ def bump_box_and_distance_by_dim(grid: ExteriorGrid, center, radius: float):
     center = np.atleast_1d(np.asarray(center, dtype=float))
     axes = grid.coords if grid.dim == 1 else (grid.coords[0][:, 0], grid.coords[1][0])
     ends = [np.searchsorted(ax, (ck - radius, ck + radius)) for ax, ck in zip(axes, center)]
-    box = tuple(slice(max(int(lo) - 1, 0), min(int(hi) + 1, ax.size))
+    box = tuple(slice(max(int(lo) - 2, 0), min(int(hi) + 2, ax.size))
                 for ax, (lo, hi) in zip(axes, ends))
     x = [coord[box] for coord in grid.coords]
     if grid.dim == 1:

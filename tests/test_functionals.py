@@ -28,6 +28,7 @@ from decaylab import functionals, grids
 from decaylab.weights import (WeightFamily, WeightKind, WeightOverflowError,
                               compute_constants, eval_weight, exponent_table,
                               table_weight)
+from oracles import sample_as_run
 
 
 def _setup_1d(n=600, x_max=30.0, alpha=0.0, kind="constant", eps0=1.0,
@@ -266,7 +267,7 @@ def _tracked_run(T_max=5.0, cfl=0.5, theorem="T3", gamma=0.2):
     consts = compute_constants(theorem, 1.5, 1, 0.01, gamma)
     fam = WeightFamily.compact(consts.gamma, 2.0, r=1.5)
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
+        grid=grid, psi=psi, r=1.5, family=fam,
         constants=consts, bundle_sets=[("thm3", fam)],
         prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=1.0))
     params = SolverParams.for_grid(grid, cfl, 1.5, T_max=T_max)
@@ -281,7 +282,7 @@ def test_bundle_zero_trajectory():
     consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
     fam = WeightFamily.compact(consts.gamma, 2.0, r=1.5)
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
+        grid=grid, psi=psi, r=1.5, family=fam,
         constants=consts, bundle_sets=[("thm3", fam)]))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
     res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
@@ -296,7 +297,7 @@ def test_bundle_trapezoid_constant_integrand():
     grid, damping, tracker, res = _tracked_run(T_max=0.0)
     s0 = res.samples[0]
     st = WaveState(res.final_state.u.copy(), res.final_state.v.copy(), 0.5)
-    s1 = tracker.sample(st, 0.0, res.E_steps[0])
+    s1 = sample_as_run(tracker, damping, st, 0.0, res.E_steps[0])
     g = 0.2
     dt_s = 0.5
     expect = 0.5 * dt_s * ((2.0 + 0.0) ** (g - 1.0) * s0["E"]
@@ -330,7 +331,7 @@ def _regime_tracker(theorem):
         fam = WeightFamily.compact(consts.gamma, 2.0, r=1.5)
         sets = [("thm3", fam)]
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
+        grid=grid, psi=psi, r=1.5, family=fam,
         constants=consts, bundle_sets=sets,
         prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=1.0))
     return grid, damping, psi, consts, fam, tracker
@@ -364,7 +365,7 @@ def test_t1_sample_takes_ln_b_plus_s_once_per_family(monkeypatch):
         return real(self, s)
 
     monkeypatch.setattr(WeightFamily, "ln_bs", counting)
-    sample = tracker.sample(state, 0.0, 1.0)
+    sample = sample_as_run(tracker, damping, state, 0.0, 1.0)
     ln_bs = {f.ln_b for _, f in tracker.cfg.bundle_sets}
     assert len(ln_bs) == 2 and fam.ln_b in ln_bs
     assert sorted(calls) == sorted(ln_bs)
@@ -372,51 +373,42 @@ def test_t1_sample_takes_ln_b_plus_s_once_per_family(monkeypatch):
 
 
 class _BuildingTracker(SampleTracker):
-    """A tracker that ignores the integrand `run` hands it and builds
-    a |v|^(r+1) itself at every sample."""
+    """A tracker that ignores the integrand `run` hands it and takes
+    a |v|^(r+1) built afresh on the state's box instead."""
 
-    def sample(self, state, D_cum, E_solver, grid=None, a=None, lap=None,
-               integrand=None):
-        return super().sample(state, D_cum, E_solver, grid, a, lap)
+    def sample(self, state, D_cum, E_solver, grid, a, lap, integrand):
+        built = a * np.abs(state.v) ** (self.cfg.r + 1.0)
+        return super().sample(state, D_cum, E_solver, grid, a, lap, built)
 
 
-def test_t3_sample_builds_dissipation_density_once(monkeypatch):
-    # the T3 bundle sums a |v|^(r+1) and prop1 weights it per node.  After a
-    # step the sample takes the step's integrand, the same products, so a run
-    # builds the density only at t = 0; its rows are, byte for byte, those of
-    # a tracker that builds it at every sample.  The 2D sample box cuts a
-    # strided block of over 8192 nodes from the window's integrand, where
-    # numpy sums a strided block in other parts than a contiguous one
-    build = functionals._SampleContext._DENSITIES["a_vel_r1"]
-    builds = []
-
-    def counting(c):
-        builds.append(c.t)
-        return build(c)
-
-    monkeypatch.setitem(functionals._SampleContext._DENSITIES, "a_vel_r1", counting)
+def test_t3_sample_takes_the_run_integrand_byte_identical():
+    # the T3 bundle sums a |v|^(r+1) and prop1 weights it per node.  The
+    # sample takes the integrand `run` leaves in its workspace (the step's,
+    # or formed at t = 0 by the step's operations), cut to the sample box;
+    # its rows are, byte for byte, those of a tracker handed the density built
+    # afresh at every sample.  The 2D sample box cuts a strided block of over
+    # 8192 nodes from the window's integrand, where numpy sums a strided block
+    # in other parts than a contiguous one
     grid, damping, _, _, _, tracker = _regime_tracker("T3")
     grid2 = build_grid_2d_disk(1.0, 8.0, 16.0)
     consts = compute_constants("T3", 1.5, 2, 0.01, 0.2)
     fam = WeightFamily.compact(consts.gamma, 6.5, r=1.5)
     damping2 = build_damping(grid2, "annulus_plus_exterior", 0.5, 1.0, 1.0)
-    cfg2 = TrackerConfig(grid=grid2, damping=damping2, psi=build_psi(grid2, 1.0), r=1.5,
+    cfg2 = TrackerConfig(grid=grid2, psi=build_psi(grid2, 1.0), r=1.5,
                          family=fam, constants=consts, bundle_sets=[("thm3", fam)],
                          prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.5)
-    for cfg, bump in ((tracker.cfg, (1.25, 0.7, 2.0)), (cfg2, ((4.0, 0.0), 2.5, 6.5))):
-        grid, damping = cfg.grid, cfg.damping
+    for cfg, damping, bump in ((tracker.cfg, damping, (1.25, 0.7, 2.0)),
+                               (cfg2, damping2, ((4.0, 0.0), 2.5, 6.5))):
+        grid = cfg.grid
         params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
         for mode in ("bump_u", "both"):
             st0 = make_initial_compact(grid, *bump[:2], 1.0, mode, R=bump[2])
-            builds.clear()
             res = run(grid, damping, st0, params, tracker=SampleTracker(cfg),
                       sample_stride=10)
             got = res.samples
-            assert len(got) > 1 and builds == [0.0]
-            builds.clear()
             want = run(grid, damping, st0, params, tracker=_BuildingTracker(cfg),
                        sample_stride=10).samples
-            assert builds == [row["t"] for row in want]
+            assert len(got) > 1 and got[-1]["thm3.disp_weighted_cum"] > 0.0
             assert [list(row) for row in got] == [list(row) for row in want]
             assert (np.array([list(row.values()) for row in got]).tobytes()
                     == np.array([list(row.values()) for row in want]).tobytes())
@@ -424,18 +416,57 @@ def test_t3_sample_builds_dissipation_density_once(monkeypatch):
         assert (math.prod(b.stop - b.start for b in box) > 8192) == (grid.dim == 2)
 
 
-def test_t3_sample_frees_the_densities_no_later_group_reads():
-    # the sample's memory plan: X and the bundle read u2, |u|^(r+1) and their
-    # products with a; no later group does, so prop1 and obs start with them
-    # freed and with e, which they read, still held.  Outputs do not show
-    # the plan: with `release` a no-op they stay byte-identical, but a full
-    # t3-compact-2d run's peak memory rises by about 8 MB
+def _densities_built(monkeypatch) -> list:
+    """Counts every build of a `_SampleContext` density: the list of
+    (sample time, density) it appends to."""
+    builds = []
+    for name, build in functionals._SampleContext._DENSITIES.items():
+        def counting(c, name=name, build=build):
+            builds.append((c.t, name))
+            return build(c)
+        monkeypatch.setitem(functionals._SampleContext._DENSITIES, name, counting)
+    return builds
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "identity"])
+def test_sample_builds_each_density_at_most_once(theorem, monkeypatch):
+    # the sample holds what some group reads node by node and builds what is
+    # only summed for its sum alone; a density read both ways (e: summed by
+    # the compact E_phi, X and bundle, read per node by prop1, obs and the
+    # band) must be held from its first read on, not built twice
+    if theorem == "identity":
+        grid, damping, psi = _setup_1d(alpha=0.5, x_max=30.0, n=590,
+                                       kind="exterior_smooth", eps0=0.5, L=0.5)
+        tracker = SampleTracker(TrackerConfig(
+            grid=grid, psi=psi, r=1.5, prop1=Prop1Config(WeightFamily.poly(1.0))))
+    else:
+        grid, damping, *_, tracker = _regime_tracker(theorem)
+    builds = _densities_built(monkeypatch)
+    params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
+    st0 = make_initial_compact(grid, 1.25, 0.7, 1.0, "both", R=2.0)
+    res = run(grid, damping, st0, params, tracker=tracker, sample_stride=10)
+    assert len(res.samples) > 1
+    assert len(builds) == len(set(builds))
+    built = {name for _, name in builds}
+    assert built == ({"du2", "v2", "e"} if theorem == "identity"
+                     else set(functionals._SampleContext._DENSITIES))
+    for row in res.samples:         # each sample builds them anew
+        assert {name for t, name in builds if t == row["t"]} == built
+
+
+def test_t3_sample_holds_no_density_it_only_sums():
+    # under compact weights u2, |u|^(r+1) and their products with a are read
+    # by their totals alone (X takes them, the bundle and obs reuse them), so
+    # the sample never holds them: no group starts with one held, and every
+    # group starts with e, which each reads node by node.  Outputs do not show
+    # this; holding them raises a full t3-compact-2d run's peak memory by
+    # about 8 MB
     grid = build_grid_2d_disk(1.0, 6.0, 8.0)
     consts = compute_constants("T3", 1.5, 2, 0.01, 0.2)
     fam = WeightFamily.compact(consts.gamma, 4.5, r=1.5)
     damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=build_psi(grid, 1.0), r=1.5, family=fam,
+        grid=grid, psi=build_psi(grid, 1.0), r=1.5, family=fam,
         constants=consts, bundle_sets=[("thm3", fam)],
         prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.5))
     held = {}       # per group, the densities held as each of its calls starts
@@ -446,18 +477,18 @@ def test_t3_sample_frees_the_densities_no_later_group_reads():
             return fn(c)
         return fn_watched
 
-    tracker.groups = [(names, watching(names[0].split(".")[0], fn), reads)
-                      for names, fn, reads in tracker.groups]
+    tracker.groups = [(names, watching(names[0].split(".")[0], fn))
+                      for names, fn in tracker.groups]
     st0 = make_initial_compact(grid, (3.0, 0.0), 1.0, 1.0, "both", R=4.5)
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=1.0)
     res = run(grid, damping, st0, params, tracker=tracker, sample_stride=4)
     assert len(res.samples) > 2
-    freed = {"u2", "ur1", "a_u2", "a_ur1"}
-    assert all(freed <= names for names in held["thm3"])    # built before
-    for group in ("prop1", "obs"):
-        assert len(held[group]) == len(res.samples)
-        for names in held[group]:
-            assert "e" in names and not names & freed
+    summed = {"u2", "ur1", "a_u2", "a_ur1"}
+    assert set(held) == {"thm3", "prop1", "obs", "diag"}
+    for group, starts in held.items():
+        assert len(starts) == len(res.samples)
+        for names in starts:
+            assert "e" in names and not names & summed, group
 
 
 @settings(max_examples=40, deadline=None)
@@ -494,7 +525,7 @@ def test_compact_weights_scale_totals_within_round_off(seed, t, scale, lo, size)
                 0.5 * consts.k1 * weight(WeightKind.F1, table) * a * u * u,
                 consts.k2 * weight(WeightKind.F2, table) * a * np.abs(u) ** (r + 1.0),
                 0.5 * consts.k * weight(WeightKind.PHI, table) * e)
-    _, members, _ = functionals._obs_members(tracker.cfg)
+    _, members = functionals._obs_members(tracker.cfg)
     lhs, rhs_disp, rhs_u2 = members(functionals._SampleContext(grid, state, a, r))
     f = weight(WeightKind.F)
     inside = grid.fluid & (grid.radius <= tracker.cfg.obs_R0)
@@ -521,11 +552,11 @@ def test_log_bundle_overflow_raises():
     honest = WeightFamily.log_honest(1.5, 100.0, 0.01)
     grid, damping, psi = _setup_1d()
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=1.5, constants=consts,
+        grid=grid, psi=psi, r=1.5, constants=consts,
         bundle_sets=[("thm1", honest)]))
     st = make_initial_compact(grid, 3.0, 1.0, 1.0, "both").on(None, grid.shape)
     with pytest.raises(WeightOverflowError) as exc:
-        tracker.sample(st, 0.0, energy(st, grid))
+        sample_as_run(tracker, damping, st, 0.0, energy(st, grid))
     assert exc.value.log_value == pytest.approx(1903.0, abs=1.0)
 
 
@@ -543,7 +574,7 @@ def _window_sample_case(dim, sharp, theorem="T3"):
         consts = compute_constants("T3", 1.5, 2, 0.01, 0.2)
         fam = WeightFamily.compact(consts.gamma, 3.0, r=1.5)
         tracker = SampleTracker(TrackerConfig(
-            grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
+            grid=grid, psi=psi, r=1.5, family=fam,
             constants=consts, bundle_sets=[("thm3", fam)],
             prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.5))
         st0 = make_initial_compact(grid, (2.0, 0.5), 0.8, 1.0, "both", R=3.0)
@@ -611,14 +642,15 @@ def test_window_sample_byte_identical_to_full_state(case):
     assert box is not None
     full, part = SampleTracker(tracker.cfg), SampleTracker(tracker.cfg)
     for t in (st.t, st.t + 0.5):
-        want = full.sample(WaveState(st.u, st.v, t), 0.25, 1.0)
-        got = part.sample(WaveState(st.u[box], st.v[box], t, box), 0.25, 1.0)
+        want = sample_as_run(full, damping, WaveState(st.u, st.v, t), 0.25, 1.0)
+        got = sample_as_run(part, damping, WaveState(st.u[box], st.v[box], t, box),
+                            0.25, 1.0)
         assert repr(got) == repr(want)
     assert sharp or want["obs.lhs_cum"] > 0.0
     tight = functionals._support_box(st.u, st.v, 1)
     with pytest.raises(ValueError, match="halo"):
-        part.sample(WaveState(st.u[tight], st.v[tight], st.t + 1.0, tight),
-                    0.25, 1.0)
+        sample_as_run(part, damping,
+                      WaveState(st.u[tight], st.v[tight], st.t + 1.0, tight), 0.25, 1.0)
 
 
 @pytest.mark.parametrize("sharp", [False, True])
@@ -628,14 +660,15 @@ def test_high_energy_from_handed_laplacian_byte_identical(dim, sharp):
     # recomputing it: on windows whose 2-node halo touches their edge, and
     # on wider ones, high_energy has the bytes of the full state's sample
     grid, damping, fam, tracker, st = _window_sample_case(dim, sharp)
-    want = SampleTracker(tracker.cfg).sample(st, 0.25, 1.0)["high_energy"]
+    want = sample_as_run(SampleTracker(tracker.cfg), damping, st, 0.25,
+                         1.0)["high_energy"]
     for pad in (2, 3, 10):
         box = functionals._support_box(st.u, st.v, pad)
         g = grid.window(box)
         held = WaveState(st.u[box], st.v[box], st.t, box)
-        lap = laplacian(g, held.u)
-        got = SampleTracker(tracker.cfg).sample(held, 0.25, 1.0, g,
-                                                damping.window(box), lap)
+        a = damping.window(box)
+        got = SampleTracker(tracker.cfg).sample(held, 0.25, 1.0, g, a, laplacian(g, held.u),
+                                                a * np.abs(held.v) ** 2.5)
         assert repr(got["high_energy"]) == repr(want)
         assert got["high_energy"] > 0.0
 
@@ -658,13 +691,13 @@ def test_tracker_rejects_stride_change():
     st = res.final_state
     bad = WaveState(st.u.copy(), st.v.copy(), st.t + 0.123)
     with pytest.raises(ValueError, match="stride"):
-        tracker.sample(bad, res.D_cum, res.E_steps[-1])
+        sample_as_run(tracker, damping, bad, res.D_cum, res.E_steps[-1])
 
 
 def test_prop1_zero_solution_degenerate():
     grid, damping, psi = _setup_1d()
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=1.5,
+        grid=grid, psi=psi, r=1.5,
         prop1=Prop1Config(WeightFamily.poly(1.0))))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=2.0)
     res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
@@ -684,7 +717,7 @@ def test_prop1_lambda_mu_zero_reduces_to_identity():
         damping = build_damping(grid, "constant", 1.0, 1.0, 1.0)
         psi = build_psi(grid, 1.0)
         tracker = SampleTracker(TrackerConfig(
-            grid=grid, damping=damping, psi=psi, r=1.5,
+            grid=grid, psi=psi, r=1.5,
             prop1=Prop1Config(WeightFamily.poly(1.0), mu=0.0, lam=0.0)))
         params = SolverParams.for_grid(grid, cfl, 1.5, T_max=4.0)
         st = make_initial_compact(grid, 3.0, 1.0, 1.0, "bump_u")
@@ -702,7 +735,7 @@ def test_observability_zero_solution_degenerate():
     consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
     fam = WeightFamily.compact(consts.gamma, 2.0, r=1.5)
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=1.5, family=fam,
+        grid=grid, psi=psi, r=1.5, family=fam,
         constants=consts, bundle_sets=[("thm3", fam)], obs_R0=1.0))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=2.0)
     res = run(grid, damping, WaveState(grid.zeros(), grid.zeros()),
@@ -876,6 +909,62 @@ def test_weighted_energy_overflow_flag():
     assert math.isfinite(exc.value.log_value)   # ln E_phi supplied
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_energy_overflow_carries_ln_E_phi_of_compact_data(dim):
+    # on compact data the sums run on the support's box; the overflow's
+    # ln E_phi must come from that same box, in the public function and in
+    # the tracker's E_phi alike
+    if dim == 1:
+        grid, damping, psi = _setup_1d()
+        center = 10.0
+    else:
+        grid = build_grid_2d_disk(1.0, 8.0, 8.0)
+        damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+        psi, center = build_psi(grid, 1.0), (5.0, 0.0)
+    st = make_initial_compact(grid, center, 1.0, 1.0, "both").on(None, grid.shape)
+    fam = WeightFamily.log_practical(1000.0, math.e)
+    want = weighted_energy_log(st, grid, fam, 1.0, 1.0)
+    assert 0.0 < want < math.inf
+    with pytest.raises(WeightOverflowError) as exc:
+        weighted_energy(st, grid, fam, 1.0, 1.0)
+    assert exc.value.log_value == want
+    tracker = SampleTracker(TrackerConfig(
+        grid=grid, psi=psi, r=1.5, family=fam,
+        constants=compute_constants("T1", 1.5, dim, 0.1, 1.0)))
+    with pytest.raises(WeightOverflowError) as exc:
+        sample_as_run(tracker, damping, st, 0.0, 1.0)
+    assert exc.value.log_value == want
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_public_functionals_read_a_fresh_bump(dim):
+    # `make_initial_compact` holds its bump on a box with the 2-node halo of
+    # the nodal densities: every public functional takes it as it is and
+    # gives its value on the bump laid out on the whole grid
+    if dim == 1:
+        grid, damping, psi = _setup_1d()
+        center, theorem = 3.0, "T2"
+    else:
+        grid = build_grid_2d_disk(1.0, 8.0, 8.0)
+        damping = build_damping(grid, "annulus_plus_exterior", 0.5, 1.0, 1.0)
+        psi, center, theorem = build_psi(grid, 1.0), (3.0, 0.5), "T3"
+    consts = compute_constants(theorem, 1.5, dim, 0.01, 0.1 if theorem == "T2" else 0.2)
+    fam = (WeightFamily.poly(consts.gamma, r=1.5) if theorem == "T2"
+           else WeightFamily.compact(consts.gamma, 4.5, r=1.5))
+    held = make_initial_compact(grid, center, 1.0, 1.0, "both")
+    full = held.on(None, grid.shape)
+    assert held.box is not None and held.u.size < full.u.size
+
+    def values(st):
+        return [energy(st, grid), weighted_energy(st, grid, fam, 1.0, 1.0),
+                weighted_energy_log(st, grid, fam, 1.0, 1.0),
+                X_functional(st, grid, psi, damping, consts, fam)]
+
+    got = values(held)
+    assert all(x != 0.0 for x in got)
+    assert got == values(full)
+
+
 def test_high_energy_linear_regime_holds_with_margin():
     # a == 0 run: bound still valid with the a_inf = 0 prefactor
     grid = build_grid_1d(0.0, 20.0, 400)
@@ -885,7 +974,7 @@ def test_high_energy_linear_regime_holds_with_margin():
     psi = build_psi(grid, 1.0)
     consts = compute_constants("T3", 1.5, 1, 0.01, 0.2)
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=1.5))
+        grid=grid, psi=psi, r=1.5))
     params = SolverParams.for_grid(grid, 0.5, 1.5, T_max=5.0)
     st = make_initial_compact(grid, 10.0, 1.0, 0.01, "bump_u", R=11.0)
     res = run(grid, damping, st, params, tracker=tracker)
@@ -901,7 +990,7 @@ def test_prop1_with_log_practical_weights():
     grid, damping, psi = _setup_1d()
     fam = WeightFamily.log_practical(gamma=1.0, b=math.e)
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=psi, r=1.5,
+        grid=grid, psi=psi, r=1.5,
         prop1=Prop1Config(fam, mu=1.0, lam=1.0)))
     params = SolverParams.for_grid(grid, 0.45, 1.5, T_max=6.0)
     st = make_initial_compact(grid, 3.0, 1.0, 1.0, "bump_u")

@@ -1041,7 +1041,7 @@ def test_windowed_run_allocates_less_than_one_full_array():
     consts = compute_constants("T3", 1.5, 2, 0.01, 0.2)
     fam = WeightFamily.compact(consts.gamma, 4.5, r=1.5)
     tracker = SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=build_psi(grid, 2.0), r=1.5,
+        grid=grid, psi=build_psi(grid, 2.0), r=1.5,
         family=fam, constants=consts, bundle_sets=[("thm3", fam)],
         prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=3.0))
     state = make_initial_compact(grid, (3.5, 0.0), 1.0, 1.0, "bump_u", R=4.5)
@@ -1067,7 +1067,7 @@ def _t3_tracker(grid, damping, R):
     consts = compute_constants("T3", 1.5, grid.dim, 0.01, 0.2)
     fam = WeightFamily.compact(consts.gamma, R, r=1.5)
     return SampleTracker(TrackerConfig(
-        grid=grid, damping=damping, psi=build_psi(grid, 1.0), r=1.5,
+        grid=grid, psi=build_psi(grid, 1.0), r=1.5,
         family=fam, constants=consts, bundle_sets=[("thm3", fam)],
         prop1=Prop1Config(WeightFamily.poly(1.0)), obs_R0=2.0))
 
